@@ -1,6 +1,10 @@
-"""Build script: compiles the bitset forcing kernel when Cython and a C
-compiler are available.  The package works without the extension (a pure
-Python twin is selected at import time), so a failed build only costs speed.
+"""Build script: compiles the bitset forcing kernel, a plain C extension
+(src/forceps/_core/_ckernel.c), when a C compiler is available.
+
+    python setup.py build_ext --inplace   # for a src/ checkout
+
+The package works without the extension (a pure Python twin is selected at
+import time, and nothing is built then), so a failed build only costs speed.
 """
 
 from setuptools import Extension, setup
@@ -21,15 +25,7 @@ class optional_build_ext(build_ext):
             print(f"warning: skipping {ext.name} ({exc})")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [Extension("forceps._core._ckernel", ["src/forceps/_core/_ckernel.pyx"])],
-        language_level=3,
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[Extension("forceps._core._ckernel", ["src/forceps/_core/_ckernel.c"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

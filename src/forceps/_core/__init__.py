@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
-The compiled extension is used when present; setting FORCEPS_PURE_PYTHON=1
-(or a failed build) selects the pure Python twin.  Both expose identical
-functions with identical results.
+The compiled extension ``_ckernel`` is plain C (``_ckernel.c``) that
+setuptools compiles; a ``src/`` checkout gets it with
+``python setup.py build_ext --inplace``.  Nothing is built at import time:
+when the extension is absent, or FORCEPS_PURE_PYTHON=1 is set, the pure
+Python twin is used.  Both expose identical functions with identical results.
 """
 
 import os
@@ -17,7 +19,6 @@ else:
 
 BACKEND = kernel.BACKEND
 closure_mask = kernel.closure_mask
-closure_async_mask = kernel.closure_async_mask
 first_failing_leaks = kernel.first_failing_leaks
 search_min_superset = kernel.search_min_superset
 is_fort_mask = kernel.is_fort_mask

@@ -83,41 +83,6 @@ def closure_mask(n, adj, blue, leaks, standard, barred=0) -> int:
         blue |= newly
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _rng_next(state: int) -> tuple[int, int]:
-    # xorshift64*, kept identical across twins
-    state ^= state >> 12
-    state = (state ^ (state << 25)) & _MASK64
-    state ^= state >> 27
-    return (state * 0x2545F4914F6CDD1D) & _MASK64, state
-
-
-def closure_async_mask(n, adj, blue, leaks, standard, seed) -> int:
-    """Closure by applying one pseudo-randomly chosen valid force at a time.
-
-    Exists to check order independence: the result must equal closure_mask.
-    """
-    full = (1 << n) - 1
-    state = (seed ^ 0x9E3779B97F4A7C15) & _MASK64 or 1
-    while True:
-        white = full & ~blue
-        if not white:
-            return blue
-        targets = _round_targets(n, adj, blue, leaks, standard, white)
-        if not targets:
-            return blue
-        choices = []
-        t = targets
-        while t:
-            low = t & -t
-            t ^= low
-            choices.append(low)
-        draw, state = _rng_next(state)
-        blue |= choices[draw % len(choices)]
-
-
 def first_failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int]:
     """Lexicographically first size-``ell`` leak placement whose closure
     misses a vertex, or -1 if none exists.  Second item counts closures run.

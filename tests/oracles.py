@@ -1,9 +1,11 @@
 """Brute-force reference implementations used as independent oracles.
 
-Everything here works on plain Python sets and dict adjacency, applies one
-force at a time, and enumerates rather than prunes.  No code or bit tricks
-are shared with the package kernels; agreement between the two routes is
-what the property suites check.
+Everything here applies one force at a time and enumerates rather than
+prunes.  No code is shared with the package kernels; agreement between the
+two routes is what the property suites check.  The oracles work on plain
+Python sets and dict adjacency, except async_closure_mask, which takes masks
+like the kernel closure it is compared with over every state of the small
+atlas graphs.
 """
 
 from __future__ import annotations
@@ -66,6 +68,61 @@ def naive_closure(g: Graph, blue: frozenset, leaks: frozenset, rule: Rule) -> fr
         if not forces:
             return blue
         blue |= {forces[0][1]}
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _bits(mask: int) -> list[int]:
+    """Single-vertex masks of ``mask``, ascending."""
+    out = []
+    while mask:
+        out.append(mask & -mask)
+        mask &= mask - 1
+    return out
+
+
+def _forceable(n: int, adj, blue: int, leaks: int, standard: bool) -> list[int]:
+    """Single-vertex masks of the vertices some valid force would color next,
+    ascending."""
+    white = ((1 << n) - 1) & ~blue
+    parts = [white]  # where a forcer must see exactly one white vertex
+    if not standard:  # psd: each component of the white vertices
+        parts, rest = [], white
+        while rest:
+            part, frontier = 0, rest & -rest
+            while frontier:
+                part |= frontier
+                for low in _bits(frontier):
+                    frontier |= adj[low.bit_length() - 1] & white
+                frontier &= ~part
+            parts.append(part)
+            rest &= ~part
+    targets = 0
+    for low in _bits(blue & ~leaks):
+        for part in parts:
+            hits = adj[low.bit_length() - 1] & part
+            if hits and hits & (hits - 1) == 0:
+                targets |= hits
+    return _bits(targets)
+
+
+def async_closure_mask(g: Graph, blue: int, leaks: int, standard: bool, seed: int) -> int:
+    """Closure by applying one pseudo-randomly chosen valid force at a time.
+
+    The draw is xorshift64* seeded from ``seed``; the result must equal the
+    kernel's round-simultaneous closure whatever the order.
+    """
+    state = (seed ^ 0x9E3779B97F4A7C15) & _MASK64 or 1
+    while True:
+        targets = _forceable(g.n, g.adj, blue, leaks, standard)
+        if not targets:
+            return blue
+        state ^= state >> 12
+        state = (state ^ (state << 25)) & _MASK64
+        state ^= state >> 27
+        draw = (state * 0x2545F4914F6CDD1D) & _MASK64
+        blue |= targets[draw % len(targets)]
 
 
 def naive_is_ell_leaky(g: Graph, blue: frozenset, ell: int, rule: Rule) -> tuple[bool, tuple | None]:

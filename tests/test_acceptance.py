@@ -37,7 +37,12 @@ from forceps.forcing import ColoringState, force_candidates
 from forceps.solve import ScanSummary, default_suite, edge_deletion_scan
 
 from corpus import atlas_graphs, random_connected_graph, random_graph
-from oracles import naive_is_ell_leaky, naive_leaky_number, naive_possible_forces
+from oracles import (
+    async_closure_mask,
+    naive_is_ell_leaky,
+    naive_leaky_number,
+    naive_possible_forces,
+)
 
 
 def _pass(name: str) -> None:
@@ -173,9 +178,7 @@ def test_c6a_closure_uniqueness_under_reordering():
             for leaks in range(1 << g.n):
                 for std in (False, True):
                     want = kernel.closure_mask(g.n, g.adj, blue, leaks, std)
-                    got = kernel.closure_async_mask(
-                        g.n, g.adj, blue, leaks, std, cases * 2 + std
-                    )
+                    got = async_closure_mask(g, blue, leaks, std, cases * 2 + std)
                     assert got == want, (to_graph6(g), blue, leaks, std)
                 cases += 1
     _pass(f"C6a closure uniqueness ({cases} states, random application order)")

@@ -1,17 +1,49 @@
 """Differential tests: the compiled kernel must agree with the pure Python
-twin bit for bit, including work counters."""
+twin bit for bit, including work counters.
 
+The extension is compiled here from the in-tree ``_ckernel.c`` into a
+temporary directory, so a stale in-place build never stands in for the
+source under test."""
+
+import importlib.util
 import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from forceps._core import _pykernel
-
-ck = pytest.importorskip(
-    "forceps._core._ckernel", reason="compiled kernel not built"
-)
+from forceps.families import complete, hypercube
 
 from corpus import random_graph
+from oracles import async_closure_mask
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
+
+
+@pytest.fixture(scope="module")
+def ck(tmp_path_factory):
+    ld = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    include = sysconfig.get_paths()["include"]
+    if not ld or shutil.which(ld[0]) is None:
+        pytest.skip("no C compiler")
+    if not (Path(include) / "Python.h").is_file():
+        pytest.skip("no Python.h")
+    out = tmp_path_factory.mktemp("ckernel") / ("_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = ld + shlex.split(sysconfig.get_config_var("CCSHARED") or "")
+    cmd += ["-O2", "-Wall", "-I", include, str(SOURCE), "-o", str(out)]
+    build = subprocess.run(cmd, capture_output=True, text=True)
+    log = build.stdout + build.stderr
+    assert build.returncode == 0, log
+    assert "warning" not in log.lower(), log
+    spec = importlib.util.spec_from_file_location("_ckernel", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND == "c"
+    return module
 
 
 def _instances(count, max_n=8):
@@ -25,7 +57,7 @@ def _instances(count, max_n=8):
         yield g, blue, leaks, rng
 
 
-def test_closure_masks_agree():
+def test_closure_masks_agree(ck):
     for g, blue, leaks, rng in _instances(600):
         barred = (rng.getrandbits(g.n) & ~blue) if g.n else 0
         for std in (False, True):
@@ -33,16 +65,16 @@ def test_closure_masks_agree():
                 ck.closure_mask(g.n, g.adj, blue, leaks, std, barred)
 
 
-def test_async_closures_agree_and_match_canonical():
+def test_async_closures_agree_and_match_canonical(ck):
     for g, blue, leaks, rng in _instances(300):
         seed = rng.getrandbits(64)
         for std in (False, True):
-            a = _pykernel.closure_async_mask(g.n, g.adj, blue, leaks, std, seed)
-            b = ck.closure_async_mask(g.n, g.adj, blue, leaks, std, seed)
-            assert a == b == ck.closure_mask(g.n, g.adj, blue, leaks, std)
+            assert async_closure_mask(g, blue, leaks, std, seed) == \
+                ck.closure_mask(g.n, g.adj, blue, leaks, std) == \
+                _pykernel.closure_mask(g.n, g.adj, blue, leaks, std)
 
 
-def test_leak_scans_agree():
+def test_leak_scans_agree(ck):
     for g, blue, _, rng in _instances(250, max_n=7):
         ell = rng.randint(0, 3)
         for std in (False, True):
@@ -50,7 +82,7 @@ def test_leak_scans_agree():
                 ck.first_failing_leaks(g.n, g.adj, blue, ell, std)
 
 
-def test_searches_agree():
+def test_searches_agree(ck):
     for g, blue, _, rng in _instances(150, max_n=7):
         if g.n == 0:
             continue
@@ -62,7 +94,7 @@ def test_searches_agree():
                 ck.search_min_superset(g.n, g.adj, core, k, ell, std)
 
 
-def test_sharded_search_agrees_with_full_scan():
+def test_sharded_search_agrees_with_full_scan(ck):
     rng = random.Random(3)
     for _ in range(60):
         g = random_graph(rng, 6, 0.5)
@@ -82,7 +114,7 @@ def test_sharded_search_agrees_with_full_scan():
         assert found == res[0]
 
 
-def test_fort_kernels_agree():
+def test_fort_kernels_agree(ck):
     for g, blue, _, rng in _instances(250, max_n=8):
         ell = rng.randint(0, 2)
         if blue:
@@ -92,10 +124,8 @@ def test_fort_kernels_agree():
             ck.minimal_fort_masks(g.n, g.adj, ell)
 
 
-def test_full_word_capacity():
+def test_full_word_capacity(ck):
     # 64 vertices exercises the all-ones universe mask in both twins
-    from forceps.families import hypercube
-
     q6 = hypercube(6)
     even = sum(1 << v for v in range(64) if bin(v).count("1") % 2 == 0)
     full = (1 << 64) - 1
@@ -105,16 +135,30 @@ def test_full_word_capacity():
         # standard rule stalls: every blue vertex has six white neighbors
         assert k.closure_mask(q6.n, q6.adj, even, 0, True) == even
         assert k.is_fort_mask(q6.n, q6.adj, full, 0)
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
+        with pytest.raises(ValueError):
+            k.first_failing_leaks(q6.n, q6.adj, even, -1, False)
+        with pytest.raises(ValueError):
+            k.search_min_superset(q6.n, q6.adj, even, 40, -1, False)
+
+
+def test_compiled_kernel_rejects_out_of_range_arguments(ck):
+    q6 = hypercube(6)
+    with pytest.raises(ValueError):
         ck.closure_mask(65, tuple([0] * 65), 0, 0, False)
+    for mask in (-1, 1 << 64):
+        with pytest.raises(OverflowError):
+            ck.closure_mask(q6.n, q6.adj, mask, 0, False)
+        with pytest.raises(OverflowError):
+            ck.is_fort_mask(q6.n, q6.adj, mask, 0)
+    with pytest.raises(IndexError):
+        ck.closure_mask(3, (0, 0), 1, 0, False)
+    with pytest.raises(ValueError):  # vertex 0 is in the core, not free
+        ck.search_min_superset(6, q6.adj, 1, 3, 0, False, (0, 2), 5)
 
 
-def test_fort_enumeration_beyond_initial_buffer():
+def test_fort_enumeration_beyond_initial_buffer(ck):
     # complete graph on 12 vertices has 66 minimal pair forts, which crosses
     # the C kernel's first buffer growth
-    from forceps.families import complete
-
     g = complete(12)
     masks = ck.minimal_fort_masks(g.n, g.adj, 0)
     assert len(masks) == 66
