@@ -3,13 +3,14 @@
 The compiled extension ``_ckernel`` is plain C (``_ckernel.c``) that
 setuptools compiles; a ``src/`` checkout gets it with
 ``python setup.py build_ext --inplace``.  Nothing is built at import time:
-when the extension is absent, or FORCEPS_PURE_PYTHON=1 is set, the pure
-Python twin is used.  Both expose identical functions with identical results.
+when the extension is absent, or FORCEPS_PURE_PYTHON is set to a value other
+than empty or ``0``, the pure Python twin is used.  Both expose identical
+functions with identical results.
 """
 
 import os
 
-if os.environ.get("FORCEPS_PURE_PYTHON"):
+if os.environ.get("FORCEPS_PURE_PYTHON", "") not in ("", "0"):
     from . import _pykernel as kernel
 else:
     try:
@@ -18,6 +19,7 @@ else:
         from . import _pykernel as kernel
 
 BACKEND = kernel.BACKEND
+components = kernel.components
 closure_mask = kernel.closure_mask
 first_failing_leaks = kernel.first_failing_leaks
 search_min_superset = kernel.search_min_superset

@@ -94,8 +94,9 @@ static int next_combination(int *c, int k, int m)
 
 /* ------------------------------------------------------------ kernels */
 
-/* Component of `inside` containing its lowest vertex; *boundary collects the
- * union of the component's neighbourhoods. */
+/* Component of `inside` containing its lowest vertex.  *boundary gets the
+ * component's full reach, the union of its neighbourhoods, which includes
+ * vertices of `inside`; the components() entry subtracts `inside`. */
 static uint64_t component(const uint64_t *adj, uint64_t inside, uint64_t *boundary)
 {
     uint64_t comp = 0, reach = 0, frontier = inside & (0 - inside), grow, f;
@@ -187,6 +188,28 @@ static int is_fort(const uint64_t *adj, uint64_t fort, int ell)
 }
 
 /* ------------------------------------------------------ Python entries */
+
+static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n;
+    uint64_t adj[64], inside, rest, comp, boundary;
+    PyObject *found, *item;
+    if (check_nargs("components", nargs, 3, 3) < 0 || get_int(args[0], &n) < 0
+        || get_mask(args[2], &inside) < 0 || load_adj(args[1], n, adj) < 0
+        || (found = PyList_New(0)) == NULL)
+        return NULL;
+    for (rest = inside; rest; rest &= ~comp) {
+        comp = component(adj, rest, &boundary);
+        item = Py_BuildValue("(KK)", (unsigned long long)comp, (unsigned long long)(boundary & ~inside));
+        if (item == NULL || PyList_Append(found, item) < 0) {
+            Py_XDECREF(item);
+            Py_DECREF(found);
+            return NULL;
+        }
+        Py_DECREF(item);
+    }
+    return found;
+}
 
 static PyObject *py_closure_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -328,8 +351,9 @@ static PyObject *py_minimal_fort_masks(PyObject *self, PyObject *const *args, Py
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, "See _pykernel." #name "."}
 
 static PyMethodDef methods[] = {
-    METHOD(closure_mask), METHOD(first_failing_leaks), METHOD(search_min_superset),
-    METHOD(is_fort_mask), METHOD(minimal_fort_masks), {NULL, NULL, 0, NULL},
+    METHOD(components), METHOD(closure_mask), METHOD(first_failing_leaks),
+    METHOD(search_min_superset), METHOD(is_fort_mask), METHOD(minimal_fort_masks),
+    {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {

@@ -1,8 +1,9 @@
 """Pure Python forcing kernels over bitmask graphs.
 
-This module is the reference twin of the C kernel: same functions, same
-argument conventions, same results, bit for bit.  Graphs arrive as a vertex
-count plus a sequence of neighborhood masks; vertex sets are plain ints.
+This module is the reference twin of the C kernel: same public functions,
+same argument conventions, same results and error types, bit for bit.
+Graphs arrive as a vertex count ``n`` plus a sequence of at least ``n``
+neighborhood masks; vertex sets are plain ints over ``0 .. n-1``.
 
 Rules: ``standard=True`` lets a non-leaked blue vertex force its unique
 non-blue neighbor; ``standard=False`` (positive semidefinite) lets it force
@@ -17,11 +18,14 @@ from itertools import combinations
 BACKEND = "python"
 
 
-def _components(adj, inside: int) -> list[tuple[int, int]]:
+def components(n, adj, inside) -> list[tuple[int, int]]:
     """Connected components of the subgraph induced on ``inside``.
 
-    Returns (component_mask, outside_boundary_mask) pairs in ascending order
-    of minimum vertex; the boundary is the union of component neighborhoods.
+    Returns (component_mask, boundary_mask) pairs in ascending order of
+    minimum vertex.  The boundary of a component is the set of its
+    neighbors outside ``inside``.  ``n`` is the vertex count: the C twin
+    copies the first ``n`` rows of ``adj`` and needs it; here it only keeps
+    the signatures equal.
     """
     comps = []
     rest = inside
@@ -58,7 +62,7 @@ def _round_targets(n, adj, blue, leaks, standard, white) -> int:
             if nb and nb & (nb - 1) == 0:
                 newly |= nb
     else:
-        for comp, boundary in _components(adj, white):
+        for comp, boundary in components(n, adj, white):
             s = sources & boundary
             while s:
                 low = s & -s
@@ -117,7 +121,9 @@ def search_min_superset(
     placement, or -1.  Returns (mask, candidates_tested, closures_run).
 
     ``first_free`` (a tuple of non-core vertices) positions the scan for
-    range sharding; ``max_candidates`` caps how many sets are tested.
+    range sharding; it raises ValueError unless it names ``k - |core|``
+    vertices in ``[0, n)`` outside the core.  ``max_candidates`` caps how
+    many sets are tested.
     """
     if ell < 0:
         raise ValueError("leak budget must be non-negative")
@@ -130,7 +136,12 @@ def search_min_superset(
     if first_free is None:
         idx = list(range(j))
     else:
+        if len(first_free) != j:
+            raise ValueError(f"first_free must name {j} vertices")
         pos = {v: i for i, v in enumerate(free)}
+        for v in first_free:
+            if v not in pos:
+                raise ValueError(f"vertex {v} is not outside the core")
         idx = [pos[v] for v in first_free]
     m = len(free)
     candidates = 0
@@ -170,7 +181,7 @@ def search_min_superset(
 def is_fort_mask(n, adj, fort, ell) -> bool:
     """Fort test: within each component of the induced subgraph on ``fort``,
     at most ``ell`` outside vertices may have exactly one neighbor inside."""
-    for comp, boundary in _components(adj, fort):
+    for comp, boundary in components(n, adj, fort):
         cnt = 0
         b = boundary
         while b:

@@ -112,29 +112,12 @@ def force_candidates(g: Graph, state: ColoringState, rule: Rule) -> frozenset[Fo
             if nb and nb & (nb - 1) == 0:
                 out.append(Force(u, nb.bit_length() - 1))
     else:
-        for comp in _white_components(g, white):
-            for u in _bits_ascending(sources):
+        for comp, boundary in _core.components(g.n, g.adj, white):
+            for u in _bits_ascending(sources & boundary):
                 nb = g.adj[u] & comp
                 if nb and nb & (nb - 1) == 0:
                     out.append(Force(u, nb.bit_length() - 1))
     return frozenset(out)
-
-
-def _white_components(g: Graph, white: int) -> list[int]:
-    comps = []
-    rest = white
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in _bits_ascending(frontier):
-                grow |= g.adj[v]
-            frontier = grow & white & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
 
 
 def closure(g: Graph, state: ColoringState, rule: Rule) -> tuple[VertexSet, Chronology]:
@@ -230,15 +213,7 @@ def possible_forces(g: Graph, blue: VertexSet) -> frozenset[Force]:
 
 def _forcers_of(g: Graph, blue_mask: int, v: int, full: int) -> list[Force]:
     final = _core.closure_mask(g.n, g.adj, blue_mask, 0, False, 1 << v)
-    white = full & ~final
-    comp = 1 << v
-    frontier = comp
-    while frontier:
-        grow = 0
-        for w in _bits_ascending(frontier):
-            grow |= g.adj[w]
-        frontier = grow & white & ~comp
-        comp |= frontier
+    comp = next(c for c, _ in _core.components(g.n, g.adj, full & ~final) if c >> v & 1)
     return [
         Force(u, v)
         for u in _bits_ascending(g.adj[v] & final)

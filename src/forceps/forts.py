@@ -119,7 +119,7 @@ def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> Fort:
     return Fort(remainder, ell)
 
 
-def _greedy_packing(masks: list[int], unhit: list[int]) -> int:
+def _greedy_packing(unhit: list[int]) -> int:
     used = 0
     count = 0
     for m in unhit:
@@ -157,7 +157,7 @@ def hitting_number(
             if best[0] is None or size < best[0] or (size == best[0] and key < best[1]):
                 best[0], best[1] = size, key
             return
-        if best[0] is not None and size + _greedy_packing(masks, unhit) > best[0]:
+        if best[0] is not None and size + _greedy_packing(unhit) > best[0]:
             return
         branch = min(unhit, key=lambda m: (m.bit_count(), tuple(VertexSet.from_mask(g.n, m))))
         for v in VertexSet.from_mask(g.n, branch):
@@ -180,19 +180,7 @@ def is_connected_fort_standard(g: Graph, fort: Fort) -> bool:
     """
     if fort.vertices.n != g.n:
         raise ValueError("fort does not match the graph")
-    sub = fort.vertices.mask
-    comp = sub & -sub
-    frontier = comp
-    while frontier:
-        grow = 0
-        f = frontier
-        while f:
-            low = f & -f
-            grow |= g.adj[low.bit_length() - 1]
-            f ^= low
-        frontier = grow & sub & ~comp
-        comp |= frontier
-    return comp == sub
+    return len(_core.components(g.n, g.adj, fort.vertices.mask)) <= 1
 
 
 def fort_family_json_lines(g: Graph, family: FortFamily) -> list[str]:

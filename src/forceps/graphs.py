@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import _core
+
 MAX_VERTICES = 64
 
 
@@ -221,22 +223,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def connected_components(g: Graph) -> list[VertexSet]:
     """Maximal connected vertex sets, ordered by their minimum vertex."""
-    out = []
-    seen = 0
     full = (1 << g.n) - 1
-    while seen != full:
-        seed = (~seen & full) & -(~seen & full)
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in _bits_ascending(frontier):
-                grow |= g.adj[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        out.append(VertexSet.from_mask(g.n, comp))
-        seen |= comp
-    return out
+    return [VertexSet.from_mask(g.n, comp) for comp, _ in _core.components(g.n, g.adj, full)]
 
 
 def induced_subgraph(g: Graph, vs: VertexSet) -> tuple[Graph, tuple[int, ...]]:

@@ -6,15 +6,19 @@ temporary directory, so a stale in-place build never stands in for the
 source under test."""
 
 import importlib.util
+import inspect
+import os
 import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
 import pytest
 
+from forceps import _core
 from forceps._core import _pykernel
 from forceps.families import complete, hypercube
 
@@ -152,8 +156,19 @@ def test_compiled_kernel_rejects_out_of_range_arguments(ck):
             ck.is_fort_mask(q6.n, q6.adj, mask, 0)
     with pytest.raises(IndexError):
         ck.closure_mask(3, (0, 0), 1, 0, False)
-    with pytest.raises(ValueError):  # vertex 0 is in the core, not free
-        ck.search_min_superset(6, q6.adj, 1, 3, 0, False, (0, 2), 5)
+
+
+def test_twins_reject_malformed_first_free_alike(ck):
+    q6 = hypercube(6)
+    # vertex 0 is in the core, vertex 6 is outside [0, 6), and a core of one
+    # vertex leaves two free vertices to name for k = 3
+    for first_free in ((0, 2), (2, 6), (2,), (2, 3, 4)):
+        messages = []
+        for k in (_pykernel, ck):
+            with pytest.raises(ValueError) as info:
+                k.search_min_superset(6, q6.adj, 1, 3, 0, False, first_free, 5)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 def test_fort_enumeration_beyond_initial_buffer(ck):
@@ -164,3 +179,57 @@ def test_fort_enumeration_beyond_initial_buffer(ck):
     assert len(masks) == 66
     assert masks == _pykernel.minimal_fort_masks(g.n, g.adj, 0)
     assert all(m.bit_count() == 2 for m in masks)
+
+
+def _public_routines(module):
+    return {name for name, obj in vars(module).items()
+            if not name.startswith("_") and inspect.isroutine(obj)}
+
+
+def test_twins_expose_the_same_functions(ck):
+    assert _public_routines(_pykernel) == _public_routines(ck)
+    assert _public_routines(_core) == _public_routines(_pykernel)
+
+
+def test_components_agree(ck):
+    for g, inside, _, _ in _instances(400):
+        for mask in (inside, (1 << g.n) - 1):
+            assert _pykernel.components(g.n, g.adj, mask) == ck.components(g.n, g.adj, mask)
+
+
+def test_components_partition_inside(ck):
+    for g, inside, _, _ in _instances(400):
+        for k in (_pykernel, ck):
+            comps = k.components(g.n, g.adj, inside)
+            union = 0
+            for comp, boundary in comps:
+                assert comp and comp & union == 0
+                union |= comp
+                reach = 0
+                for v in range(g.n):
+                    if comp >> v & 1:
+                        reach |= g.adj[v]
+                assert boundary == reach & ~inside
+            assert union == inside
+            lows = [comp & -comp for comp, _ in comps]
+            assert lows == sorted(lows)
+
+
+def _backend_with(value):
+    env = {k: v for k, v in os.environ.items() if k != "FORCEPS_PURE_PYTHON"}
+    if value is not None:
+        env["FORCEPS_PURE_PYTHON"] = value
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "from forceps import _core; print(_core.BACKEND)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_pure_python_switch():
+    assert _backend_with("1") == "python"
+    unset = _backend_with(None)
+    assert _backend_with("0") == unset
+    assert _backend_with("") == unset

@@ -122,6 +122,9 @@ class TestConnectedForts:
     def test_cycle_arc_connected(self):
         assert is_connected_fort_standard(cycle(4), Fort(vs(4, 1, 2, 3), 0))
 
+    def test_empty_fort_reads_connected(self):
+        assert is_connected_fort_standard(path(3), Fort(vs(3), 0))
+
 
 def test_json_lines_schema():
     fam = minimal_forts(path(3), 1)

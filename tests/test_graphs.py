@@ -77,6 +77,7 @@ def test_connected_components_order():
     assert [list(c) for c in connected_components(cycle(5))] == [[0, 1, 2, 3, 4]]
     empty3 = Graph.from_edges(3, [])
     assert [list(c) for c in connected_components(empty3)] == [[0], [1], [2]]
+    assert connected_components(Graph(0, ())) == []
 
 
 def test_cartesian_product_k2_k2_is_c4():
