@@ -5,18 +5,28 @@ setuptools compiles; a ``src/`` checkout gets it with
 ``python setup.py build_ext --inplace``.  Nothing is built at import time:
 when the extension is absent, or FORCEPS_PURE_PYTHON is set to a value other
 than empty or ``0``, the pure Python twin is used.  Both expose identical
-functions with identical results.
+functions with identical results.  A compiled extension whose
+``KERNEL_VERSION`` differs from the Python twin's was built from older
+sources; importing it raises ImportError instead of returning other counts.
 """
 
 import os
 
+from . import _pykernel
+
 if os.environ.get("FORCEPS_PURE_PYTHON", "") not in ("", "0"):
-    from . import _pykernel as kernel
+    kernel = _pykernel
 else:
     try:
         from . import _ckernel as kernel  # type: ignore[attr-defined]
     except ImportError:
-        from . import _pykernel as kernel
+        kernel = _pykernel
+    if getattr(kernel, "KERNEL_VERSION", None) != _pykernel.KERNEL_VERSION:
+        raise ImportError(
+            f"the compiled kernel {kernel.__file__} is stale: its KERNEL_VERSION is "
+            f"{getattr(kernel, 'KERNEL_VERSION', None)}, the sources' is "
+            f"{_pykernel.KERNEL_VERSION}; rebuild it with `python setup.py build_ext --inplace`"
+        )
 
 BACKEND = kernel.BACKEND
 components = kernel.components

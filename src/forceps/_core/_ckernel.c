@@ -2,6 +2,11 @@
  * conventions, bit-identical results.  See _pykernel for the semantics.
  * setup.py compiles this file as a plain extension. */
 
+/* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
+#define KERNEL_VERSION 2
+/* Fort cuts one search_min_superset call keeps. */
+#define CUTS 64
+
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -49,6 +54,23 @@ static int get_mask(PyObject *o, uint64_t *out)
 {
     *out = PyLong_AsUnsignedLongLong(o);
     return *out == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* A vertex-set argument over [0, n), after load_adj has checked n: the same
+ * errors and messages as _pykernel._check_mask. */
+static int get_vmask(PyObject *o, int n, uint64_t *out)
+{
+    if (get_mask(o, out) < 0) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+        return fail(PyExc_OverflowError, "mask outside [0, 2**64)");
+    }
+    if (*out & ~full_mask(n)) {
+        PyErr_Format(PyExc_ValueError, "mask has a vertex outside [0, %d)", n);
+        return -1;
+    }
+    return 0;
 }
 
 static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
@@ -151,10 +173,11 @@ static uint64_t closure(int n, const uint64_t *adj, uint64_t blue, uint64_t leak
     }
 }
 
-/* First size-ell leak placement in lexicographic order whose closure of
- * `blue` misses a vertex, or 0 when every placement forces the graph. */
+/* First size-ell leak placement (ell >= 1) in lexicographic order whose
+ * closure of `blue` misses a vertex, or 0 when every placement forces the
+ * graph.  *reach gets that failing closure, or the full mask. */
 static uint64_t failing_leaks(int n, const uint64_t *adj, uint64_t blue, int ell,
-                              int standard, long long *closures)
+                              int standard, uint64_t *reach, long long *closures)
 {
     uint64_t full = full_mask(n), lmask;
     int c[64], i;
@@ -165,10 +188,24 @@ static uint64_t failing_leaks(int n, const uint64_t *adj, uint64_t blue, int ell
         for (i = 0; i < ell; i++)
             lmask |= (uint64_t)1 << c[i];
         ++*closures;
-        if (closure(n, adj, blue, lmask, standard, 0) != full)
+        if ((*reach = closure(n, adj, blue, lmask, standard, 0)) != full)
             return lmask;
     } while (next_combination(c, ell, n));
     return 0;
+}
+
+/* Vertices outside the first failing closure of `cand`, leak-free and then
+ * under each leak placement in order, or 0 when `cand` forces the graph
+ * under every placement. */
+static uint64_t cut_of(int n, const uint64_t *adj, uint64_t cand, int ell, int standard,
+                       long long *closures)
+{
+    uint64_t full = full_mask(n), reach;
+    ++*closures;
+    reach = closure(n, adj, cand, 0, standard, 0);
+    if (reach == full && ell > 0)
+        failing_leaks(n, adj, cand, ell, standard, &reach, closures);
+    return full & ~reach;
 }
 
 static int is_fort(const uint64_t *adj, uint64_t fort, int ell)
@@ -195,7 +232,7 @@ static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t
     uint64_t adj[64], inside, rest, comp, boundary;
     PyObject *found, *item;
     if (check_nargs("components", nargs, 3, 3) < 0 || get_int(args[0], &n) < 0
-        || get_mask(args[2], &inside) < 0 || load_adj(args[1], n, adj) < 0
+        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &inside) < 0
         || (found = PyList_New(0)) == NULL)
         return NULL;
     for (rest = inside; rest; rest &= ~comp) {
@@ -216,9 +253,9 @@ static PyObject *py_closure_mask(PyObject *self, PyObject *const *args, Py_ssize
     int n, standard;
     uint64_t adj[64], blue, leaks, barred = 0;
     if (check_nargs("closure_mask", nargs, 5, 6) < 0 || get_int(args[0], &n) < 0
-        || get_mask(args[2], &blue) < 0 || get_mask(args[3], &leaks) < 0
-        || (standard = PyObject_IsTrue(args[4])) < 0 || (nargs > 5 && get_mask(args[5], &barred) < 0)
-        || load_adj(args[1], n, adj) < 0)
+        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
+        || get_vmask(args[3], n, &leaks) < 0 || (standard = PyObject_IsTrue(args[4])) < 0
+        || (nargs > 5 && get_vmask(args[5], n, &barred) < 0))
         return NULL;
     return PyLong_FromUnsignedLongLong(closure(n, adj, blue, leaks, standard, barred));
 }
@@ -226,35 +263,46 @@ static PyObject *py_closure_mask(PyObject *self, PyObject *const *args, Py_ssize
 static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n, ell, standard;
-    uint64_t adj[64], blue, fail;
+    uint64_t adj[64], blue, fail, reach;
     long long closures = 1;
     if (check_nargs("first_failing_leaks", nargs, 5, 5) < 0 || get_int(args[0], &n) < 0
-        || get_mask(args[2], &blue) < 0 || get_ell(args[3], &ell, n) < 0
-        || (standard = PyObject_IsTrue(args[4])) < 0 || load_adj(args[1], n, adj) < 0)
+        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
+        || get_ell(args[3], &ell, n) < 0 || (standard = PyObject_IsTrue(args[4])) < 0)
         return NULL;
     /* when the leak-free closure fails, every placement fails */
     if (closure(n, adj, blue, 0, standard, 0) != full_mask(n))
         fail = full_mask(ell);
-    else if (ell == 0 || (fail = failing_leaks(n, adj, blue, ell, standard, &closures)) == 0)
+    else if (ell == 0 || (fail = failing_leaks(n, adj, blue, ell, standard, &reach, &closures)) == 0)
         return Py_BuildValue("(iL)", -1, closures);
     return Py_BuildValue("(KL)", (unsigned long long)fail, closures);
 }
 
+/* Fort cuts: a failing closure `reach` (leak-free, or under the first failing
+ * leak placement L) is a fixed point under L, and a closure never shrinks when
+ * more vertices start blue, so every set inside `reach` fails too.  The scan
+ * keeps the cuts `full & ~reach` of its last CUTS (64, fixed) failures in a
+ * ring, starting with none, and per prefix (every position but the last) ANDs
+ * the cuts the prefix misses into `need`; a closure runs only for a last
+ * vertex in `need`.  A skipped candidate still counts as tested and against
+ * max_candidates.  Same steps and counts as _pykernel.search_min_superset. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, k, ell, standard, m = 0, j, i, v, free_v[64], idx[64];
-    uint64_t adj[64], core, cand;
+    int n, k, ell, standard, m = 0, j, i, p, q, v, free_v[64], idx[64], pos[64], ncuts = 0, head = 0;
+    uint64_t adj[64], core, cand, prefix, need, hits, cut, cuts[CUTS], free_mask;
     long long max_candidates = -1, candidates = 0, closures = 0;
     PyObject *first_free = nargs > 6 ? args[6] : Py_None, *seq;
     if (check_nargs("search_min_superset", nargs, 6, 8) < 0 || get_int(args[0], &n) < 0
-        || get_mask(args[2], &core) < 0 || get_int(args[3], &k) < 0
-        || get_ell(args[4], &ell, n) < 0 || (standard = PyObject_IsTrue(args[5])) < 0
-        || (nargs > 7 && (max_candidates = PyLong_AsLongLong(args[7])) == -1 && PyErr_Occurred())
-        || load_adj(args[1], n, adj) < 0)
+        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &core) < 0
+        || get_int(args[3], &k) < 0 || get_ell(args[4], &ell, n) < 0
+        || (standard = PyObject_IsTrue(args[5])) < 0
+        || (nargs > 7 && (max_candidates = PyLong_AsLongLong(args[7])) == -1 && PyErr_Occurred()))
         return NULL;
+    free_mask = full_mask(n) & ~core;
     for (i = 0; i < n; i++)
-        if (!((core >> i) & 1))
+        if (!((core >> i) & 1)) {
+            pos[i] = m;
             free_v[m++] = i;
+        }
     j = k - POP(core);
     if (j < 0 || j > m)
         return Py_BuildValue("(iii)", -1, 0, 0);
@@ -272,25 +320,49 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
                 break;
             if (v < 0 || v >= n || (core >> v) & 1)
                 PyErr_Format(PyExc_ValueError, "vertex %d is not outside the core", v);
-            else  /* position of v among the free vertices */
-                idx[i] = POP(~core & (((uint64_t)1 << v) - 1));
+            else
+                idx[i] = pos[v];
         }
         Py_DECREF(seq);
         if (PyErr_Occurred())
             return NULL;
     }
-    for (;;) {
-        cand = core;
-        for (i = 0; i < j; i++)
-            cand |= (uint64_t)1 << free_v[idx[i]];
-        candidates++;
-        closures++;
-        if (closure(n, adj, cand, 0, standard, 0) == full_mask(n)
-            && (ell == 0 || failing_leaks(n, adj, cand, ell, standard, &closures) == 0))
-            return Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
-        if (candidates == max_candidates || !next_combination(idx, j, m))
-            return Py_BuildValue("(iLL)", -1, candidates, closures);
+    if (j == 0) {
+        if (cut_of(n, adj, core, ell, standard, &closures))
+            return Py_BuildValue("(iiL)", -1, 1, closures);
+        return Py_BuildValue("(KiL)", (unsigned long long)core, 1, closures);
     }
+    do {
+        prefix = core;
+        for (i = 0; i < j - 1; i++)
+            prefix |= (uint64_t)1 << free_v[idx[i]];
+        need = ~(uint64_t)0;
+        for (i = 0; i < ncuts; i++)
+            if ((prefix & cuts[i]) == 0)
+                need &= cuts[i];
+        for (p = idx[j - 1]; p < m; p = q + 1) {
+            /* the first last vertex at or after position p inside need */
+            hits = need & free_mask & ~(((uint64_t)1 << free_v[p]) - 1);
+            q = hits ? pos[CTZ(hits)] : m;
+            candidates += q - p;
+            if (max_candidates > 0 && candidates >= max_candidates)
+                return Py_BuildValue("(iLL)", -1, max_candidates, closures);
+            if (q == m)
+                break;
+            candidates++;
+            cand = prefix | (uint64_t)1 << free_v[q];
+            if ((cut = cut_of(n, adj, cand, ell, standard, &closures)) == 0)
+                return Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
+            if (candidates == max_candidates)
+                return Py_BuildValue("(iLL)", -1, candidates, closures);
+            need &= cut;
+            cuts[head] = cut;  /* the ring drops its oldest cut once full */
+            head = (head + 1) % CUTS;
+            ncuts += ncuts < CUTS;
+        }
+        idx[j - 1] = m - 1;  /* the last position is spent: next prefix */
+    } while (next_combination(idx, j, m));
+    return Py_BuildValue("(iLL)", -1, candidates, closures);
 }
 
 static PyObject *py_is_fort_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -298,8 +370,8 @@ static PyObject *py_is_fort_mask(PyObject *self, PyObject *const *args, Py_ssize
     int n, ell;
     uint64_t adj[64], fort;
     if (check_nargs("is_fort_mask", nargs, 4, 4) < 0 || get_int(args[0], &n) < 0
-        || get_mask(args[2], &fort) < 0 || get_int(args[3], &ell) < 0
-        || load_adj(args[1], n, adj) < 0)
+        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &fort) < 0
+        || get_int(args[3], &ell) < 0)
         return NULL;
     return PyBool_FromLong(is_fort(adj, fort, ell));
 }
@@ -364,7 +436,8 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit__ckernel(void)
 {
     PyObject *m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "c") < 0)
+    if (m != NULL && (PyModule_AddStringConstant(m, "BACKEND", "c") < 0
+                      || PyModule_AddIntConstant(m, "KERNEL_VERSION", KERNEL_VERSION) < 0))
         Py_CLEAR(m);
     return m;
 }

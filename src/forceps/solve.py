@@ -3,11 +3,15 @@
 The solver is exhaustive and certified: per connected component it seeds
 the candidate core with every vertex of degree at most ell (any of those
 can be stranded by leaking its whole neighborhood, so they belong to every
-valid set), raises the lower bound with the value at ell-1 and a greedy
-packing of disjoint forts, then scans k-supersets of the core in
-lexicographic order until one survives every leak placement.  Disconnected
-graphs are solved per component at the full leak budget (the adversary may
-concentrate all leaks in one component) and the answers are summed.
+valid set), then scans k-supersets of the core in lexicographic order,
+from the larger of the core size and the caller's ``lower_bound`` up,
+until one survives every leak placement.  Within one size class the
+kernel keeps the forts its failed candidates stalled on and runs no
+closure for a candidate that misses one (see
+``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts every
+enumerated candidate, skipped or not.  Disconnected graphs are solved per
+component at the full leak budget (the adversary may concentrate all leaks
+in one component) and the answers are summed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from . import _core
 from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule
-from .forts import fort_from_failure
 from .graph6 import to_graph6
 from .graphs import Graph, VertexSet, cartesian_product, connected_components, delete_edge, induced_subgraph
 
@@ -34,7 +37,9 @@ _PARALLEL_MIN_CANDIDATES = 1 << 14
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work counters: candidate sets tested and closures computed."""
+    """Work counters.  ``nodes`` counts the candidate sets enumerated,
+    including those a fort cut skipped without a closure; ``leak_checks``
+    counts the closures computed."""
 
     nodes: int = 0
     leak_checks: int = 0
@@ -83,41 +88,6 @@ def _degree_core(g: Graph, ell: int) -> int:
         if g.adj[v].bit_count() <= ell:
             core |= 1 << v
     return core
-
-
-def _fort_packing_bound(g: Graph, ell: int, core: int) -> tuple[int, int]:
-    """Count pairwise disjoint forts avoiding the core; each needs its own
-    witness vertex on top of the core.  Returns (count, closures_used)."""
-    n = g.n
-    used = 0
-    count = 0
-    closures = 0
-    full = (1 << n) - 1
-    while True:
-        blue = core | used
-        fail, c = _core.first_failing_leaks(n, g.adj, blue, ell, False)
-        closures += c
-        if fail < 0:
-            return count, closures
-        fort = fort_from_failure(
-            g, VertexSet.from_mask(n, blue), VertexSet.from_mask(n, fail)
-        ).vertices.mask
-        # shrink towards a minimal fort: smaller forts pack better
-        changed = True
-        while changed:
-            changed = False
-            probe = fort
-            while probe:
-                low = probe & -probe
-                probe ^= low
-                smaller = fort & ~low
-                if smaller and _core.is_fort_mask(n, g.adj, smaller, ell):
-                    fort = smaller
-                    changed = True
-        used |= fort
-        count += 1
-        if (core | used) == full:
-            return count, closures
 
 
 def _unrank_combination(items: list[int], j: int, rank: int) -> tuple[int, ...]:
@@ -184,16 +154,7 @@ def _solve_connected(
         return n, full, SolveStats()
     standard = rule is Rule.standard
     stats = SolveStats()
-    lb = max(core.bit_count(), lower_bound, 1)
-    if ell >= 1 and lower_bound == 0:
-        prev_value, _, prev_stats = _solve_connected(g, ell - 1, rule, workers, 0)
-        stats += prev_stats
-        lb = max(lb, prev_value)
-    if rule is Rule.psd:
-        packing, closures = _fort_packing_bound(g, ell, core)
-        stats += SolveStats(0, closures)
-        lb = max(lb, core.bit_count() + packing)
-    for k in range(lb, n + 1):
+    for k in range(max(core.bit_count(), lower_bound, 1), n + 1):
         found, nodes, closures = _search_size_class(g, core, k, ell, standard, workers)
         stats += SolveStats(nodes, closures)
         if found >= 0:

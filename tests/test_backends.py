@@ -14,16 +14,17 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from forceps import _core
+from forceps import Rule, _core
 from forceps._core import _pykernel
-from forceps.families import complete, hypercube
+from forceps.families import complete, hypercube, path
 
 from corpus import random_graph
-from oracles import async_closure_mask
+from oracles import async_closure_mask, naive_is_ell_leaky
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
 
@@ -47,6 +48,7 @@ def ck(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.BACKEND == "c"
+    assert module.KERNEL_VERSION == _pykernel.KERNEL_VERSION
     return module
 
 
@@ -93,29 +95,64 @@ def test_searches_agree(ck):
         core = blue & rng.getrandbits(g.n)
         k = rng.randint(core.bit_count(), g.n)
         ell = rng.randint(0, 2)
+        free = [v for v in range(g.n) if not core >> v & 1]
+        start = rng.choice(list(combinations(free, k - core.bit_count())))
+        cap = rng.choice([-1, 0, 1, 2, 5, 20])
         for std in (False, True):
             assert _pykernel.search_min_superset(g.n, g.adj, core, k, ell, std) == \
                 ck.search_min_superset(g.n, g.adj, core, k, ell, std)
+            assert _pykernel.search_min_superset(g.n, g.adj, core, k, ell, std, start, cap) == \
+                ck.search_min_superset(g.n, g.adj, core, k, ell, std, start, cap)
+            assert _pykernel.search_min_superset(g.n, g.adj, core, k, ell, std, None, cap) == \
+                ck.search_min_superset(g.n, g.adj, core, k, ell, std, None, cap)
 
 
 def test_sharded_search_agrees_with_full_scan(ck):
+    # each shard starts with no cuts, yet skipped candidates still count, so
+    # the shards' candidate counts add up to the full scan's
     rng = random.Random(3)
-    for _ in range(60):
-        g = random_graph(rng, 6, 0.5)
-        res = ck.search_min_superset(6, g.adj, 0, 3, 1, False)
-        # stitch the scan back together from shards of 5 candidates
-        free = list(range(6))
-        found = -1
-        from itertools import combinations
+    for _ in range(20):
+        g = random_graph(rng, 8, 0.4)
+        core = 1 << rng.randrange(8)
+        free = [v for v in range(8) if v != core.bit_length() - 1]
         combos = list(combinations(free, 3))
-        for start in range(0, len(combos), 5):
-            shard, _, _ = ck.search_min_superset(
-                6, g.adj, 0, 3, 1, False, combos[start], 5
-            )
-            if shard >= 0:
-                found = shard
-                break
-        assert found == res[0]
+        for kern in (_pykernel, ck):
+            for ell in (0, 1, 2):
+                for std in (False, True):
+                    full = kern.search_min_superset(8, g.adj, core, 4, ell, std)
+                    found, candidates = -1, 0
+                    for start in range(0, len(combos), 5):
+                        shard, cand, _ = kern.search_min_superset(
+                            8, g.adj, core, 4, ell, std, combos[start], 5
+                        )
+                        candidates += cand
+                        if shard >= 0:
+                            found = shard
+                            break
+                    assert (found, candidates) == full[:2]
+
+
+def test_search_returns_the_first_superset_the_oracle_accepts(ck):
+    # the oracle closes sets one force at a time over Python sets and knows
+    # nothing of fort cuts
+    rng = random.Random(0x5EED)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        core = rng.getrandbits(n) & rng.getrandbits(n)
+        core_set = frozenset(v for v in range(n) if core >> v & 1)
+        free = [v for v in range(n) if not core >> v & 1]
+        ell = rng.randint(0, 2)
+        for rule in (Rule.psd, Rule.standard):
+            k = rng.randint(len(core_set), n)
+            expected = -1
+            for combo in combinations(free, k - len(core_set)):
+                if naive_is_ell_leaky(g, core_set | set(combo), ell, rule)[0]:
+                    expected = core | sum(1 << v for v in combo)
+                    break
+            for kern in (_pykernel, ck):
+                found = kern.search_min_superset(n, g.adj, core, k, ell, rule is Rule.standard)
+                assert found[0] == expected
 
 
 def test_fort_kernels_agree(ck):
@@ -169,6 +206,29 @@ def test_twins_reject_malformed_first_free_alike(ck):
                 k.search_min_superset(6, q6.adj, 1, 3, 0, False, first_free, 5)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+def test_twins_reject_out_of_range_masks_alike(ck):
+    p3 = path(3)
+    calls = (
+        lambda k, mask: k.components(3, p3.adj, mask),
+        lambda k, mask: k.is_fort_mask(3, p3.adj, mask, 0),
+        lambda k, mask: k.closure_mask(3, p3.adj, mask, 0, False),
+        lambda k, mask: k.closure_mask(3, p3.adj, 1, mask, False),
+        lambda k, mask: k.closure_mask(3, p3.adj, 1, 0, False, mask),
+        lambda k, mask: k.first_failing_leaks(3, p3.adj, mask, 1, False),
+        lambda k, mask: k.search_min_superset(3, p3.adj, mask, 3, 0, False),
+    )
+    cases = ((0b1001, ValueError), (1 << 63, ValueError), (-1, OverflowError), (1 << 64, OverflowError))
+    for call in calls:
+        for mask, exc in cases:
+            messages = []
+            for k in (_pykernel, ck):
+                with pytest.raises(exc) as info:
+                    call(k, mask)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+        assert call(_pykernel, 0b101) == call(ck, 0b101)
 
 
 def test_fort_enumeration_beyond_initial_buffer(ck):
@@ -226,6 +286,33 @@ def _backend_with(value):
         env=env, capture_output=True, text=True, check=True,
     )
     return out.stdout.strip()
+
+
+def _import_with_fake_extension(tmp_path, version_line):
+    """Import a copy of the package whose compiled kernel is a stand-in with
+    the twin's functions and the given KERNEL_VERSION line."""
+    package = Path(__file__).resolve().parents[1] / "src" / "forceps"
+    copy = tmp_path / "forceps"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"))
+    (copy / "_core" / "_ckernel.py").write_text(
+        f'from ._pykernel import *  # noqa: F403\nBACKEND = "c"\n{version_line}\n'
+    )
+    env = {k: v for k, v in os.environ.items() if k != "FORCEPS_PURE_PYTHON"}
+    env["PYTHONPATH"] = str(tmp_path)
+    return subprocess.run(
+        [sys.executable, "-c", "from forceps import _core; print(_core.BACKEND)"],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def test_stale_extension_is_refused(tmp_path):
+    current = _import_with_fake_extension(tmp_path / "a", f"KERNEL_VERSION = {_pykernel.KERNEL_VERSION}")
+    assert current.returncode == 0 and current.stdout.strip() == "c", current.stderr
+    for line in (f"KERNEL_VERSION = {_pykernel.KERNEL_VERSION - 1}", "del KERNEL_VERSION"):
+        stale = _import_with_fake_extension(tmp_path / line.split()[0], line)
+        assert stale.returncode != 0
+        assert "ImportError" in stale.stderr
+        assert "python setup.py build_ext --inplace" in stale.stderr
 
 
 def test_pure_python_switch():

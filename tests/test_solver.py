@@ -103,12 +103,27 @@ class TestAgainstBruteForce:
 
 class TestParallelSearch:
     def test_sharded_candidate_scan_matches_serial(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
         import forceps.solve as solve_mod
+
+        class CountingPool(ProcessPoolExecutor):
+            shards = 0
+
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                CountingPool.shards += len(tasks)
+                return super().map(fn, tasks, **kwargs)
 
         serial = leaky_number(wheel(8), 2)
         monkeypatch.setattr(solve_mod, "_PARALLEL_MIN_CANDIDATES", 16)
+        monkeypatch.setattr(solve_mod, "ProcessPoolExecutor", CountingPool)
         sharded = leaky_number(wheel(8), 2, workers=2)
+        assert CountingPool.shards > 0
         assert (sharded.value, list(sharded.witness)) == (serial.value, list(serial.witness))
+        # a cut-skipped candidate still counts, so shards enumerate what the
+        # serial scan does
+        assert sharded.stats.nodes == serial.stats.nodes
 
     def test_vertexset_survives_pickling(self):
         import pickle
