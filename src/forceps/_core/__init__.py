@@ -35,3 +35,4 @@ first_failing_leaks = kernel.first_failing_leaks
 search_min_superset = kernel.search_min_superset
 is_fort_mask = kernel.is_fort_mask
 minimal_fort_masks = kernel.minimal_fort_masks
+min_hitting_set = kernel.min_hitting_set

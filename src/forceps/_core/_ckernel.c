@@ -3,7 +3,7 @@
  * setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 2
+#define KERNEL_VERSION 3
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -371,52 +371,267 @@ static PyObject *py_is_fort_mask(PyObject *self, PyObject *const *args, Py_ssize
     uint64_t adj[64], fort;
     if (check_nargs("is_fort_mask", nargs, 4, 4) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &fort) < 0
-        || get_int(args[3], &ell) < 0)
+        || get_ell(args[3], &ell, n) < 0)
         return NULL;
     return PyBool_FromLong(is_fort(adj, fort, ell));
 }
 
+/* A growable array of masks. */
+struct masks {
+    uint64_t *m;
+    Py_ssize_t len, cap;
+};
+
+static int reserve(struct masks *a, Py_ssize_t need)
+{
+    uint64_t *grown;
+    Py_ssize_t cap = a->cap ? a->cap : 64;
+    if (need <= a->cap)
+        return 0;
+    while (cap < need)
+        cap *= 2;
+    if ((grown = PyMem_Realloc(a->m, cap * sizeof *grown)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    a->m = grown;
+    a->cap = cap;
+    return 0;
+}
+
+static int push(struct masks *a, uint64_t mask)
+{
+    if (reserve(a, a->len + 1) < 0)
+        return -1;
+    a->m[a->len++] = mask;
+    return 0;
+}
+
+/* Size, then ascending vertex list: of two sets of one size, the one holding
+ * the lowest vertex of their difference comes first. */
+static int by_set_order(const void *pa, const void *pb)
+{
+    uint64_t a = *(const uint64_t *)pa, b = *(const uint64_t *)pb, d = a ^ b;
+    if (POP(a) != POP(b))
+        return POP(a) < POP(b) ? -1 : 1;
+    return d == 0 ? 0 : (a & d & (0 - d)) ? -1 : 1;
+}
+
+struct fort_search {
+    const uint64_t *adj;
+    int ell;
+    struct masks found;        /* minimal forts of the seeds done so far */
+    struct masks holding[64];  /* per vertex, the forts of found that hold it */
+    struct masks seeded;       /* connected forts recorded from the current seed */
+};
+
+/* Record the minimal forts M with inside <= M and M & out empty; x joined
+ * inside last, once and twice hold the vertices with at least one and at
+ * least two neighbours inside.  The rules and the completeness argument are
+ * _pykernel.minimal_fort_masks's:
+ *   - a minimal fort is connected, and a connected set is a fort iff its
+ *     threats (outside vertices with exactly one neighbour in it) number at
+ *     most ell;
+ *   - stop when inside holds a fort of a higher seed (only forts holding x
+ *     can be new inside it); a minimal fort would properly contain it;
+ *   - few threats: record a connected inside; a disconnected one stops if it
+ *     is a fort, else branches on the neighbours of the seed's component;
+ *   - many threats: a threat with no fix ({u} | N(u) minus inside and out)
+ *     is permanent; more than ell of them end the branch; else branch on
+ *     ell + 1 - permanent live threats, fewest fixes first, over each one's
+ *     fixes (each fix joins out after its branch), making each threat
+ *     permanent (out gains u and its neighbours outside inside) before the
+ *     next.  A minimal fort M keeps inside within M and out outside M along
+ *     the branches that add its first fixing vertex, so it is reached. */
+static int grow_fort(struct fort_search *s, int x, uint64_t inside, uint64_t out,
+                     uint64_t once, uint64_t twice)
+{
+    const uint64_t *adj = s->adj;
+    uint64_t threats = once & ~twice & ~inside, boundary, comp, rest, near, fixes, low;
+    int live[64], nfix[64], nlive = 0, permanent = 0, i, j, u, y, count;
+    Py_ssize_t t;
+    for (t = 0; t < s->holding[x].len; t++)
+        if ((s->holding[x].m[t] & ~inside) == 0)
+            return 0;
+    if (POP(threats) <= s->ell) {
+        comp = component(adj, inside, &boundary);
+        if (comp == inside)
+            return push(&s->seeded, inside);
+        if (is_fort(adj, inside, s->ell))
+            return 0;
+        for (rest = boundary & ~inside & ~out; rest; rest &= rest - 1) {
+            y = CTZ(rest);
+            low = (uint64_t)1 << y;
+            if (grow_fort(s, y, inside | low, out, once | adj[y], twice | (once & adj[y])) < 0)
+                return -1;
+            out |= low;
+        }
+        return 0;
+    }
+    for (rest = threats; rest; rest &= rest - 1) {
+        u = CTZ(rest);
+        fixes = (((uint64_t)1 << u) | adj[u]) & ~inside & ~out;
+        if (fixes == 0) {
+            permanent++;
+            continue;
+        }
+        /* insertion by fix count; equal counts keep ascending u */
+        count = POP(fixes);
+        for (j = nlive++; j > 0 && nfix[j - 1] > count; j--) {
+            live[j] = live[j - 1];
+            nfix[j] = nfix[j - 1];
+        }
+        live[j] = u;
+        nfix[j] = count;
+    }
+    if (permanent > s->ell)
+        return 0;
+    for (i = 0; i < nlive && i < s->ell + 1 - permanent; i++) {
+        u = live[i];
+        near = (((uint64_t)1 << u) | adj[u]) & ~inside;
+        for (fixes = near & ~out; fixes; fixes &= fixes - 1) {
+            y = CTZ(fixes);
+            low = (uint64_t)1 << y;
+            if (grow_fort(s, y, inside | low, out, once | adj[y], twice | (once & adj[y])) < 0)
+                return -1;
+            out |= low;
+        }
+        out |= near;
+    }
+    return 0;
+}
+
 static PyObject *py_minimal_fort_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, ell, k, i, c[64];
-    Py_ssize_t t, count = 0, cap = 0;
-    uint64_t adj[64], mask, *forts = NULL, *grown;
-    PyObject *found, *item;
+    int n, v;
+    uint64_t adj[64], f, rest;
+    Py_ssize_t t, k, start;
+    struct fort_search s;
+    PyObject *found = NULL, *item;
+    memset(&s, 0, sizeof s);
+    s.adj = adj;
     if (check_nargs("minimal_fort_masks", nargs, 3, 3) < 0 || get_int(args[0], &n) < 0
-        || get_int(args[2], &ell) < 0 || load_adj(args[1], n, adj) < 0)
+        || load_adj(args[1], n, adj) < 0 || get_ell(args[2], &s.ell, n) < 0)
         return NULL;
-    for (k = 1; k <= n; k++) {
-        for (i = 0; i < k; i++)
-            c[i] = i;
-        do {
-            mask = 0;
-            for (i = 0; i < k; i++)
-                mask |= (uint64_t)1 << c[i];
-            /* a superset of a fort found earlier is not minimal */
-            for (t = 0; t < count && (forts[t] & mask) != forts[t]; t++)
+    for (v = n - 1; v >= 0; v--) {
+        s.seeded.len = 0;
+        if (grow_fort(&s, v, (uint64_t)1 << v, ((uint64_t)1 << v) - 1, adj[v], 0) < 0)
+            goto done;
+        /* keep the seed's forts that contain no smaller one of the seed */
+        if (s.seeded.len > 1)
+            qsort(s.seeded.m, s.seeded.len, sizeof *s.seeded.m, by_set_order);
+        start = s.found.len;
+        for (t = 0; t < s.seeded.len; t++) {
+            f = s.seeded.m[t];
+            for (k = start; k < s.found.len && (s.found.m[k] & f) != s.found.m[k]; k++)
                 ;
-            if (t < count || !is_fort(adj, mask, ell))
+            if (k < s.found.len)
                 continue;
-            if (count == cap) {
-                cap = cap ? 2 * cap : 64;
-                if ((grown = PyMem_Realloc(forts, cap * sizeof *forts)) == NULL) {
-                    PyMem_Free(forts);
-                    return PyErr_NoMemory();
-                }
-                forts = grown;
-            }
-            forts[count++] = mask;
-        } while (next_combination(c, k, n));
+            if (push(&s.found, f) < 0)
+                goto done;
+            for (rest = f; rest; rest &= rest - 1)
+                if (push(&s.holding[CTZ(rest)], f) < 0)
+                    goto done;
+        }
     }
-    found = PyList_New(count);
-    for (t = 0; found != NULL && t < count; t++) {
-        if ((item = PyLong_FromUnsignedLongLong(forts[t])) == NULL)
+    if (s.found.len > 1)
+        qsort(s.found.m, s.found.len, sizeof *s.found.m, by_set_order);
+    found = PyList_New(s.found.len);
+    for (t = 0; found != NULL && t < s.found.len; t++) {
+        if ((item = PyLong_FromUnsignedLongLong(s.found.m[t])) == NULL)
             Py_CLEAR(found);
         else
             PyList_SET_ITEM(found, t, item);
     }
-    PyMem_Free(forts);
+done:
+    PyMem_Free(s.found.m);
+    PyMem_Free(s.seeded.m);
+    for (v = 0; v < 64; v++)
+        PyMem_Free(s.holding[v].m);
     return found;
+}
+
+struct hitting {
+    struct masks unhit;  /* a stack of lists: each node's list above its parent's */
+    int best_size;
+    uint64_t best;
+};
+
+/* Branch and bound of _pykernel.min_hitting_set over the unhit list
+ * unhit.m[lo..hi), whose banned vertices are already removed: branch on the
+ * first mask, one branch per vertex, banning earlier branch vertices in later
+ * branches (this partitions the search); prune on an emptied mask or when
+ * size plus a greedy disjoint packing exceeds the best size (ties go on, so
+ * the lexicographically first optimum wins). */
+static int hit(struct hitting *h, Py_ssize_t lo, Py_ssize_t hi, uint64_t chosen, int size)
+{
+    uint64_t used = 0, banned = 0, branch, low, m, d = chosen ^ h->best;
+    int bound = size;
+    Py_ssize_t t, top;
+    if (lo == hi) {
+        if (size < h->best_size || (size == h->best_size && (d & (0 - d) & chosen))) {
+            h->best_size = size;
+            h->best = chosen;
+        }
+        return 0;
+    }
+    for (t = lo; t < hi; t++) {
+        if ((m = h->unhit.m[t]) == 0)
+            return 0;
+        if ((m & used) == 0) {
+            used |= m;
+            bound++;
+        }
+    }
+    if (bound > h->best_size)
+        return 0;
+    for (branch = h->unhit.m[lo]; branch; branch &= branch - 1) {
+        low = branch & (0 - branch);
+        if (reserve(&h->unhit, 2 * hi - lo) < 0)
+            return -1;
+        top = hi;
+        for (t = lo; t < hi; t++)
+            if ((h->unhit.m[t] & low) == 0)
+                h->unhit.m[top++] = h->unhit.m[t] & ~banned;
+        if (hit(h, hi, top, chosen | low, size + 1) < 0)
+            return -1;
+        banned |= low;
+    }
+    return 0;
+}
+
+static PyObject *py_min_hitting_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n;
+    Py_ssize_t t, len;
+    PyObject *seq, *out = NULL;
+    struct hitting h = {{NULL, 0, 0}, 0, 0};
+    if (check_nargs("min_hitting_set", nargs, 2, 2) < 0 || get_int(args[0], &n) < 0)
+        return NULL;
+    if (n < 0 || n > 64) {
+        fail(PyExc_ValueError, "vertex count outside [0, 64]");
+        return NULL;
+    }
+    if ((seq = PySequence_Fast(args[1], "masks must be a sequence")) == NULL)
+        return NULL;
+    len = PySequence_Fast_GET_SIZE(seq);
+    if (reserve(&h.unhit, len) < 0)
+        goto done;
+    for (t = 0; t < len; t++) {
+        if (get_vmask(PySequence_Fast_GET_ITEM(seq, t), n, &h.unhit.m[t]) < 0)
+            goto done;
+        if (h.unhit.m[t] == 0) {
+            fail(PyExc_ValueError, "a set to hit must be nonempty");
+            goto done;
+        }
+    }
+    h.best_size = n + 1;
+    if (hit(&h, 0, len, 0, 0) == 0)
+        out = Py_BuildValue("(iK)", h.best_size, (unsigned long long)h.best);
+done:
+    Py_DECREF(seq);
+    PyMem_Free(h.unhit.m);
+    return out;
 }
 
 #define METHOD(name) \
@@ -425,7 +640,7 @@ static PyObject *py_minimal_fort_masks(PyObject *self, PyObject *const *args, Py
 static PyMethodDef methods[] = {
     METHOD(components), METHOD(closure_mask), METHOD(first_failing_leaks),
     METHOD(search_min_superset), METHOD(is_fort_mask), METHOD(minimal_fort_masks),
-    {NULL, NULL, 0, NULL},
+    METHOD(min_hitting_set), {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {

@@ -2,10 +2,12 @@
 
 This module is the reference twin of the C kernel: same public functions,
 same argument conventions, same results and error types, bit for bit.
-Graphs arrive as a vertex count ``n`` plus a sequence of at least ``n``
-neighborhood masks; vertex sets are plain ints over ``0 .. n-1``.  A mask
-argument outside ``[0, 2**64)`` raises OverflowError, and one naming a
-vertex at or above ``n`` raises ValueError.
+Graphs arrive as a vertex count ``n`` in ``[0, 64]`` (else ValueError)
+plus a sequence of at least ``n`` neighborhood masks (else IndexError);
+vertex sets are plain ints over ``0 .. n-1``.  A mask argument outside
+``[0, 2**64)`` raises OverflowError, one naming a vertex at or above ``n``
+raises ValueError, and so does a negative leak budget.  Arguments are
+checked in order: graph, masks, leak budget.
 
 Rules: ``standard=True`` lets a non-leaked blue vertex force its unique
 non-blue neighbor; ``standard=False`` (positive semidefinite) lets it force
@@ -21,9 +23,21 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results or work counters change; _core refuses a compiled
 # twin whose version differs.
-KERNEL_VERSION = 2
+KERNEL_VERSION = 3
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
+
+
+def _check_graph(n, adj) -> None:
+    if not 0 <= n <= 64:
+        raise ValueError("vertex count outside [0, 64]")
+    if len(adj) < n:
+        raise IndexError("adjacency shorter than the vertex count")
+
+
+def _check_ell(ell) -> None:
+    if ell < 0:
+        raise ValueError("leak budget must be non-negative")
 
 
 def _check_mask(n, mask) -> None:
@@ -41,6 +55,7 @@ def components(n, adj, inside) -> list[tuple[int, int]]:
     neighbors outside ``inside``.  ``n`` is the vertex count: ``inside``
     must lie in ``[0, n)``.
     """
+    _check_graph(n, adj)
     _check_mask(n, inside)
     return _components(adj, inside)
 
@@ -95,6 +110,7 @@ def _round_targets(adj, blue, leaks, standard, white) -> int:
 def closure_mask(n, adj, blue, leaks, standard, barred=0) -> int:
     """Fixed point of round-simultaneous forcing; ``barred`` vertices are
     never colored (used to enumerate realizable forces)."""
+    _check_graph(n, adj)
     for mask in (blue, leaks, barred):
         _check_mask(n, mask)
     return _closure(n, adj, blue, leaks, standard, barred)
@@ -137,9 +153,9 @@ def first_failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int]:
     If the leak-free closure already fails, every placement fails and the
     first one in order is {0, ..., ell-1}.
     """
-    if ell < 0:
-        raise ValueError("leak budget must be non-negative")
+    _check_graph(n, adj)
     _check_mask(n, blue)
+    _check_ell(ell)
     ell = min(ell, n)
     if _closure(n, adj, blue, 0, standard) != (1 << n) - 1:
         return (1 << ell) - 1, 1
@@ -185,9 +201,9 @@ def search_min_superset(
     and each new cut is ANDed in.  A skipped candidate still counts as
     tested, and against ``max_candidates``.
     """
-    if ell < 0:
-        raise ValueError("leak budget must be non-negative")
+    _check_graph(n, adj)
     _check_mask(n, core)
+    _check_ell(ell)
     ell = min(ell, n)
     full = (1 << n) - 1
     free = [v for v in range(n) if not core >> v & 1]
@@ -256,12 +272,16 @@ def search_min_superset(
 def is_fort_mask(n, adj, fort, ell) -> bool:
     """Fort test: within each component of the induced subgraph on ``fort``,
     at most ``ell`` outside vertices may have exactly one neighbor inside."""
+    _check_graph(n, adj)
     _check_mask(n, fort)
-    return _is_fort(adj, fort, ell)
+    _check_ell(ell)
+    return _parts_are_forts(adj, _components(adj, fort), ell)
 
 
-def _is_fort(adj, fort, ell) -> bool:
-    for comp, boundary in _components(adj, fort):
+def _parts_are_forts(adj, comps, ell) -> bool:
+    """Whether every (component, boundary) pair has at most ``ell``
+    boundary vertices with exactly one neighbor in the component."""
+    for comp, boundary in comps:
         cnt = 0
         b = boundary
         while b:
@@ -275,18 +295,177 @@ def _is_fort(adj, fort, ell) -> bool:
     return True
 
 
+def _set_order(mask) -> tuple[int, int]:
+    """Sort key: size, then ascending vertex list (a set whose lowest vertex
+    outside the other set is smaller comes first)."""
+    return mask.bit_count(), -int(f"{mask:064b}"[::-1], 2)
+
+
 def minimal_fort_masks(n, adj, ell) -> list[int]:
-    """All inclusion-minimal fort masks, found by scanning subsets in
-    ascending cardinality then lexicographic order and skipping supersets
-    of anything already found."""
+    """All inclusion-minimal fort masks, by size and then by ascending
+    vertex list.
+
+    Soundness.  Every component of a fort is a fort on its own (the
+    predicate is judged per component), so a minimal fort is connected, and
+    a connected set F is a fort iff its threat set T(F), the outside
+    vertices with exactly one neighbor in F, has at most ``ell`` members.
+
+    Search.  Each vertex v, in descending order, seeds a branching search
+    over (IN, OUT) with IN = {v} and OUT = {0, ..., v-1}; it finds the
+    minimal forts whose lowest vertex is v.  ``once`` and ``twice`` (the
+    vertices with at least one, and at least two, neighbors in IN) are kept
+    incrementally, so T(IN) = once & ~twice & ~IN.
+
+    - |T(IN)| <= ell and IN connected: IN is a fort; it is recorded and
+      nothing larger is searched.
+    - |T(IN)| <= ell and IN disconnected: if IN is a fort it contains a
+      smaller connected one, so stop; else branch on each neighbor of v's
+      component outside IN and OUT, adding it to OUT after its branch.
+    - |T(IN)| > ell: a threat u stays a threat of any superset that
+      contains neither u nor another neighbor of u, so its fixes are
+      ({u} | N(u)) minus IN and OUT.  A threat without fixes is permanent;
+      more than ``ell`` of those end the branch.  Otherwise some one of any
+      ell + 1 - (permanent) live threats must be fixed; those threats,
+      fewest fixes first, are branched in turn over their fixes (each fix
+      joins OUT after its branch), and each threat is then made permanent
+      (OUT gains u and its neighbors outside IN) before the next.
+
+    Completeness.  For a minimal fort M with lowest vertex v, some branch
+    path keeps IN within M and OUT disjoint from M while each step adds a
+    vertex of M: a connected M reaches v's component through a neighbor of
+    it; a live threat set of size ell + 1 - (permanent) holds one that M
+    fixes, and the first such threat's first fix inside M is taken after
+    only vertices outside M joined OUT.  No stop rule fires on a proper
+    subset of M, so the path reaches IN = M and records it.
+
+    Pruning.  A branch stops as soon as IN contains a fort recorded from a
+    higher seed (checked for the forts holding the vertex just added): a
+    minimal fort holding IN would properly contain that fort.  A fort
+    recorded earlier from the same seed holds a vertex that has since
+    joined OUT, so it is never inside IN.  Recorded sets are connected
+    forts; once a seed is done, those containing another fort of the same
+    seed (found later) are dropped, and the rest are minimal.
+    """
+    _check_graph(n, adj)
+    _check_ell(ell)
     found: list[int] = []
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if any(f & mask == f for f in found):
+    holding: list[list[int]] = [[] for _ in range(n)]  # per vertex, forts of higher seeds
+    for v in range(n - 1, -1, -1):
+        bit = 1 << v
+        seeded: list[int] = []
+        _grow_fort(adj, ell, v, bit, bit - 1, adj[v], 0, seeded, holding)
+        seeded.sort(key=int.bit_count)
+        for i, f in enumerate(seeded):
+            if any(m & f == m for m in seeded[:i]):
                 continue
-            if _is_fort(adj, mask, ell):
-                found.append(mask)
+            found.append(f)
+            rest = f
+            while rest:
+                low = rest & -rest
+                holding[low.bit_length() - 1].append(f)
+                rest ^= low
+    found.sort(key=_set_order)
     return found
+
+
+def _grow_fort(adj, ell, x, inside, out, once, twice, found, holding) -> None:
+    """Record the minimal forts M with ``inside`` <= M and M & ``out`` empty,
+    where ``x`` is the vertex that joined ``inside`` last (see
+    minimal_fort_masks for the rules)."""
+    for f in holding[x]:
+        if not f & ~inside:
+            return
+    threats = once & ~twice & ~inside
+    if threats.bit_count() <= ell:
+        comps = _components(adj, inside)
+        if len(comps) == 1:
+            found.append(inside)
+            return
+        if _parts_are_forts(adj, comps, ell):
+            return
+        grow = comps[0][1] & ~out
+        while grow:
+            low = grow & -grow
+            y = low.bit_length() - 1
+            nb = adj[y]
+            _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, found, holding)
+            out |= low
+            grow ^= low
+        return
+    permanent = 0
+    live = []
+    while threats:
+        low = threats & -threats
+        threats ^= low
+        u = low.bit_length() - 1
+        fixes = (low | adj[u]) & ~inside & ~out
+        if fixes:
+            live.append((fixes.bit_count(), u))
+        else:
+            permanent += 1
+    if permanent > ell:
+        return
+    live.sort()
+    for _, u in live[:ell + 1 - permanent]:
+        near = (1 << u | adj[u]) & ~inside
+        fixes = near & ~out
+        while fixes:
+            low = fixes & -fixes
+            y = low.bit_length() - 1
+            nb = adj[y]
+            _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, found, holding)
+            out |= low
+            fixes ^= low
+        out |= near
+
+
+def min_hitting_set(n, masks) -> tuple[int, int]:
+    """(size, mask) of a smallest vertex set meeting every nonempty mask in
+    ``masks``; among the smallest, the one whose ascending vertex list is
+    lexicographically first.  An empty family gives (0, 0).
+
+    Branch and bound: branch on the first unhit mask in the given order
+    (callers pass the smallest first), one branch per vertex of it, and ban
+    the vertices of the earlier branches in the later ones.  Every hitting
+    set H is reached through the branch of the first vertex of H in each
+    branch mask, so the branches partition the search and no set is
+    visited twice.  A branch is pruned when a mask has only banned
+    vertices left, or when its size plus a greedy packing of pairwise
+    disjoint unhit masks (banned vertices removed) exceeds the best size
+    found; equal sizes are kept, so every optimum is seen and the
+    lexicographically first one is returned.
+    """
+    if not 0 <= n <= 64:
+        raise ValueError("vertex count outside [0, 64]")
+    for m in masks:
+        _check_mask(n, m)
+        if not m:
+            raise ValueError("a set to hit must be nonempty")
+    best = [n + 1, 0]
+    _hit(list(masks), 0, 0, best)
+    return best[0], best[1]
+
+
+def _hit(unhit, chosen, size, best) -> None:
+    if not unhit:
+        d = chosen ^ best[1]
+        if size < best[0] or size == best[0] and d & -d & chosen:
+            best[0], best[1] = size, chosen
+        return
+    used = 0
+    bound = size
+    for m in unhit:
+        if not m:
+            return
+        if not m & used:
+            used |= m
+            bound += 1
+    if bound > best[0]:
+        return
+    branch = unhit[0]
+    banned = 0
+    while branch:
+        low = branch & -branch
+        _hit([m & ~banned for m in unhit if not m & low], chosen | low, size + 1, best)
+        banned |= low
+        branch ^= low

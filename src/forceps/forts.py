@@ -18,9 +18,9 @@ from typing import Iterator
 from . import _core
 from .errors import AuditFailure, GuardError
 from .graph6 import to_graph6
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, _bits_ascending
 
-ENUMERATION_GUARD = 20  # 2^20 subset checks is the practical desk ceiling
+ENUMERATION_GUARD = 20  # fort families grow exponentially with the order
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,7 @@ def is_leaky_psd_fort(g: Graph, vertices: VertexSet, ell: int) -> bool:
     return _core.is_fort_mask(g.n, g.adj, vertices.mask, ell)
 
 
-def minimal_forts(g: Graph, ell: int, *, max_vertices: int = ENUMERATION_GUARD) -> FortFamily:
-    """All inclusion-minimal forts at budget ``ell``.
-
-    Subsets are scanned in ascending cardinality, then lexicographically,
-    skipping anything containing a fort already found; that makes every
-    accepted set minimal.  Guarded because the scan is 2^n.
-    """
+def _check_guard(g: Graph, ell: int, max_vertices: int) -> None:
     if ell < 0:
         raise ValueError("leak budget must be non-negative")
     if g.n > max_vertices:
@@ -81,11 +75,21 @@ def minimal_forts(g: Graph, ell: int, *, max_vertices: int = ENUMERATION_GUARD) 
             f"fort enumeration on {g.n} vertices exceeds the guard "
             f"({max_vertices}); pass max_vertices to override"
         )
-    masks = _core.minimal_fort_masks(g.n, g.adj, ell)
-    sets = sorted(
-        (VertexSet.from_mask(g.n, m) for m in masks), key=lambda s: tuple(s)
-    )
-    return FortFamily(tuple(Fort(s, ell) for s in sets))
+
+
+def minimal_forts(g: Graph, ell: int, *, max_vertices: int = ENUMERATION_GUARD) -> FortFamily:
+    """All inclusion-minimal forts at budget ``ell``, in lexicographic order
+    of their vertex lists.
+
+    Minimal forts are connected, and a connected set is a fort iff at most
+    ``ell`` outside vertices have exactly one neighbor in it; the kernel
+    grows connected candidates by branching on those threatening vertices
+    (see ``_pykernel.minimal_fort_masks``).  Guarded, because a family can
+    grow exponentially with the order.
+    """
+    _check_guard(g, ell, max_vertices)
+    masks = sorted(_core.minimal_fort_masks(g.n, g.adj, ell), key=lambda m: list(_bits_ascending(m)))
+    return FortFamily(tuple(Fort(VertexSet.from_mask(g.n, m), ell) for m in masks))
 
 
 def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> Fort:
@@ -119,16 +123,6 @@ def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> Fort:
     return Fort(remainder, ell)
 
 
-def _greedy_packing(unhit: list[int]) -> int:
-    used = 0
-    count = 0
-    for m in unhit:
-        if m & used == 0:
-            used |= m
-            count += 1
-    return count
-
-
 def hitting_number(
     g: Graph, ell: int, *, max_vertices: int = ENUMERATION_GUARD
 ) -> tuple[int, VertexSet]:
@@ -137,38 +131,13 @@ def hitting_number(
     Every fort contains a minimal fort (strip vertices while the predicate
     holds; the descent is finite), so hitting the minimal family hits them
     all and the optimum over minimal forts is the optimum over all forts.
-    Solved by branch and bound: branch on the smallest unhit fort, prune
-    with a greedy disjoint-fort packing bound, and keep the
-    lexicographically first optimal witness.
+    The kernel's branch and bound (``_pykernel.min_hitting_set``) returns
+    the lexicographically first optimal witness.
     """
-    family = minimal_forts(g, ell, max_vertices=max_vertices)
-    masks = [f.vertices.mask for f in family]
-    if not masks:
-        return 0, VertexSet(g.n)
-
-    best: list = [None, None]  # size, vertex tuple
-    seen: set[int] = set()
-
-    def dfs(chosen: int) -> None:
-        unhit = [m for m in masks if m & chosen == 0]
-        size = chosen.bit_count()
-        if not unhit:
-            key = tuple(VertexSet.from_mask(g.n, chosen))
-            if best[0] is None or size < best[0] or (size == best[0] and key < best[1]):
-                best[0], best[1] = size, key
-            return
-        if best[0] is not None and size + _greedy_packing(unhit) > best[0]:
-            return
-        branch = min(unhit, key=lambda m: (m.bit_count(), tuple(VertexSet.from_mask(g.n, m))))
-        for v in VertexSet.from_mask(g.n, branch):
-            nxt = chosen | 1 << v
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            dfs(nxt)
-
-    dfs(0)
-    return best[0], VertexSet(g.n, best[1])
+    _check_guard(g, ell, max_vertices)
+    masks = _core.minimal_fort_masks(g.n, g.adj, ell)
+    size, witness = _core.min_hitting_set(g.n, masks)
+    return size, VertexSet.from_mask(g.n, witness)
 
 
 def is_connected_fort_standard(g: Graph, fort: Fort) -> bool:

@@ -16,8 +16,8 @@ in one component) and the answers are summed.
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from math import comb
@@ -131,7 +131,7 @@ def _search_size_class(
     ]
     nodes = 0
     closures = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for found, cand, clos in pool.map(_search_shard, tasks):
             nodes += cand
             closures += clos
@@ -174,10 +174,15 @@ def leaky_number(
     ``ell`` leaks, with the lexicographically first optimal witness.
 
     ``lower_bound`` lets a caller feed a known bound (e.g. the value at a
-    smaller leak budget); it must be sound or the result may be wrong.
+    smaller leak budget); it must be sound or the result may be wrong.  It
+    must lie in ``[0, g.n]`` (else ValueError).  A disconnected graph is
+    solved per component and ignores it, since it bounds the sum and not
+    any one component.
     """
     if ell < 0:
         raise ValueError("leak budget must be non-negative")
+    if not 0 <= lower_bound <= g.n:
+        raise ValueError(f"lower_bound must lie in [0, {g.n}]")
     ell = min(ell, g.n)
     comps = connected_components(g)
     forced_core = VertexSet.from_mask(g.n, _degree_core(g, ell))
@@ -270,7 +275,7 @@ def edge_deletion_scan(
         for task in tasks:
             yield from _scan_one(task)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for records in pool.map(_scan_one, tasks, chunksize=8):
             yield from records
 

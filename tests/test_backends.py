@@ -23,8 +23,8 @@ from forceps import Rule, _core
 from forceps._core import _pykernel
 from forceps.families import complete, hypercube, path
 
-from corpus import random_graph
-from oracles import async_closure_mask, naive_is_ell_leaky
+from corpus import atlas_graphs, random_graph
+from oracles import async_closure_mask, naive_hitting_number, naive_is_ell_leaky
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
 
@@ -163,6 +163,67 @@ def test_fort_kernels_agree(ck):
                 ck.is_fort_mask(g.n, g.adj, blue, ell)
         assert _pykernel.minimal_fort_masks(g.n, g.adj, ell) == \
             ck.minimal_fort_masks(g.n, g.adj, ell)
+    # every graph on at most 7 vertices, disconnected ones included, and
+    # random graphs past the instances' 8 vertices
+    rng = random.Random(0xF0F)
+    larger = [random_graph(rng, rng.randint(9, 12), rng.choice([0.2, 0.3, 0.5])) for _ in range(60)]
+    for g in atlas_graphs(7, connected=False) + tuple(larger):
+        for ell in range(4):
+            assert _pykernel.minimal_fort_masks(g.n, g.adj, ell) == \
+                ck.minimal_fort_masks(g.n, g.adj, ell)
+
+
+def _random_family(rng, n, count, width):
+    """``count`` nonempty masks over [0, n), each of at most ``width`` vertices."""
+    return [sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(width, n)))) for _ in range(count)]
+
+
+def test_hitting_sets_agree_with_the_oracle(ck):
+    rng = random.Random(0x417)
+    families = [(n, []) for n in (0, 5, 64)]
+    families += [(n, _random_family(rng, n, rng.randint(1, 9), 4)) for n in [rng.randint(1, 9) for _ in range(150)]]
+    # 64-vertex masks, few enough that the oracle's scan stays short
+    families += [(64, _random_family(rng, 64, rng.randint(1, 3), 6) + [1 << 63]) for _ in range(8)]
+    for n, masks in families:
+        size, combo = naive_hitting_number([frozenset(v for v in range(n) if m >> v & 1) for m in masks], n)
+        want = (size, sum(1 << v for v in combo))
+        assert _pykernel.min_hitting_set(n, masks) == want
+        assert ck.min_hitting_set(n, masks) == want
+
+
+def test_twins_check_graph_and_budget_arguments_alike(ck):
+    # every entry checks the vertex count, the adjacency length and a
+    # negative leak budget with the same error and message in both twins
+    p3 = path(3)
+    # (entry, takes an adjacency, takes a leak budget)
+    entries = (
+        (lambda k, n, adj, ell: k.components(n, adj, 0), True, False),
+        (lambda k, n, adj, ell: k.closure_mask(n, adj, 0, 0, False), True, False),
+        (lambda k, n, adj, ell: k.first_failing_leaks(n, adj, 0, ell, False), True, True),
+        (lambda k, n, adj, ell: k.search_min_superset(n, adj, 0, 1, ell, False), True, True),
+        (lambda k, n, adj, ell: k.is_fort_mask(n, adj, 1, ell), True, True),
+        (lambda k, n, adj, ell: k.minimal_fort_masks(n, adj, ell), True, True),
+        (lambda k, n, adj, ell: k.min_hitting_set(n, [1]), False, False),
+    )
+    cases = (((65, (0,) * 65), ValueError), ((-1, ()), ValueError), ((5, p3.adj), IndexError))
+    for call, takes_adj, takes_ell in entries:
+        for (n, adj), exc in cases:
+            if exc is IndexError and not takes_adj:
+                continue
+            messages = []
+            for k in (_pykernel, ck):
+                with pytest.raises(exc) as info:
+                    call(k, n, adj, 0)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+        if takes_ell:
+            messages = []
+            for k in (_pykernel, ck):
+                with pytest.raises(ValueError) as info:
+                    call(k, 3, p3.adj, -1)
+                messages.append(str(info.value))
+            assert messages == ["leak budget must be non-negative"] * 2
+        assert call(_pykernel, 3, p3.adj, 1) == call(ck, 3, p3.adj, 1)
 
 
 def test_full_word_capacity(ck):
@@ -218,6 +279,7 @@ def test_twins_reject_out_of_range_masks_alike(ck):
         lambda k, mask: k.closure_mask(3, p3.adj, 1, 0, False, mask),
         lambda k, mask: k.first_failing_leaks(3, p3.adj, mask, 1, False),
         lambda k, mask: k.search_min_superset(3, p3.adj, mask, 3, 0, False),
+        lambda k, mask: k.min_hitting_set(3, [1, mask]),
     )
     cases = ((0b1001, ValueError), (1 << 63, ValueError), (-1, OverflowError), (1 << 64, OverflowError))
     for call in calls:
@@ -229,6 +291,13 @@ def test_twins_reject_out_of_range_masks_alike(ck):
                 messages.append(str(info.value))
             assert messages[0] == messages[1]
         assert call(_pykernel, 0b101) == call(ck, 0b101)
+    # an empty set cannot be hit
+    messages = []
+    for k in (_pykernel, ck):
+        with pytest.raises(ValueError) as info:
+            k.min_hitting_set(3, [1, 0])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_fort_enumeration_beyond_initial_buffer(ck):

@@ -66,6 +66,22 @@ class TestMinimalForts:
         with pytest.raises(GuardError):
             minimal_forts(path(3), 0, max_vertices=2)
 
+    def test_matches_exhaustive_oracle_in_vertex_list_order(self):
+        from corpus import atlas_graphs
+
+        # disconnected graphs such as an edge plus a vertex list a larger
+        # fort before a smaller one
+        for g in atlas_graphs(6, connected=False):
+            for ell in (0, 1, 2):
+                want = [sorted(f) for f in naive_minimal_forts(g, ell)]
+                assert [list(f.vertices) for f in minimal_forts(g, ell)] == want
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            minimal_forts(path(3), -1)
+        with pytest.raises(ValueError):
+            hitting_number(path(3), -1)
+
 
 class TestFortFromFailure:
     def test_leaked_path_remainder(self):
@@ -105,7 +121,7 @@ class TestHittingNumber:
         from oracles import naive_hitting_number, naive_minimal_forts
 
         for g in atlas_graphs(5):
-            for ell in (0, 1):
+            for ell in (0, 1, 2):
                 forts = naive_minimal_forts(g, ell)
                 want = naive_hitting_number(forts, g.n)
                 got_value, got_witness = hitting_number(g, ell)

@@ -81,6 +81,17 @@ class TestLeakyNumber:
         res = leaky_number(Graph.from_edges(0, []), 0)
         assert res.value == 0 and len(res.witness) == 0
 
+    def test_lower_bound_outside_vertex_range_rejected(self):
+        for bound in (-1, 4, 5):
+            with pytest.raises(ValueError, match="lower_bound"):
+                leaky_number(path(3), 0, lower_bound=bound)
+        # the vertex count itself is in range (and, unsound here, wins)
+        assert leaky_number(path(3), 0, lower_bound=3).value == 3
+
+    def test_disconnected_graph_ignores_lower_bound(self):
+        two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert leaky_number(two_edges, 0, lower_bound=4).value == 2
+
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(12))
@@ -103,11 +114,11 @@ class TestAgainstBruteForce:
 
 class TestParallelSearch:
     def test_sharded_candidate_scan_matches_serial(self, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor
+        import concurrent.futures
 
         import forceps.solve as solve_mod
 
-        class CountingPool(ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             shards = 0
 
             def map(self, fn, tasks, **kwargs):
@@ -117,7 +128,8 @@ class TestParallelSearch:
 
         serial = leaky_number(wheel(8), 2)
         monkeypatch.setattr(solve_mod, "_PARALLEL_MIN_CANDIDATES", 16)
-        monkeypatch.setattr(solve_mod, "ProcessPoolExecutor", CountingPool)
+        # solve looks the pool class up on concurrent.futures at each use
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         sharded = leaky_number(wheel(8), 2, workers=2)
         assert CountingPool.shards > 0
         assert (sharded.value, list(sharded.witness)) == (serial.value, list(serial.witness))
