@@ -3,7 +3,7 @@
  * setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 3
+#define KERNEL_VERSION 4
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -134,78 +134,206 @@ static uint64_t component(const uint64_t *adj, uint64_t inside, uint64_t *bounda
     return comp;
 }
 
-/* Mask of all vertices forceable in one simultaneous round. */
-static uint64_t round_targets(const uint64_t *adj, uint64_t blue, uint64_t leaks,
-                              int standard, uint64_t white)
+/* One simultaneous round: the vertices outside `barred` that some non-leaked
+ * blue vertex forces.  *forcers gains, per target, the smallest source forcing
+ * it, the source forcing.closure keeps in its chronology. */
+static uint64_t round_targets(const uint64_t *adj, uint64_t blue, uint64_t leaks, int standard,
+                              uint64_t white, uint64_t barred, uint64_t *forcers)
 {
-    uint64_t newly = 0, sources = blue & ~leaks, s, nb, rest, comp, boundary;
+    uint64_t hit = barred, sources = blue & ~leaks, s, nb, rest, comp, boundary;
     if (standard) {
         for (s = sources; s; s &= s - 1) {
             nb = adj[CTZ(s)] & white;
-            if (SINGLE(nb))
-                newly |= nb;
+            if (SINGLE(nb) && !(nb & hit)) {
+                hit |= nb;
+                *forcers |= s & (0 - s);
+            }
         }
-        return newly;
+        return hit & ~barred;
     }
     for (rest = white; rest; rest &= ~comp) {
         comp = component(adj, rest, &boundary);
         for (s = sources & boundary; s; s &= s - 1) {
             nb = adj[CTZ(s)] & comp;
-            if (SINGLE(nb))
-                newly |= nb;
+            if (SINGLE(nb) && !(nb & hit)) {
+                hit |= nb;
+                *forcers |= s & (0 - s);
+            }
         }
     }
-    return newly;
+    return hit & ~barred;
 }
 
+/* Fixed point of round-simultaneous forcing; *forcers gets the forcers of
+ * every round. */
 static uint64_t closure(int n, const uint64_t *adj, uint64_t blue, uint64_t leaks,
-                        int standard, uint64_t barred)
+                        int standard, uint64_t barred, uint64_t *forcers)
 {
     uint64_t full = full_mask(n), white, newly;
+    *forcers = 0;
     for (;;) {
         white = full & ~blue;
         if (white == 0)
             return blue;
-        newly = round_targets(adj, blue, leaks, standard, white) & ~barred;
+        newly = round_targets(adj, blue, leaks, standard, white, barred, forcers);
         if (newly == 0)
             return blue;
         blue |= newly;
     }
 }
 
-/* First size-ell leak placement (ell >= 1) in lexicographic order whose
- * closure of `blue` misses a vertex, or 0 when every placement forces the
- * graph.  *reach gets that failing closure, or the full mask. */
-static uint64_t failing_leaks(int n, const uint64_t *adj, uint64_t blue, int ell,
-                              int standard, uint64_t *reach, long long *closures)
+/* The chain nodes of one leak scan and their forcers: open addressing over
+ * nonzero keys (a zero key marks a free slot), doubled at half load. */
+struct memo {
+    uint64_t *keys, *vals;
+    size_t cap, len;
+};
+
+static size_t memo_slot(const struct memo *t, uint64_t key)
 {
-    uint64_t full = full_mask(n), lmask;
-    int c[64], i;
-    for (i = 0; i < ell; i++)
-        c[i] = i;
-    do {
-        lmask = 0;
-        for (i = 0; i < ell; i++)
-            lmask |= (uint64_t)1 << c[i];
-        ++*closures;
-        if ((*reach = closure(n, adj, blue, lmask, standard, 0)) != full)
-            return lmask;
-    } while (next_combination(c, ell, n));
+    size_t i = (size_t)((key * 0x9E3779B97F4A7C15ull) >> 32) & (t->cap - 1);
+    while (t->keys[i] != 0 && t->keys[i] != key)
+        i = (i + 1) & (t->cap - 1);
+    return i;
+}
+
+static int memo_get(const struct memo *t, uint64_t key, uint64_t *val)
+{
+    size_t i;
+    if (t->len == 0 || t->keys[i = memo_slot(t, key)] == 0)
+        return 0;
+    *val = t->vals[i];
+    return 1;
+}
+
+/* -1 with MemoryError when the table cannot grow. */
+static int memo_put(struct memo *t, uint64_t key, uint64_t val)
+{
+    struct memo grown;
+    size_t i;
+    if (2 * (t->len + 1) > t->cap) {
+        grown.cap = t->cap ? 2 * t->cap : 64;
+        grown.len = 0;
+        if ((grown.keys = PyMem_Calloc(2 * grown.cap, sizeof *grown.keys)) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        grown.vals = grown.keys + grown.cap;
+        for (i = 0; i < t->cap; i++)
+            if (t->keys[i] != 0)
+                memo_put(&grown, t->keys[i], t->vals[i]);
+        PyMem_Free(t->keys);
+        *t = grown;
+    }
+    i = memo_slot(t, key);
+    t->keys[i] = key;
+    t->vals[i] = val;
+    t->len++;
     return 0;
 }
 
-/* Vertices outside the first failing closure of `cand`, leak-free and then
- * under each leak placement in order, or 0 when `cand` forces the graph
- * under every placement. */
-static uint64_t cut_of(int n, const uint64_t *adj, uint64_t cand, int ell, int standard,
-                       long long *closures)
+/* One leak scan's fixed arguments and the memo of its chain nodes, which the
+ * scan empties when it starts and its owner frees. */
+struct scan {
+    int n, ell, standard;
+    const uint64_t *adj;
+    struct memo memo;
+};
+
+/* Walk the chain of `lmask` on from node *s with forcers *forcers: 1 when a
+ * node's closure misses a vertex (that closure in *reach), 0 once lmask - *s
+ * meets no forcer, -1 with MemoryError.  Each step adds a vertex of lmask to
+ * *s; nodes below size ell go into the memo. */
+static int walk(struct scan *sc, uint64_t blue, uint64_t lmask, uint64_t *s, uint64_t *forcers,
+                uint64_t *reach, long long *closures)
 {
-    uint64_t full = full_mask(n), reach;
+    uint64_t x;
+    while ((x = lmask & ~*s & *forcers) != 0) {
+        *s |= x & (0 - x);
+        if (memo_get(&sc->memo, *s, forcers))
+            continue;
+        ++*closures;
+        if ((*reach = closure(sc->n, sc->adj, blue, *s, sc->standard, 0, forcers)) != full_mask(sc->n))
+            return 1;
+        if (POP(*s) < sc->ell && memo_put(&sc->memo, *s, *forcers) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* First size-ell leak placement in lexicographic order whose closure of
+ * `blue` misses a vertex: 1 with it in *leaks, 0 when every placement forces
+ * the graph, -1 with MemoryError.  *reach gets the closure of a failing set S
+ * inside *leaks (S is empty when the leak-free closure fails, and then the
+ * placement is {0, ..., ell-1}), or the full mask.
+ *
+ * Certification (see _pykernel._scan): when closure(S) is the full graph with
+ * forcers F(S) (per target the smallest source that forced it), a placement
+ * L containing S with (L - S) & F(S) empty replays the same chronology: every
+ * force valid under L is valid under S, and every recorded force keeps its
+ * source.  So each placement in order walks a chain from S = {}: while
+ * (L - S) & F(S) is nonempty, S gains its lowest vertex and closure(S) is
+ * looked up in the memo or run.  L fails as soon as some S inside it fails,
+ * since more leaks never grow a closure.  Nodes below size ell stay in the
+ * memo for the whole scan; a node of size ell is L itself, met once, so
+ * ell = 1 never touches the table.  Placements sharing their first ell - 1
+ * vertices P share the chain over P, and from its end only the last vertices
+ * inside F(S) walk on; the others are certified at once. */
+static int failing_leaks(struct scan *sc, uint64_t blue, uint64_t *leaks, uint64_t *reach,
+                         long long *closures)
+{
+    uint64_t full = full_mask(sc->n), root, forcers, f, s, t, pmask, first, rest, low;
+    int c[64], i, k = sc->ell - 1, found;
     ++*closures;
-    reach = closure(n, adj, cand, 0, standard, 0);
-    if (reach == full && ell > 0)
-        failing_leaks(n, adj, cand, ell, standard, &reach, closures);
-    return full & ~reach;
+    if ((*reach = closure(sc->n, sc->adj, blue, 0, sc->standard, 0, &root)) != full) {
+        *leaks = full_mask(sc->ell);
+        return 1;
+    }
+    if (sc->ell == 0)
+        return 0;
+    if (sc->memo.len) {
+        memset(sc->memo.keys, 0, sc->memo.cap * sizeof *sc->memo.keys);
+        sc->memo.len = 0;
+    }
+    for (i = 0; i < k; i++)
+        c[i] = i;
+    do {
+        pmask = 0;
+        for (i = 0; i < k; i++)
+            pmask |= (uint64_t)1 << c[i];
+        first = (uint64_t)1 << (k ? c[k - 1] + 1 : 0);  /* the lowest last vertex */
+        s = 0;
+        forcers = root;
+        if ((found = walk(sc, blue, pmask, &s, &forcers, reach, closures)) != 0) {
+            *leaks = pmask | first;
+            return found;
+        }
+        for (rest = forcers & (0 - first); rest; rest &= rest - 1) {
+            low = rest & (0 - rest);
+            t = s;
+            f = forcers;
+            if ((found = walk(sc, blue, pmask | low, &t, &f, reach, closures)) != 0) {
+                *leaks = pmask | low;
+                return found;
+            }
+        }
+    } while (next_combination(c, k, sc->n - 1));
+    return 0;
+}
+
+/* Fort cut of `cand`: *cut gets the vertices outside the closure of the
+ * failing set S that failing_leaks stopped at, or 0 when `cand` forces the
+ * graph under every placement; -1 with MemoryError.  closure(S) is a fixed
+ * point under S, and so under the failing placement L, whose sources are
+ * fewer; every set inside it stalls inside it under L, and no further
+ * closure runs on L. */
+static int cut_of(struct scan *sc, uint64_t cand, uint64_t *cut, long long *closures)
+{
+    uint64_t leaks, reach;
+    if (failing_leaks(sc, cand, &leaks, &reach, closures) < 0)
+        return -1;
+    *cut = full_mask(sc->n) & ~reach;
+    return 0;
 }
 
 static int is_fort(const uint64_t *adj, uint64_t fort, int ell)
@@ -251,52 +379,58 @@ static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t
 static PyObject *py_closure_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n, standard;
-    uint64_t adj[64], blue, leaks, barred = 0;
+    uint64_t adj[64], blue, leaks, barred = 0, forcers;
     if (check_nargs("closure_mask", nargs, 5, 6) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
         || get_vmask(args[3], n, &leaks) < 0 || (standard = PyObject_IsTrue(args[4])) < 0
         || (nargs > 5 && get_vmask(args[5], n, &barred) < 0))
         return NULL;
-    return PyLong_FromUnsignedLongLong(closure(n, adj, blue, leaks, standard, barred));
+    return PyLong_FromUnsignedLongLong(closure(n, adj, blue, leaks, standard, barred, &forcers));
 }
 
 static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, ell, standard;
-    uint64_t adj[64], blue, fail, reach;
-    long long closures = 1;
-    if (check_nargs("first_failing_leaks", nargs, 5, 5) < 0 || get_int(args[0], &n) < 0
-        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
-        || get_ell(args[3], &ell, n) < 0 || (standard = PyObject_IsTrue(args[4])) < 0)
+    int found;
+    uint64_t adj[64], blue, leaks, reach;
+    long long closures = 0;
+    struct scan sc = {0, 0, 0, adj, {NULL, NULL, 0, 0}};
+    if (check_nargs("first_failing_leaks", nargs, 5, 5) < 0 || get_int(args[0], &sc.n) < 0
+        || load_adj(args[1], sc.n, adj) < 0 || get_vmask(args[2], sc.n, &blue) < 0
+        || get_ell(args[3], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[4])) < 0)
         return NULL;
-    /* when the leak-free closure fails, every placement fails */
-    if (closure(n, adj, blue, 0, standard, 0) != full_mask(n))
-        fail = full_mask(ell);
-    else if (ell == 0 || (fail = failing_leaks(n, adj, blue, ell, standard, &reach, &closures)) == 0)
+    found = failing_leaks(&sc, blue, &leaks, &reach, &closures);
+    PyMem_Free(sc.memo.keys);
+    if (found < 0)
+        return NULL;
+    if (found == 0)
         return Py_BuildValue("(iL)", -1, closures);
-    return Py_BuildValue("(KL)", (unsigned long long)fail, closures);
+    return Py_BuildValue("(KL)", (unsigned long long)leaks, closures);
 }
 
-/* Fort cuts: a failing closure `reach` (leak-free, or under the first failing
- * leak placement L) is a fixed point under L, and a closure never shrinks when
- * more vertices start blue, so every set inside `reach` fails too.  The scan
- * keeps the cuts `full & ~reach` of its last CUTS (64, fixed) failures in a
- * ring, starting with none, and per prefix (every position but the last) ANDs
- * the cuts the prefix misses into `need`; a closure runs only for a last
- * vertex in `need`.  A skipped candidate still counts as tested and against
- * max_candidates.  Same steps and counts as _pykernel.search_min_superset. */
+/* Fort cuts: cut_of gives a cut that every set forcing the graph under every
+ * placement hits (see above), and a cut never exceeds the one the failing
+ * placement's own closure would give.  The scan keeps the cuts of its last
+ * CUTS (64, fixed) failures in a ring, starting with none, and per prefix
+ * (every position but the last) ANDs the cuts the prefix misses into `need`;
+ * a closure runs only for a last vertex in `need`.  A skipped candidate still
+ * counts as tested and against max_candidates.  Same steps and counts as
+ * _pykernel.search_min_superset. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n, k, ell, standard, m = 0, j, i, p, q, v, free_v[64], idx[64], pos[64], ncuts = 0, head = 0;
     uint64_t adj[64], core, cand, prefix, need, hits, cut, cuts[CUTS], free_mask;
     long long max_candidates = -1, candidates = 0, closures = 0;
-    PyObject *first_free = nargs > 6 ? args[6] : Py_None, *seq;
+    PyObject *first_free = nargs > 6 ? args[6] : Py_None, *seq, *out = NULL;
+    struct scan sc = {0, 0, 0, adj, {NULL, NULL, 0, 0}};
     if (check_nargs("search_min_superset", nargs, 6, 8) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &core) < 0
         || get_int(args[3], &k) < 0 || get_ell(args[4], &ell, n) < 0
         || (standard = PyObject_IsTrue(args[5])) < 0
         || (nargs > 7 && (max_candidates = PyLong_AsLongLong(args[7])) == -1 && PyErr_Occurred()))
         return NULL;
+    sc.n = n;
+    sc.ell = ell;
+    sc.standard = standard;
     free_mask = full_mask(n) & ~core;
     for (i = 0; i < n; i++)
         if (!((core >> i) & 1)) {
@@ -328,9 +462,10 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
             return NULL;
     }
     if (j == 0) {
-        if (cut_of(n, adj, core, ell, standard, &closures))
-            return Py_BuildValue("(iiL)", -1, 1, closures);
-        return Py_BuildValue("(KiL)", (unsigned long long)core, 1, closures);
+        if (cut_of(&sc, core, &cut, &closures) == 0)
+            out = cut ? Py_BuildValue("(iiL)", -1, 1, closures)
+                      : Py_BuildValue("(KiL)", (unsigned long long)core, 1, closures);
+        goto done;
     }
     do {
         prefix = core;
@@ -345,16 +480,24 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
             hits = need & free_mask & ~(((uint64_t)1 << free_v[p]) - 1);
             q = hits ? pos[CTZ(hits)] : m;
             candidates += q - p;
-            if (max_candidates > 0 && candidates >= max_candidates)
-                return Py_BuildValue("(iLL)", -1, max_candidates, closures);
+            if (max_candidates > 0 && candidates >= max_candidates) {
+                out = Py_BuildValue("(iLL)", -1, max_candidates, closures);
+                goto done;
+            }
             if (q == m)
                 break;
             candidates++;
             cand = prefix | (uint64_t)1 << free_v[q];
-            if ((cut = cut_of(n, adj, cand, ell, standard, &closures)) == 0)
-                return Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
-            if (candidates == max_candidates)
-                return Py_BuildValue("(iLL)", -1, candidates, closures);
+            if (cut_of(&sc, cand, &cut, &closures) < 0)
+                goto done;
+            if (cut == 0) {
+                out = Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
+                goto done;
+            }
+            if (candidates == max_candidates) {
+                out = Py_BuildValue("(iLL)", -1, candidates, closures);
+                goto done;
+            }
             need &= cut;
             cuts[head] = cut;  /* the ring drops its oldest cut once full */
             head = (head + 1) % CUTS;
@@ -362,7 +505,10 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
         }
         idx[j - 1] = m - 1;  /* the last position is spent: next prefix */
     } while (next_combination(idx, j, m));
-    return Py_BuildValue("(iLL)", -1, candidates, closures);
+    out = Py_BuildValue("(iLL)", -1, candidates, closures);
+done:
+    PyMem_Free(sc.memo.keys);
+    return out;
 }
 
 static PyObject *py_is_fort_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)

@@ -23,7 +23,7 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results or work counters change; _core refuses a compiled
 # twin whose version differs.
-KERNEL_VERSION = 3
+KERNEL_VERSION = 4
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
@@ -83,9 +83,13 @@ def _components(adj, inside) -> list[tuple[int, int]]:
     return comps
 
 
-def _round_targets(adj, blue, leaks, standard, white) -> int:
-    """Mask of all vertices forceable in one simultaneous round."""
-    newly = 0
+def _round(adj, blue, leaks, standard, white, barred) -> tuple[int, int]:
+    """One simultaneous round: (targets, forcers).  The targets are the
+    vertices outside ``barred`` that some non-leaked blue vertex forces; the
+    forcers hold, per target, the smallest source forcing it, the source
+    forcing.closure keeps in its chronology."""
+    hit = barred
+    forcers = 0
     sources = blue & ~leaks
     if standard:
         s = sources
@@ -93,8 +97,9 @@ def _round_targets(adj, blue, leaks, standard, white) -> int:
             low = s & -s
             s ^= low
             nb = adj[low.bit_length() - 1] & white
-            if nb and nb & (nb - 1) == 0:
-                newly |= nb
+            if nb and nb & (nb - 1) == 0 and not nb & hit:
+                hit |= nb
+                forcers |= low
     else:
         for comp, boundary in _components(adj, white):
             s = sources & boundary
@@ -102,9 +107,10 @@ def _round_targets(adj, blue, leaks, standard, white) -> int:
                 low = s & -s
                 s ^= low
                 nb = adj[low.bit_length() - 1] & comp
-                if nb and nb & (nb - 1) == 0:
-                    newly |= nb
-    return newly
+                if nb and nb & (nb - 1) == 0 and not nb & hit:
+                    hit |= nb
+                    forcers |= low
+    return hit & ~barred, forcers
 
 
 def closure_mask(n, adj, blue, leaks, standard, barred=0) -> int:
@@ -113,37 +119,96 @@ def closure_mask(n, adj, blue, leaks, standard, barred=0) -> int:
     _check_graph(n, adj)
     for mask in (blue, leaks, barred):
         _check_mask(n, mask)
-    return _closure(n, adj, blue, leaks, standard, barred)
+    return _closure(n, adj, blue, leaks, standard, barred)[0]
 
 
-def _closure(n, adj, blue, leaks, standard, barred=0) -> int:
+def _closure(n, adj, blue, leaks, standard, barred=0) -> tuple[int, int]:
+    """(fixed point, forcers of every round)."""
     full = (1 << n) - 1
+    forcers = 0
     while True:
         white = full & ~blue
         if not white:
-            return blue
-        newly = _round_targets(adj, blue, leaks, standard, white) & ~barred
+            return blue, forcers
+        newly, f = _round(adj, blue, leaks, standard, white, barred)
         if not newly:
-            return blue
+            return blue, forcers
         blue |= newly
+        forcers |= f
 
 
-def _failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int, int]:
-    """First size-``ell`` leak placement in lexicographic order whose
-    closure of ``blue`` misses a vertex: (leaks, that closure, closures run).
-    When every placement forces the graph, leaks is -1 and the closure is
-    the full mask."""
+def _scan(n, adj, blue, ell, standard) -> tuple[int, int, int]:
+    """(leaks, reach, closures run): the lexicographically first size-``ell``
+    leak placement whose closure of ``blue`` misses a vertex, or -1, and
+    the closure of a failing S inside it, or the full mask.  If the
+    leak-free closure already fails, every placement fails and the first
+    one is {0, ..., ell-1}.
+
+    Certification.  Let S be a set of leaks whose closure is the full
+    graph, with forcers F(S) (per target the smallest source that forced it
+    in its round).  A placement L containing S with (L - S) & F(S) empty
+    has the same closure: round by round the blue set is the same, every
+    force valid under L is valid under S (L has fewer sources), and every
+    recorded force stays valid because its source is not in L.  So each
+    placement, in lexicographic order, walks a chain from S = {}: while
+    (L - S) & F(S) is nonempty, S gains its lowest vertex and closure(S) is
+    looked up or run.  L is certified once (L - S) & F(S) is empty; L
+    fails as soon as some S inside it fails, since a closure never grows
+    when more vertices leak.  Chain nodes smaller than ``ell`` are memoized
+    for the whole call; a node of size ``ell`` is L itself and is met once.
+    Only closures run count, so the count is at most 1 + C(n, ell).
+
+    Placements sharing their first ``ell - 1`` vertices P share the start
+    of their chains: P's vertices are the lowest of each, so the chain
+    takes them first, until (P - S) & F(S) is empty.  From there a last
+    vertex outside F(S) certifies its placement at once, and only the last
+    vertices inside F(S) walk on."""
+    full = (1 << n) - 1
+    reach, root = _closure(n, adj, blue, 0, standard)
+    if reach != full:
+        return (1 << ell) - 1, reach, 1
+    if ell == 0:
+        return -1, full, 1
+    closures = 1
+    known: dict[int, int] = {}  # chain node -> its forcers, nodes below size ell
+    for prefix in combinations(range(n - 1), ell - 1):
+        pmask = 0
+        for v in prefix:
+            pmask |= 1 << v
+        first = 1 << prefix[-1] + 1 if prefix else 1  # the lowest last vertex
+        s, forcers, reach, c = _walk(n, adj, blue, ell, standard, pmask, 0, root, known)
+        closures += c
+        if reach != full:
+            return pmask | first, reach, closures
+        rest = forcers & -first
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            _, _, reach, c = _walk(n, adj, blue, ell, standard, pmask | low, s, forcers, known)
+            closures += c
+            if reach != full:
+                return pmask | low, reach, closures
+    return -1, full, closures
+
+
+def _walk(n, adj, blue, ell, standard, lmask, s, forcers, known) -> tuple[int, int, int, int]:
+    """Walk the chain of ``lmask`` on from node ``s``, whose forcers are
+    ``forcers``: (last node, its forcers, its closure, closures run).  The
+    walk stops when ``lmask - s`` meets no forcer or a node's closure
+    misses a vertex; each step adds a vertex of ``lmask`` to ``s``."""
     full = (1 << n) - 1
     closures = 0
-    for combo in combinations(range(n), ell):
-        lmask = 0
-        for v in combo:
-            lmask |= 1 << v
-        closures += 1
-        reach = _closure(n, adj, blue, lmask, standard)
-        if reach != full:
-            return lmask, reach, closures
-    return -1, full, closures
+    while x := lmask & ~s & forcers:
+        s |= x & -x
+        forcers = known.get(s, -1)
+        if forcers < 0:
+            closures += 1
+            reach, forcers = _closure(n, adj, blue, s, standard)
+            if reach != full:
+                return s, forcers, reach, closures
+            if s.bit_count() < ell:
+                known[s] = forcers
+    return s, forcers, full, closures
 
 
 def first_failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int]:
@@ -151,30 +216,27 @@ def first_failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int]:
     misses a vertex, or -1 if none exists.  Second item counts closures run.
 
     If the leak-free closure already fails, every placement fails and the
-    first one in order is {0, ..., ell-1}.
+    first one in order is {0, ..., ell-1}.  Otherwise most placements are
+    certified from the forcers of smaller leak sets inside them, without a
+    closure of their own (see _scan); the answer is the one an exhaustive
+    scan of all C(n, ell) placements gives.
     """
     _check_graph(n, adj)
     _check_mask(n, blue)
     _check_ell(ell)
-    ell = min(ell, n)
-    if _closure(n, adj, blue, 0, standard) != (1 << n) - 1:
-        return (1 << ell) - 1, 1
-    if ell == 0:
-        return -1, 1
-    leaks, _, closures = _failing_leaks(n, adj, blue, ell, standard)
-    return leaks, 1 + closures
+    leaks, _, closures = _scan(n, adj, blue, min(ell, n), standard)
+    return leaks, closures
 
 
 def _cut(n, adj, cand, ell, standard) -> tuple[int, int]:
-    """(cut, closures run): the vertices outside the first failing closure
-    of ``cand``, leak-free and then under each leak placement in order, or
-    0 when ``cand`` forces the graph under every placement."""
-    full = (1 << n) - 1
-    reach = _closure(n, adj, cand, 0, standard)
-    if reach != full or ell == 0:
-        return full & ~reach, 1
-    _, reach, closures = _failing_leaks(n, adj, cand, ell, standard)
-    return full & ~reach, 1 + closures
+    """(cut, closures run): the vertices outside closure(S) for the failing
+    chain node S inside the first failing placement L of ``cand`` (S is
+    empty when the leak-free closure fails), or 0 when ``cand`` forces the
+    graph under every placement.  closure(S) is a fixed point under S, and
+    so under L, which has fewer sources; every set inside it therefore
+    stalls inside it under L, and no further closure runs on L."""
+    _, reach, closures = _scan(n, adj, cand, ell, standard)
+    return (1 << n) - 1 & ~reach, closures
 
 
 def search_min_superset(
@@ -189,17 +251,20 @@ def search_min_superset(
     vertices in ``[0, n)`` outside the core.  A positive
     ``max_candidates`` caps how many sets are tested.
 
-    Fort cuts.  When a candidate fails, its failing closure ``reach``
-    (leak-free, or under the first failing leak placement L) is a fixed
-    point under L.  Coloring more vertices blue never shrinks a closure, so
-    every set inside ``reach`` stalls inside ``reach`` under L and fails
-    too: ``full & ~reach`` is a cut that every surviving candidate hits.
-    One call keeps its last 64 cuts (a fixed number), newest first, and
-    starts with none, so a shard's counts depend only on its range.  Per
-    prefix (every position but the last) the cuts the prefix misses are
-    ANDed into ``need``; a closure runs only for a last vertex in ``need``,
-    and each new cut is ANDed in.  A skipped candidate still counts as
-    tested, and against ``max_candidates``.
+    Fort cuts.  When a candidate fails, the leak scan stops at a failing
+    chain node S inside the first failing placement L (S is empty when the
+    leak-free closure fails) and returns reach = closure(S).  It is a fixed
+    point under S, and so under L, whose sources are fewer.  Coloring more
+    vertices blue never shrinks a closure, so every set inside ``reach``
+    stalls inside ``reach`` under L and fails too: ``full & ~reach`` is a
+    cut that every surviving candidate hits.  Since S lies inside L,
+    closure(S) contains closure(L), and this cut is never larger than the
+    one closure(L) would give.  One call keeps its last 64 cuts (a fixed
+    number), newest first, and starts with none, so a shard's counts
+    depend only on its range.  Per prefix (every position but the last)
+    the cuts the prefix misses are ANDed into ``need``; a closure runs only
+    for a last vertex in ``need``, and each new cut is ANDed in.  A skipped
+    candidate still counts as tested, and against ``max_candidates``.
     """
     _check_graph(n, adj)
     _check_mask(n, core)

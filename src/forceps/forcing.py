@@ -169,7 +169,14 @@ def is_ell_leaky_forcing_set(
 
     Placements range over all vertices, blue ones included, and are scanned
     in lexicographic order; on failure the first failing placement is
-    returned as the witness.  ``ell`` beyond the vertex count is clamped
+    returned as the witness.  A leak matters only on a vertex that forces:
+    if the closure under a leak set S colors the graph and a placement L
+    containing S adds no vertex that forced in that closure (per target the
+    smallest source, as in ``closure``), the same forces replay under L, so
+    L forces the graph too.  The kernel certifies most placements this way,
+    running a closure only for the chain of sets S it walks up to each
+    placement, and gives the same verdict and witness as running one
+    closure per placement.  ``ell`` beyond the vertex count is clamped
     (extra leaks have nowhere new to land).  With ``witness=False`` the
     scan may be skipped entirely when some non-blue vertex has degree at
     most ``ell``: leaking its whole neighborhood strands it, so the verdict

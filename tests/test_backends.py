@@ -15,11 +15,12 @@ import subprocess
 import sys
 import sysconfig
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from forceps import Rule, _core
+from forceps import Graph, Rule, _core
 from forceps._core import _pykernel
 from forceps.families import complete, hypercube, path
 
@@ -63,6 +64,35 @@ def _instances(count, max_n=8):
         yield g, blue, leaks, rng
 
 
+def _top_forcer_instances(count):
+    """64-vertex graphs and blue sets whose leak-free closure has vertex 63
+    as a forcer under both rules: 63 sees one white vertex, the target, and
+    every other blue neighbor of the target loses that edge or gains a
+    second white neighbor.  The white vertices form a path, so they stay in
+    one component under the psd rule."""
+    rng = random.Random(0x3F)
+    for _ in range(count):
+        g = random_graph(rng, 64, rng.choice([0.05, 0.1, 0.2, 0.4]))
+        white = rng.sample(range(63), rng.randint(2, 8))
+        target = white[0]
+        blue = (1 << 64) - 1 & ~sum(1 << v for v in white)
+        edges = {(u, v) for u, v in g.edges() if not (v == 63 and u in white)}
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(white, white[1:])}
+        edges.add((target, 63))
+        for u in range(63):
+            edge = (min(u, target), max(u, target))
+            if blue >> u & 1 and edge in edges:
+                if rng.random() < 0.3:
+                    edges.discard(edge)
+                else:
+                    w = rng.choice(white[1:])
+                    edges.add((min(u, w), max(u, w)))
+        g = Graph.from_edges(64, sorted(edges))
+        for std in (False, True):
+            assert _pykernel._closure(64, g.adj, blue, 0, std)[1] >> 63 & 1
+        yield g, blue, rng
+
+
 def test_closure_masks_agree(ck):
     for g, blue, leaks, rng in _instances(600):
         barred = (rng.getrandbits(g.n) & ~blue) if g.n else 0
@@ -86,6 +116,40 @@ def test_leak_scans_agree(ck):
         for std in (False, True):
             assert _pykernel.first_failing_leaks(g.n, g.adj, blue, ell, std) == \
                 ck.first_failing_leaks(g.n, g.adj, blue, ell, std)
+    # the word boundary: vertex 63 forces, so chains and placements use bit 63
+    for g, blue, _ in _top_forcer_instances(12):
+        for ell in range(4):
+            for std in (False, True):
+                assert _pykernel.first_failing_leaks(64, g.adj, blue, ell, std) == \
+                    ck.first_failing_leaks(64, g.adj, blue, ell, std)
+
+
+def test_leak_scans_match_the_oracle(ck):
+    # the certified scan names the placement an exhaustive scan fails first:
+    # every graph on at most 6 vertices, disconnected ones included, with a
+    # sample of blue sets
+    rng = random.Random(0x1EA)
+    for g in atlas_graphs(6, connected=False):
+        full = (1 << g.n) - 1
+        for blue in rng.sample(range(full + 1), min(full + 1, 12)):
+            blue_set = frozenset(v for v in range(g.n) if blue >> v & 1)
+            for ell in range(4):
+                for rule in (Rule.psd, Rule.standard):
+                    ok, combo = naive_is_ell_leaky(g, blue_set, ell, rule)
+                    want = -1 if ok else sum(1 << v for v in combo)
+                    for k in (_pykernel, ck):
+                        assert k.first_failing_leaks(g.n, g.adj, blue, ell, rule is Rule.standard)[0] == want
+
+
+def test_certified_scan_skips_closures(ck):
+    # Q3's even set survives every placement of two leaks under the psd rule,
+    # and most placements are certified without a closure of their own
+    q3 = hypercube(3)
+    even = sum(1 << v for v in range(8) if bin(v).count("1") % 2 == 0)
+    for k in (_pykernel, ck):
+        leaks, closures = k.first_failing_leaks(q3.n, q3.adj, even, 2, False)
+        assert leaks == -1
+        assert closures < 1 + comb(q3.n, 2)
 
 
 def test_searches_agree(ck):
@@ -105,6 +169,14 @@ def test_searches_agree(ck):
                 ck.search_min_superset(g.n, g.adj, core, k, ell, std, start, cap)
             assert _pykernel.search_min_superset(g.n, g.adj, core, k, ell, std, None, cap) == \
                 ck.search_min_superset(g.n, g.adj, core, k, ell, std, None, cap)
+    # 64 vertices with vertex 63 forcing; the core drops a few blue vertices
+    for g, blue, rng in _top_forcer_instances(8):
+        core = blue & ~sum(1 << v for v in rng.sample(range(63), 3))
+        for ell in range(4):
+            k = core.bit_count() + rng.randint(0, 2)
+            for std in (False, True):
+                assert _pykernel.search_min_superset(64, g.adj, core, k, ell, std) == \
+                    ck.search_min_superset(64, g.adj, core, k, ell, std)
 
 
 def test_sharded_search_agrees_with_full_scan(ck):
