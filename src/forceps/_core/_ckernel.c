@@ -580,8 +580,11 @@ struct fort_search {
  *     most ell;
  *   - stop when inside holds a fort of a higher seed (only forts holding x
  *     can be new inside it); a minimal fort would properly contain it;
- *   - few threats: record a connected inside; a disconnected one stops if it
- *     is a fort, else branches on the neighbours of the seed's component;
+ *   - few threats: record a connected inside; a disconnected one branches
+ *     on the neighbours of the seed's component.  It is never a fort: its
+ *     other components lie above the seed, and a component of a fort is a
+ *     fort holding a minimal fort of a higher seed, which the rule above
+ *     caught when its last vertex joined inside;
  *   - many threats: a threat with no fix ({u} | N(u) minus inside and out)
  *     is permanent; more than ell of them end the branch; else branch on
  *     ell + 1 - permanent live threats, fewest fixes first, over each one's
@@ -603,8 +606,6 @@ static int grow_fort(struct fort_search *s, int x, uint64_t inside, uint64_t out
         comp = component(adj, inside, &boundary);
         if (comp == inside)
             return push(&s->seeded, inside);
-        if (is_fort(adj, inside, s->ell))
-            return 0;
         for (rest = boundary & ~inside & ~out; rest; rest &= rest - 1) {
             y = CTZ(rest);
             low = (uint64_t)1 << y;

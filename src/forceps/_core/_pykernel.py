@@ -340,13 +340,7 @@ def is_fort_mask(n, adj, fort, ell) -> bool:
     _check_graph(n, adj)
     _check_mask(n, fort)
     _check_ell(ell)
-    return _parts_are_forts(adj, _components(adj, fort), ell)
-
-
-def _parts_are_forts(adj, comps, ell) -> bool:
-    """Whether every (component, boundary) pair has at most ``ell``
-    boundary vertices with exactly one neighbor in the component."""
-    for comp, boundary in comps:
+    for comp, boundary in _components(adj, fort):
         cnt = 0
         b = boundary
         while b:
@@ -383,9 +377,12 @@ def minimal_fort_masks(n, adj, ell) -> list[int]:
 
     - |T(IN)| <= ell and IN connected: IN is a fort; it is recorded and
       nothing larger is searched.
-    - |T(IN)| <= ell and IN disconnected: if IN is a fort it contains a
-      smaller connected one, so stop; else branch on each neighbor of v's
+    - |T(IN)| <= ell and IN disconnected: branch on each neighbor of v's
       component outside IN and OUT, adding it to OUT after its branch.
+      IN is never a fort here.  Its other components lie above v, and each
+      component of a fort is a fort, which holds a minimal fort of a higher
+      seed; the pruning rule below stopped the branch when that fort's last
+      vertex joined IN.
     - |T(IN)| > ell: a threat u stays a threat of any superset that
       contains neither u nor another neighbor of u, so its fixes are
       ({u} | N(u)) minus IN and OUT.  A threat without fixes is permanent;
@@ -445,8 +442,6 @@ def _grow_fort(adj, ell, x, inside, out, once, twice, found, holding) -> None:
         comps = _components(adj, inside)
         if len(comps) == 1:
             found.append(inside)
-            return
-        if _parts_are_forts(adj, comps, ell):
             return
         grow = comps[0][1] & ~out
         while grow:

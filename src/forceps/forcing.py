@@ -84,7 +84,7 @@ class LeakyVerdict:
     """Outcome of an adversarial leak-placement test.
 
     ``witness_leaks`` is the lexicographically first failing placement when
-    ``ok`` is false and a witness was requested.
+    ``ok`` is false, and None when ``ok`` is true.
     """
 
     ok: bool
@@ -162,8 +162,6 @@ def is_ell_leaky_forcing_set(
     blue: VertexSet,
     ell: int,
     rule: Rule = Rule.psd,
-    *,
-    witness: bool = True,
 ) -> LeakyVerdict:
     """Test ``blue`` against every placement of ``ell`` leaks.
 
@@ -176,25 +174,16 @@ def is_ell_leaky_forcing_set(
     L forces the graph too.  The kernel certifies most placements this way,
     running a closure only for the chain of sets S it walks up to each
     placement, and gives the same verdict and witness as running one
-    closure per placement.  ``ell`` beyond the vertex count is clamped
-    (extra leaks have nowhere new to land).  With ``witness=False`` the
-    scan may be skipped entirely when some non-blue vertex has degree at
-    most ``ell``: leaking its whole neighborhood strands it, so the verdict
-    is false without running a single closure.
+    closure per placement.  The kernel rejects a negative ``ell``
+    (ValueError) and clamps one beyond the vertex count (extra leaks have
+    nowhere new to land).
     """
     if blue.n != g.n:
         raise ValueError("blue set does not match the graph's vertex count")
-    if ell < 0:
-        raise ValueError("leak budget must be non-negative")
-    ell = min(ell, g.n)
-    if not witness:
-        for v in range(g.n):
-            if v not in blue and g.degree(v) <= ell:
-                return LeakyVerdict(False, None)
     fail, _ = _core.first_failing_leaks(g.n, g.adj, blue.mask, ell, _is_standard(rule))
     if fail < 0:
         return LeakyVerdict(True, None)
-    return LeakyVerdict(False, VertexSet.from_mask(g.n, fail) if witness else None)
+    return LeakyVerdict(False, VertexSet.from_mask(g.n, fail))
 
 
 def possible_forces(g: Graph, blue: VertexSet) -> frozenset[Force]:

@@ -4,8 +4,9 @@ The solver is exhaustive and certified: per connected component it seeds
 the candidate core with every vertex of degree at most ell (any of those
 can be stranded by leaking its whole neighborhood, so they belong to every
 valid set), then scans k-supersets of the core in lexicographic order,
-from the larger of the core size and the caller's ``lower_bound`` up,
-until one survives every leak placement.  Within one size class the
+from the core size up, until one survives every leak placement.  The
+degree core is the only bound that skips size classes; it is sound by
+construction, and no caller can pass another.  Within one size class the
 kernel keeps the forts its failed candidates stalled on and runs no
 closure for a candidate that misses one (see
 ``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts every
@@ -19,7 +20,7 @@ from __future__ import annotations
 import concurrent.futures
 import logging
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from math import comb
 from typing import Iterable, Iterator
 
@@ -117,8 +118,6 @@ def _search_size_class(
 ) -> tuple[int, int, int]:
     free = [v for v in range(g.n) if not core >> v & 1]
     j = k - core.bit_count()
-    if j < 0 or j > len(free):
-        return -1, 0, 0
     total = comb(len(free), j)
     if workers <= 1 or total < _PARALLEL_MIN_CANDIDATES:
         return _core.search_min_superset(g.n, g.adj, core, k, ell, standard)
@@ -140,21 +139,16 @@ def _search_size_class(
     return -1, nodes, closures
 
 
-def _solve_connected(
-    g: Graph, ell: int, rule: Rule, workers: int, lower_bound: int
-) -> tuple[int, int, SolveStats]:
+def _solve_connected(g: Graph, ell: int, rule: Rule, workers: int) -> tuple[int, int, SolveStats]:
     """Exact value and witness mask for a connected (or any) graph treated
     as a single search domain."""
     n = g.n
-    full = (1 << n) - 1
-    if n == 0:
-        return 0, 0, SolveStats()
-    core = _degree_core(g, ell)
     if g.max_degree() <= ell:
-        return n, full, SolveStats()
+        return n, (1 << n) - 1, SolveStats()
+    core = _degree_core(g, ell)
     standard = rule is Rule.standard
     stats = SolveStats()
-    for k in range(max(core.bit_count(), lower_bound, 1), n + 1):
+    for k in range(max(core.bit_count(), 1), n + 1):
         found, nodes, closures = _search_size_class(g, core, k, ell, standard, workers)
         stats += SolveStats(nodes, closures)
         if found >= 0:
@@ -168,26 +162,23 @@ def leaky_number(
     rule: Rule = Rule.psd,
     *,
     workers: int = 1,
-    lower_bound: int = 0,
 ) -> SolveResult:
     """Minimum size of a set that forces ``g`` under every placement of
     ``ell`` leaks, with the lexicographically first optimal witness.
 
-    ``lower_bound`` lets a caller feed a known bound (e.g. the value at a
-    smaller leak budget); it must be sound or the result may be wrong.  It
-    must lie in ``[0, g.n]`` (else ValueError).  A disconnected graph is
-    solved per component and ignores it, since it bounds the sum and not
-    any one component.
+    The value comes from the exact search alone: the search starts at the
+    degree core and takes no bound from the caller, so a value at one
+    budget can check the value at another.  ``ell`` beyond the vertex
+    count is clamped.  A disconnected graph is solved per component and
+    the values are summed.
     """
     if ell < 0:
         raise ValueError("leak budget must be non-negative")
-    if not 0 <= lower_bound <= g.n:
-        raise ValueError(f"lower_bound must lie in [0, {g.n}]")
     ell = min(ell, g.n)
     comps = connected_components(g)
     forced_core = VertexSet.from_mask(g.n, _degree_core(g, ell))
     if len(comps) <= 1:
-        value, witness, stats = _solve_connected(g, ell, rule, workers, lower_bound)
+        value, witness, stats = _solve_connected(g, ell, rule, workers)
         return SolveResult(value, VertexSet.from_mask(g.n, witness), forced_core, rule, ell, stats)
     value = 0
     witness = 0
@@ -195,7 +186,7 @@ def leaky_number(
     for comp in comps:
         sub, back = induced_subgraph(g, comp)
         sub_ell = min(ell, sub.n)
-        v, w, s = _solve_connected(sub, sub_ell, rule, workers, 0)
+        v, w, s = _solve_connected(sub, sub_ell, rule, workers)
         value += v
         stats += s
         for i in range(sub.n):
@@ -214,15 +205,18 @@ def product_bound_check(g: Graph, h: Graph, ell: int) -> tuple[int, int, bool]:
 
 
 def monotonicity_audit(g: Graph, max_ell: int) -> list[int]:
-    """Values at leak budgets 0..max_ell, checked non-decreasing and never
-    above the standard-rule value at the same budget."""
+    """Values at leak budgets 0..max_ell, checked non-decreasing, never
+    above the standard-rule value at the same budget, and equal to the
+    order exactly when no vertex has degree above the budget.  Every value
+    is solved on its own, so a wrong one raises AuditFailure instead of
+    being masked by its neighbor's."""
     if not 0 <= max_ell <= g.n:
         raise ValueError(f"max_ell must lie in [0, {g.n}]")
     psd_vals: list[int] = []
     std_vals: list[int] = []
     for ell in range(max_ell + 1):
-        psd_vals.append(leaky_number(g, ell, Rule.psd, lower_bound=psd_vals[-1] if psd_vals else 0).value)
-        std_vals.append(leaky_number(g, ell, Rule.standard, lower_bound=std_vals[-1] if std_vals else 0).value)
+        psd_vals.append(leaky_number(g, ell, Rule.psd).value)
+        std_vals.append(leaky_number(g, ell, Rule.standard).value)
     g6 = to_graph6(g)
     for ell in range(1, max_ell + 1):
         if psd_vals[ell] < psd_vals[ell - 1]:
@@ -269,6 +263,9 @@ def edge_deletion_scan(
 ) -> Iterator[ScanRecord]:
     """One record per (graph, edge): the value before and after deleting
     that edge.  Output order follows the input stream at any worker count.
+    With ``workers > 1`` the stream is read in batches of ``8 * workers``
+    graphs, so at most one batch is held at a time (``Executor.map`` would
+    read the whole stream before yielding anything).
     """
     tasks = ((g, ell) for g in graphs)
     if workers <= 1:
@@ -276,8 +273,9 @@ def edge_deletion_scan(
             yield from _scan_one(task)
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(_scan_one, tasks, chunksize=8):
-            yield from records
+        while batch := list(islice(tasks, 8 * workers)):
+            for records in pool.map(_scan_one, batch):
+                yield from records
 
 
 @dataclass
@@ -371,16 +369,15 @@ def family_table(
     specs: Iterable[FamilySpec], ells: Iterable[int], workers: int = 1
 ) -> list[FamilyRow]:
     """Solve every (family member, budget) pair and pair each value with
-    its closed form when one exists.  Budgets are processed in ascending
-    order so each value seeds the next lower bound."""
+    its closed form when one exists.  Each value is solved on its own, so
+    a row never inherits an error from another budget's row.  Budgets are
+    listed in ascending order, once each."""
     rows = []
     budgets = sorted(set(ells))
     for spec in specs:
         g = generate(spec)
-        prev = 0
         for ell in budgets:
-            res = leaky_number(g, min(ell, g.n), workers=workers, lower_bound=prev)
-            prev = res.value
+            res = leaky_number(g, ell, workers=workers)
             rows.append(FamilyRow(str(spec), ell, res.value, expected_value(spec, ell, g)))
     return rows
 

@@ -254,7 +254,7 @@ def test_c6f_low_degree_vertices_forced_into_every_set():
             core = {v for v in range(g.n) if g.degree(v) <= ell}
             for mask in range(1 << g.n):
                 blue = VertexSet.from_mask(g.n, mask)
-                if is_ell_leaky_forcing_set(g, blue, ell, witness=False).ok:
+                if is_ell_leaky_forcing_set(g, blue, ell).ok:
                     assert core <= set(blue)
     _pass("C6f degree-ell vertices belong to every verified set (order <= 5)")
 
@@ -264,7 +264,7 @@ def test_c6g_verified_sets_have_enough_distinct_forcers():
         for ell in (0, 1, 2):
             for mask in range(1 << g.n):
                 blue = VertexSet.from_mask(g.n, mask)
-                if not is_ell_leaky_forcing_set(g, blue, ell, witness=False).ok:
+                if not is_ell_leaky_forcing_set(g, blue, ell).ok:
                     continue
                 for v in range(g.n):
                     if v not in blue:
@@ -315,7 +315,7 @@ def test_c6j_minimal_fort_families_are_sound_and_hit_by_all_sets():
                     assert any(m & mask == m for m in family), "fort missing a minimal core"
             for mask in range(1 << g.n):
                 blue = VertexSet.from_mask(g.n, mask)
-                if is_ell_leaky_forcing_set(g, blue, ell, witness=False).ok:
+                if is_ell_leaky_forcing_set(g, blue, ell).ok:
                     assert all(m & mask for m in family), "verified set missed a fort"
     _pass("C6j minimal fort soundness and fort-intersection necessity (order <= 6)")
 
@@ -341,11 +341,9 @@ def test_c6l_solver_values_are_optimal_by_exhaustion():
         for ell in (0, 1, 2):
             for rule in (Rule.psd, Rule.standard):
                 res = leaky_number(g, ell, rule)
-                assert is_ell_leaky_forcing_set(g, res.witness, ell, rule, witness=False).ok
+                assert is_ell_leaky_forcing_set(g, res.witness, ell, rule).ok
                 for combo in combinations(range(g.n), res.value - 1):
-                    assert not is_ell_leaky_forcing_set(
-                        g, VertexSet(g.n, combo), ell, rule, witness=False
-                    ).ok
+                    assert not is_ell_leaky_forcing_set(g, VertexSet(g.n, combo), ell, rule).ok
     _pass("C6l solver optimality vs exhaustive oracle (orders <= 6)")
 
 

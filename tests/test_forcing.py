@@ -147,10 +147,6 @@ class TestLeakRobustness:
         with pytest.raises(ValueError):
             is_ell_leaky_forcing_set(path(3), vs(3, 0), -1)
 
-    def test_fast_mode_skips_witness(self):
-        verdict = is_ell_leaky_forcing_set(path(3), vs(3, 0, 1), 1, witness=False)
-        assert not verdict.ok and verdict.witness_leaks is None
-
 
 class TestPossibleForces:
     def test_center_of_path(self):

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from forceps import (
+    AuditFailure,
     Graph,
     Rule,
     ScanRecord,
@@ -81,17 +83,6 @@ class TestLeakyNumber:
         res = leaky_number(Graph.from_edges(0, []), 0)
         assert res.value == 0 and len(res.witness) == 0
 
-    def test_lower_bound_outside_vertex_range_rejected(self):
-        for bound in (-1, 4, 5):
-            with pytest.raises(ValueError, match="lower_bound"):
-                leaky_number(path(3), 0, lower_bound=bound)
-        # the vertex count itself is in range (and, unsound here, wins)
-        assert leaky_number(path(3), 0, lower_bound=3).value == 3
-
-    def test_disconnected_graph_ignores_lower_bound(self):
-        two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert leaky_number(two_edges, 0, lower_bound=4).value == 2
-
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(12))
@@ -158,6 +149,28 @@ class TestMonotonicityAudit:
         with pytest.raises(ValueError):
             monotonicity_audit(path(3), 5)
 
+    # path(4) has psd values 1, 2, 4 and standard values 1, 2, 4 at budgets
+    # 0..2; lowering one value by 2 breaks exactly one identity
+    @pytest.mark.parametrize(
+        "rule, ell, kind",
+        [
+            (Rule.psd, 1, "leak-monotonicity"),  # psd 1, 0, 4
+            (Rule.standard, 0, "rule-dominance"),  # psd 1 above standard -1
+            (Rule.psd, 2, "degree-characterization"),  # psd 2 < 4 at max degree 2
+        ],
+    )
+    def test_wrong_value_is_reported(self, monkeypatch, rule, ell, kind):
+        import forceps.solve as solve_mod
+
+        def broken(g, budget, r):
+            res = leaky_number(g, budget, r)
+            return replace(res, value=res.value - 2) if (r, budget) == (rule, ell) else res
+
+        monkeypatch.setattr(solve_mod, "leaky_number", broken)
+        with pytest.raises(AuditFailure) as info:
+            monotonicity_audit(path(4), 2)
+        assert info.value.finding["kind"] == kind
+
 
 class TestProductBound:
     def test_k2_square(self):
@@ -183,6 +196,21 @@ class TestEdgeDeletionScan:
     def test_triangle_keeps_value(self):
         recs = list(edge_deletion_scan([cycle(3)], 1))
         assert all(r.value_g == 2 and r.diff == 0 for r in recs)
+
+    def test_parallel_scan_reads_the_stream_in_batches(self):
+        read = 0
+
+        def stream():
+            nonlocal read
+            for _ in range(200):
+                read += 1
+                yield path(3)
+
+        records = edge_deletion_scan(stream(), 1, workers=2)
+        first = next(records)
+        assert read <= 16  # one batch of 8 * workers graphs
+        assert first == next(iter(edge_deletion_scan([path(3)], 1)))
+        records.close()
 
     def test_summary_collects_increases(self):
         summary = ScanSummary()
