@@ -3,7 +3,7 @@
  * setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 4
+#define KERNEL_VERSION 6
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -140,19 +140,11 @@ static uint64_t component(const uint64_t *adj, uint64_t inside, uint64_t *bounda
 static uint64_t round_targets(const uint64_t *adj, uint64_t blue, uint64_t leaks, int standard,
                               uint64_t white, uint64_t barred, uint64_t *forcers)
 {
-    uint64_t hit = barred, sources = blue & ~leaks, s, nb, rest, comp, boundary;
-    if (standard) {
-        for (s = sources; s; s &= s - 1) {
-            nb = adj[CTZ(s)] & white;
-            if (SINGLE(nb) && !(nb & hit)) {
-                hit |= nb;
-                *forcers |= s & (0 - s);
-            }
-        }
-        return hit & ~barred;
-    }
+    uint64_t hit = barred, sources = blue & ~leaks, s, nb, rest, comp, boundary = ~(uint64_t)0;
+    /* the standard rule is the psd rule with the white vertices as one part
+     * whose boundary holds every source */
     for (rest = white; rest; rest &= ~comp) {
-        comp = component(adj, rest, &boundary);
+        comp = standard ? rest : component(adj, rest, &boundary);
         for (s = sources & boundary; s; s &= s - 1) {
             nb = adj[CTZ(s)] & comp;
             if (SINGLE(nb) && !(nb & hit)) {
@@ -407,66 +399,48 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
     return Py_BuildValue("(KL)", (unsigned long long)leaks, closures);
 }
 
-/* Fort cuts: cut_of gives a cut that every set forcing the graph under every
- * placement hits (see above), and a cut never exceeds the one the failing
- * placement's own closure would give.  The scan keeps the cuts of its last
- * CUTS (64, fixed) failures in a ring, starting with none, and per prefix
- * (every position but the last) ANDs the cuts the prefix misses into `need`;
- * a closure runs only for a last vertex in `need`.  A skipped candidate still
- * counts as tested and against max_candidates.  Same steps and counts as
- * _pykernel.search_min_superset. */
+/* Scan the sets of core plus k - |core| vertices of `free` (core vertices
+ * inside it are ignored) in lexicographic order; solve._pieces splits a size
+ * class into such pieces.  Fort cuts: cut_of gives a cut that every set
+ * forcing the graph under every placement hits (see above), and a cut never
+ * exceeds the one the failing placement's own closure would give.  The scan
+ * keeps the cuts of its last CUTS (64, fixed) failures in a ring, starting
+ * with none, and per prefix (every position but the last) ANDs the cuts the
+ * prefix misses into `need`; a closure runs only for a last vertex in
+ * `need`.  A skipped candidate still counts as tested.  Same steps and
+ * counts as _pykernel.search_min_superset. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, k, ell, standard, m = 0, j, i, p, q, v, free_v[64], idx[64], pos[64], ncuts = 0, head = 0;
-    uint64_t adj[64], core, cand, prefix, need, hits, cut, cuts[CUTS], free_mask;
-    long long max_candidates = -1, candidates = 0, closures = 0;
-    PyObject *first_free = nargs > 6 ? args[6] : Py_None, *seq, *out = NULL;
+    int n, k, ell, standard, m = 0, j, i, p, q, free_v[64], idx[64], pos[64], ncuts = 0, head = 0;
+    uint64_t adj[64], core, free_mask, cand, prefix, need, hits, cut, cuts[CUTS];
+    long long candidates = 0, closures = 0;
+    PyObject *out = NULL;
     struct scan sc = {0, 0, 0, adj, {NULL, NULL, 0, 0}};
-    if (check_nargs("search_min_superset", nargs, 6, 8) < 0 || get_int(args[0], &n) < 0
+    if (check_nargs("search_min_superset", nargs, 7, 7) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &core) < 0
-        || get_int(args[3], &k) < 0 || get_ell(args[4], &ell, n) < 0
-        || (standard = PyObject_IsTrue(args[5])) < 0
-        || (nargs > 7 && (max_candidates = PyLong_AsLongLong(args[7])) == -1 && PyErr_Occurred()))
+        || get_vmask(args[3], n, &free_mask) < 0 || get_int(args[4], &k) < 0
+        || get_ell(args[5], &ell, n) < 0 || (standard = PyObject_IsTrue(args[6])) < 0)
         return NULL;
     sc.n = n;
     sc.ell = ell;
     sc.standard = standard;
-    free_mask = full_mask(n) & ~core;
+    free_mask &= ~core;
     for (i = 0; i < n; i++)
-        if (!((core >> i) & 1)) {
+        if ((free_mask >> i) & 1) {
             pos[i] = m;
             free_v[m++] = i;
         }
     j = k - POP(core);
     if (j < 0 || j > m)
         return Py_BuildValue("(iii)", -1, 0, 0);
-    if (first_free == Py_None) {
-        for (i = 0; i < j; i++)
-            idx[i] = i;
-    } else {
-        /* range sharding: start the scan at the given free vertices */
-        if ((seq = PySequence_Fast(first_free, "first_free must be a sequence")) == NULL)
-            return NULL;
-        if (PySequence_Fast_GET_SIZE(seq) != j)
-            PyErr_Format(PyExc_ValueError, "first_free must name %d vertices", j);
-        for (i = 0; i < j && !PyErr_Occurred(); i++) {
-            if (get_int(PySequence_Fast_GET_ITEM(seq, i), &v) < 0)
-                break;
-            if (v < 0 || v >= n || (core >> v) & 1)
-                PyErr_Format(PyExc_ValueError, "vertex %d is not outside the core", v);
-            else
-                idx[i] = pos[v];
-        }
-        Py_DECREF(seq);
-        if (PyErr_Occurred())
-            return NULL;
-    }
     if (j == 0) {
         if (cut_of(&sc, core, &cut, &closures) == 0)
             out = cut ? Py_BuildValue("(iiL)", -1, 1, closures)
                       : Py_BuildValue("(KiL)", (unsigned long long)core, 1, closures);
         goto done;
     }
+    for (i = 0; i < j; i++)
+        idx[i] = i;
     do {
         prefix = core;
         for (i = 0; i < j - 1; i++)
@@ -480,10 +454,6 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
             hits = need & free_mask & ~(((uint64_t)1 << free_v[p]) - 1);
             q = hits ? pos[CTZ(hits)] : m;
             candidates += q - p;
-            if (max_candidates > 0 && candidates >= max_candidates) {
-                out = Py_BuildValue("(iLL)", -1, max_candidates, closures);
-                goto done;
-            }
             if (q == m)
                 break;
             candidates++;
@@ -492,10 +462,6 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
                 goto done;
             if (cut == 0) {
                 out = Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
-                goto done;
-            }
-            if (candidates == max_candidates) {
-                out = Py_BuildValue("(iLL)", -1, candidates, closures);
                 goto done;
             }
             need &= cut;

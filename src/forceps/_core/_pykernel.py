@@ -23,7 +23,7 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results or work counters change; _core refuses a compiled
 # twin whose version differs.
-KERNEL_VERSION = 4
+KERNEL_VERSION = 6
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
@@ -91,25 +91,18 @@ def _round(adj, blue, leaks, standard, white, barred) -> tuple[int, int]:
     hit = barred
     forcers = 0
     sources = blue & ~leaks
-    if standard:
-        s = sources
+    # the standard rule is the psd rule with the white vertices as one part
+    # whose boundary holds every source
+    parts = [(white, -1)] if standard else _components(adj, white)
+    for comp, boundary in parts:
+        s = sources & boundary
         while s:
             low = s & -s
             s ^= low
-            nb = adj[low.bit_length() - 1] & white
+            nb = adj[low.bit_length() - 1] & comp
             if nb and nb & (nb - 1) == 0 and not nb & hit:
                 hit |= nb
                 forcers |= low
-    else:
-        for comp, boundary in _components(adj, white):
-            s = sources & boundary
-            while s:
-                low = s & -s
-                s ^= low
-                nb = adj[low.bit_length() - 1] & comp
-                if nb and nb & (nb - 1) == 0 and not nb & hit:
-                    hit |= nb
-                    forcers |= low
     return hit & ~barred, forcers
 
 
@@ -239,17 +232,13 @@ def _cut(n, adj, cand, ell, standard) -> tuple[int, int]:
     return (1 << n) - 1 & ~reach, closures
 
 
-def search_min_superset(
-    n, adj, core, k, ell, standard, first_free=None, max_candidates=-1
-) -> tuple[int, int, int]:
-    """Scan size-``k`` supersets of ``core`` in lexicographic order and
-    return the first that forces the graph under every ``ell``-leak
-    placement, or -1.  Returns (mask, candidates_tested, closures_run).
-
-    ``first_free`` (a tuple of non-core vertices) positions the scan for
-    range sharding; it raises ValueError unless it names ``k - |core|``
-    vertices in ``[0, n)`` outside the core.  A positive
-    ``max_candidates`` caps how many sets are tested.
+def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int, int]:
+    """Scan the sets of ``core`` plus ``k - |core|`` vertices of ``free`` in
+    lexicographic order and return the first that forces the graph under
+    every ``ell``-leak placement, or -1.  Returns (mask, candidates_tested,
+    closures_run).  Core vertices inside ``free`` are ignored, so
+    ``full & ~core`` scans every size-``k`` superset of ``core``; a smaller
+    ``free`` scans one piece of that range (see ``solve._pieces``).
 
     Fort cuts.  When a candidate fails, the leak scan stops at a failing
     chain node S inside the first failing placement L (S is empty when the
@@ -260,36 +249,29 @@ def search_min_superset(
     cut that every surviving candidate hits.  Since S lies inside L,
     closure(S) contains closure(L), and this cut is never larger than the
     one closure(L) would give.  One call keeps its last 64 cuts (a fixed
-    number), newest first, and starts with none, so a shard's counts
-    depend only on its range.  Per prefix (every position but the last)
-    the cuts the prefix misses are ANDed into ``need``; a closure runs only
-    for a last vertex in ``need``, and each new cut is ANDed in.  A skipped
-    candidate still counts as tested, and against ``max_candidates``.
+    number), newest first, and starts with none, so a piece's counts
+    depend only on its own candidates.  Per prefix (every position but the
+    last) the cuts the prefix misses are ANDed into ``need``; a closure runs
+    only for a last vertex in ``need``, and each new cut is ANDed in.  A
+    skipped candidate still counts as tested.
     """
     _check_graph(n, adj)
     _check_mask(n, core)
+    _check_mask(n, free)
     _check_ell(ell)
     ell = min(ell, n)
     full = (1 << n) - 1
-    free = [v for v in range(n) if not core >> v & 1]
+    free_mask = free & ~core
+    free = [v for v in range(n) if free_mask >> v & 1]
     j = k - core.bit_count()
     if j < 0 or j > len(free):
         return -1, 0, 0
-    pos = {v: i for i, v in enumerate(free)}
-    if first_free is None:
-        idx = list(range(j))
-    else:
-        if len(first_free) != j:
-            raise ValueError(f"first_free must name {j} vertices")
-        for v in first_free:
-            if v not in pos:
-                raise ValueError(f"vertex {v} is not outside the core")
-        idx = [pos[v] for v in first_free]
     if j == 0:
         cut, closures = _cut(n, adj, core, ell, standard)
         return (-1 if cut else core), 1, closures
+    pos = {v: i for i, v in enumerate(free)}
+    idx = list(range(j))
     m = len(free)
-    free_mask = full & ~core
     cuts: deque[int] = deque(maxlen=_CUTS)
     candidates = 0
     closures = 0
@@ -307,8 +289,6 @@ def search_min_superset(
             hits = need & free_mask & -(1 << free[p])
             q = pos[(hits & -hits).bit_length() - 1] if hits else m
             candidates += q - p
-            if 0 < max_candidates <= candidates:
-                return -1, max_candidates, closures
             if q == m:
                 break
             candidates += 1
@@ -317,8 +297,6 @@ def search_min_superset(
             closures += c
             if not cut:
                 return cand, candidates, closures
-            if candidates == max_candidates:
-                return -1, candidates, closures
             need &= cut
             cuts.appendleft(cut)
             p = q + 1

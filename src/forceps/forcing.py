@@ -105,18 +105,15 @@ def force_candidates(g: Graph, state: ColoringState, rule: Rule) -> frozenset[Fo
     blue = state.blue.mask
     sources = blue & ~state.leaks.mask
     white = (1 << g.n) - 1 & ~blue
+    # the standard rule is the psd rule with the white vertices as one part
+    # whose boundary holds every source
+    parts = [(white, -1)] if rule is Rule.standard else _core.components(g.n, g.adj, white)
     out = []
-    if rule is Rule.standard:
-        for u in _bits_ascending(sources):
-            nb = g.adj[u] & white
+    for comp, boundary in parts:
+        for u in _bits_ascending(sources & boundary):
+            nb = g.adj[u] & comp
             if nb and nb & (nb - 1) == 0:
                 out.append(Force(u, nb.bit_length() - 1))
-    else:
-        for comp, boundary in _core.components(g.n, g.adj, white):
-            for u in _bits_ascending(sources & boundary):
-                nb = g.adj[u] & comp
-                if nb and nb & (nb - 1) == 0:
-                    out.append(Force(u, nb.bit_length() - 1))
     return frozenset(out)
 
 

@@ -56,14 +56,13 @@ def is_leaky_psd_fort(g: Graph, vertices: VertexSet, ell: int) -> bool:
     alternative "every outside vertex has zero or at least two neighbors
     inside": under that alternative the count is 0 <= ell, and conversely
     any vertex violating it is exactly one the count charges.  At a budget
-    of zero this is the classical psd fort.
+    of zero this is the classical psd fort.  The kernel rejects a negative
+    ``ell`` (ValueError).
     """
     if vertices.n != g.n:
         raise ValueError("vertex set does not match the graph")
     if not vertices:
         raise ValueError("a fort must be nonempty")
-    if ell < 0:
-        raise ValueError("leak budget must be non-negative")
     return _core.is_fort_mask(g.n, g.adj, vertices.mask, ell)
 
 

@@ -91,50 +91,43 @@ def _degree_core(g: Graph, ell: int) -> int:
     return core
 
 
-def _unrank_combination(items: list[int], j: int, rank: int) -> tuple[int, ...]:
-    out = []
-    m = len(items)
-    start = 0
-    for i in range(j):
-        v = start
-        while True:
-            below = comb(m - v - 1, j - i - 1)
-            if rank < below:
-                break
-            rank -= below
-            v += 1
-        out.append(items[v])
-        start = v + 1
-    return tuple(out)
-
-
-def _search_shard(args):
-    n, adj, core, k, ell, standard, first_free, count = args
-    return _core.search_min_superset(n, adj, core, k, ell, standard, first_free, count)
+def _pieces(core: int, free: int, j: int, size: int) -> Iterator[tuple[int, int]]:
+    """Split the candidates ``core`` plus ``j`` vertices of ``free`` into
+    pieces ``(core', free')`` of at most ``size`` candidates each (``size``
+    at least 1), in lexicographic order.  A piece too large is split on its
+    lowest free vertex v: the sets holding v come first, so the pieces stay
+    consecutive and the first one with a hit holds the first witness."""
+    if comb(free.bit_count(), j) <= size:
+        yield core, free
+        return
+    v = free & -free
+    yield from _pieces(core | v, free ^ v, j - 1, size)
+    yield from _pieces(core, free ^ v, j, size)
 
 
 def _search_size_class(
     g: Graph, core: int, k: int, ell: int, standard: bool, workers: int
 ) -> tuple[int, int, int]:
-    free = [v for v in range(g.n) if not core >> v & 1]
+    free = (1 << g.n) - 1 & ~core
     j = k - core.bit_count()
-    total = comb(len(free), j)
+    total = comb(free.bit_count(), j)
     if workers <= 1 or total < _PARALLEL_MIN_CANDIDATES:
-        return _core.search_min_superset(g.n, g.adj, core, k, ell, standard)
-    # shard the lexicographic scan by rank range; the first shard (in rank
-    # order) that reports a hit holds the lexicographically first witness
-    shard = -(-total // (workers * 4))
-    tasks = [
-        (g.n, g.adj, core, k, ell, standard, _unrank_combination(free, j, r), min(shard, total - r))
-        for r in range(0, total, shard)
-    ]
+        return _core.search_min_superset(g.n, g.adj, core, free, k, ell, standard)
+    size = -(-total // (4 * workers))
     nodes = 0
     closures = 0
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for found, cand, clos in pool.map(_search_shard, tasks):
+        futures = [
+            pool.submit(_core.search_min_superset, g.n, g.adj, c, f, k, ell, standard)
+            for c, f in _pieces(core, free, j, size)
+        ]
+        for future in futures:
+            found, cand, clos = future.result()
             nodes += cand
             closures += clos
             if found >= 0:
+                # drop the queued pieces; the running ones finish first
+                pool.shutdown(cancel_futures=True)
                 return found, nodes, closures
     return -1, nodes, closures
 
@@ -170,7 +163,11 @@ def leaky_number(
     degree core and takes no bound from the caller, so a value at one
     budget can check the value at another.  ``ell`` beyond the vertex
     count is clamped.  A disconnected graph is solved per component and
-    the values are summed.
+    the values are summed.  With ``workers > 1`` a size class of at least
+    ``2**14`` candidates is split into consecutive pieces searched in a
+    process pool; the value, witness and ``stats.nodes`` are the serial
+    search's, while ``stats.leak_checks`` can differ, since each piece
+    starts with no fort cuts.
     """
     if ell < 0:
         raise ValueError("leak budget must be non-negative")
@@ -185,8 +182,7 @@ def leaky_number(
     stats = SolveStats()
     for comp in comps:
         sub, back = induced_subgraph(g, comp)
-        sub_ell = min(ell, sub.n)
-        v, w, s = _solve_connected(sub, sub_ell, rule, workers)
+        v, w, s = _solve_connected(sub, ell, rule, workers)
         value += v
         stats += s
         for i in range(sub.n):

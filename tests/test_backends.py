@@ -23,6 +23,7 @@ import pytest
 from forceps import Graph, Rule, _core
 from forceps._core import _pykernel
 from forceps.families import complete, hypercube, path
+from forceps.solve import _pieces
 
 from corpus import atlas_graphs, random_graph
 from oracles import async_closure_mask, naive_hitting_number, naive_is_ell_leaky
@@ -157,51 +158,46 @@ def test_searches_agree(ck):
         if g.n == 0:
             continue
         core = blue & rng.getrandbits(g.n)
+        # free may hold core vertices, which the search ignores
+        free = rng.choice([(1 << g.n) - 1 & ~core, rng.getrandbits(g.n)])
         k = rng.randint(core.bit_count(), g.n)
         ell = rng.randint(0, 2)
-        free = [v for v in range(g.n) if not core >> v & 1]
-        start = rng.choice(list(combinations(free, k - core.bit_count())))
-        cap = rng.choice([-1, 0, 1, 2, 5, 20])
         for std in (False, True):
-            assert _pykernel.search_min_superset(g.n, g.adj, core, k, ell, std) == \
-                ck.search_min_superset(g.n, g.adj, core, k, ell, std)
-            assert _pykernel.search_min_superset(g.n, g.adj, core, k, ell, std, start, cap) == \
-                ck.search_min_superset(g.n, g.adj, core, k, ell, std, start, cap)
-            assert _pykernel.search_min_superset(g.n, g.adj, core, k, ell, std, None, cap) == \
-                ck.search_min_superset(g.n, g.adj, core, k, ell, std, None, cap)
+            assert _pykernel.search_min_superset(g.n, g.adj, core, free, k, ell, std) == \
+                ck.search_min_superset(g.n, g.adj, core, free, k, ell, std)
     # 64 vertices with vertex 63 forcing; the core drops a few blue vertices
     for g, blue, rng in _top_forcer_instances(8):
         core = blue & ~sum(1 << v for v in rng.sample(range(63), 3))
         for ell in range(4):
             k = core.bit_count() + rng.randint(0, 2)
+            free = rng.choice([(1 << 64) - 1, rng.getrandbits(64) | 1 << 63])
             for std in (False, True):
-                assert _pykernel.search_min_superset(64, g.adj, core, k, ell, std) == \
-                    ck.search_min_superset(64, g.adj, core, k, ell, std)
+                assert _pykernel.search_min_superset(64, g.adj, core, free, k, ell, std) == \
+                    ck.search_min_superset(64, g.adj, core, free, k, ell, std)
 
 
 def test_sharded_search_agrees_with_full_scan(ck):
-    # each shard starts with no cuts, yet skipped candidates still count, so
-    # the shards' candidate counts add up to the full scan's
+    # each piece starts with no cuts, yet skipped candidates still count, so
+    # the pieces' candidate counts up to the first hit add up to the full
+    # scan's, and the first piece with a hit holds the full scan's witness
     rng = random.Random(3)
     for _ in range(20):
         g = random_graph(rng, 8, 0.4)
         core = 1 << rng.randrange(8)
-        free = [v for v in range(8) if v != core.bit_length() - 1]
-        combos = list(combinations(free, 3))
+        free = 0xFF & ~core
         for kern in (_pykernel, ck):
             for ell in (0, 1, 2):
                 for std in (False, True):
-                    full = kern.search_min_superset(8, g.adj, core, 4, ell, std)
-                    found, candidates = -1, 0
-                    for start in range(0, len(combos), 5):
-                        shard, cand, _ = kern.search_min_superset(
-                            8, g.adj, core, 4, ell, std, combos[start], 5
-                        )
-                        candidates += cand
-                        if shard >= 0:
-                            found = shard
-                            break
-                    assert (found, candidates) == full[:2]
+                    full = kern.search_min_superset(8, g.adj, core, free, 4, ell, std)
+                    for size in (1, 5, 20):
+                        found, candidates = -1, 0
+                        for c, f in _pieces(core, free, 3, size):
+                            piece, cand, _ = kern.search_min_superset(8, g.adj, c, f, 4, ell, std)
+                            candidates += cand
+                            if piece >= 0:
+                                found = piece
+                                break
+                        assert (found, candidates) == full[:2]
 
 
 def test_search_returns_the_first_superset_the_oracle_accepts(ck):
@@ -213,7 +209,8 @@ def test_search_returns_the_first_superset_the_oracle_accepts(ck):
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
         core = rng.getrandbits(n) & rng.getrandbits(n)
         core_set = frozenset(v for v in range(n) if core >> v & 1)
-        free = [v for v in range(n) if not core >> v & 1]
+        free_mask = rng.choice([(1 << n) - 1, rng.getrandbits(n)])
+        free = [v for v in range(n) if free_mask >> v & 1 and v not in core_set]
         ell = rng.randint(0, 2)
         for rule in (Rule.psd, Rule.standard):
             k = rng.randint(len(core_set), n)
@@ -223,7 +220,7 @@ def test_search_returns_the_first_superset_the_oracle_accepts(ck):
                     expected = core | sum(1 << v for v in combo)
                     break
             for kern in (_pykernel, ck):
-                found = kern.search_min_superset(n, g.adj, core, k, ell, rule is Rule.standard)
+                found = kern.search_min_superset(n, g.adj, core, free_mask, k, ell, rule is Rule.standard)
                 assert found[0] == expected
 
 
@@ -272,7 +269,7 @@ def test_twins_check_graph_and_budget_arguments_alike(ck):
         (lambda k, n, adj, ell: k.components(n, adj, 0), True, False),
         (lambda k, n, adj, ell: k.closure_mask(n, adj, 0, 0, False), True, False),
         (lambda k, n, adj, ell: k.first_failing_leaks(n, adj, 0, ell, False), True, True),
-        (lambda k, n, adj, ell: k.search_min_superset(n, adj, 0, 1, ell, False), True, True),
+        (lambda k, n, adj, ell: k.search_min_superset(n, adj, 0, 1, 1, ell, False), True, True),
         (lambda k, n, adj, ell: k.is_fort_mask(n, adj, 1, ell), True, True),
         (lambda k, n, adj, ell: k.minimal_fort_masks(n, adj, ell), True, True),
         (lambda k, n, adj, ell: k.min_hitting_set(n, [1]), False, False),
@@ -312,7 +309,7 @@ def test_full_word_capacity(ck):
         with pytest.raises(ValueError):
             k.first_failing_leaks(q6.n, q6.adj, even, -1, False)
         with pytest.raises(ValueError):
-            k.search_min_superset(q6.n, q6.adj, even, 40, -1, False)
+            k.search_min_superset(q6.n, q6.adj, even, full, 40, -1, False)
 
 
 def test_compiled_kernel_rejects_out_of_range_arguments(ck):
@@ -328,19 +325,6 @@ def test_compiled_kernel_rejects_out_of_range_arguments(ck):
         ck.closure_mask(3, (0, 0), 1, 0, False)
 
 
-def test_twins_reject_malformed_first_free_alike(ck):
-    q6 = hypercube(6)
-    # vertex 0 is in the core, vertex 6 is outside [0, 6), and a core of one
-    # vertex leaves two free vertices to name for k = 3
-    for first_free in ((0, 2), (2, 6), (2,), (2, 3, 4)):
-        messages = []
-        for k in (_pykernel, ck):
-            with pytest.raises(ValueError) as info:
-                k.search_min_superset(6, q6.adj, 1, 3, 0, False, first_free, 5)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-
-
 def test_twins_reject_out_of_range_masks_alike(ck):
     p3 = path(3)
     calls = (
@@ -350,7 +334,8 @@ def test_twins_reject_out_of_range_masks_alike(ck):
         lambda k, mask: k.closure_mask(3, p3.adj, 1, mask, False),
         lambda k, mask: k.closure_mask(3, p3.adj, 1, 0, False, mask),
         lambda k, mask: k.first_failing_leaks(3, p3.adj, mask, 1, False),
-        lambda k, mask: k.search_min_superset(3, p3.adj, mask, 3, 0, False),
+        lambda k, mask: k.search_min_superset(3, p3.adj, mask, 7, 3, 0, False),
+        lambda k, mask: k.search_min_superset(3, p3.adj, 0, mask, 1, 0, False),
         lambda k, mask: k.min_hitting_set(3, [1, mask]),
     )
     cases = ((0b1001, ValueError), (1 << 63, ValueError), (-1, OverflowError), (1 << 64, OverflowError))

@@ -46,6 +46,10 @@ class TestPredicate:
         with pytest.raises(ValueError):
             is_leaky_psd_fort(path(3), VertexSet(3), 0)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^leak budget must be non-negative$"):
+            is_leaky_psd_fort(path(3), vs(3, 0), -1)
+
 
 class TestMinimalForts:
     def test_path3_one_leak(self):

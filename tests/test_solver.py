@@ -1,7 +1,10 @@
 import random
 from dataclasses import replace
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from forceps import (
     AuditFailure,
@@ -29,10 +32,14 @@ from forceps.families import (
     petersen_gp,
     wheel,
 )
-from forceps.solve import ScanSummary
+from forceps.solve import ScanSummary, _pieces
 
 from corpus import disjoint_union, random_graph
 from oracles import naive_leaky_number
+
+
+def _bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def value(g, ell, rule=Rule.psd):
@@ -106,27 +113,66 @@ class TestAgainstBruteForce:
 class TestParallelSearch:
     def test_sharded_candidate_scan_matches_serial(self, monkeypatch):
         import concurrent.futures
+        import multiprocessing
 
         import forceps.solve as solve_mod
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            shards = 0
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            pieces = 0
+            cancels = []
 
-            def map(self, fn, tasks, **kwargs):
-                tasks = list(tasks)
-                CountingPool.shards += len(tasks)
-                return super().map(fn, tasks, **kwargs)
+            def submit(self, fn, /, *args, **kwargs):
+                RecordingPool.pieces += 1
+                return super().submit(fn, *args, **kwargs)
 
-        serial = leaky_number(wheel(8), 2)
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                RecordingPool.cancels.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        wheels = (wheel(7), wheel(8))
+        serial = [leaky_number(g, 2) for g in wheels]
+        for g, res in zip(wheels, serial):
+            # the degree core is empty, and the witness lies past the first
+            # piece of its size class at two workers
+            k = res.value
+            c, f = next(_pieces(0, (1 << g.n) - 1, k, -(-comb(g.n, k) // 8)))
+            w = res.witness.mask
+            assert not (w & c == c and w & ~(c | f) == 0)
         monkeypatch.setattr(solve_mod, "_PARALLEL_MIN_CANDIDATES", 16)
         # solve looks the pool class up on concurrent.futures at each use
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        sharded = leaky_number(wheel(8), 2, workers=2)
-        assert CountingPool.shards > 0
-        assert (sharded.value, list(sharded.witness)) == (serial.value, list(serial.witness))
-        # a cut-skipped candidate still counts, so shards enumerate what the
-        # serial scan does
-        assert sharded.stats.nodes == serial.stats.nodes
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for g, res in zip(wheels, serial):
+            RecordingPool.pieces = 0
+            RecordingPool.cancels = []
+            sharded = leaky_number(g, 2, workers=2)
+            assert RecordingPool.pieces > 0
+            assert (sharded.value, list(sharded.witness)) == (res.value, list(res.witness))
+            # a cut-skipped candidate still counts, so the pieces up to the
+            # hit enumerate what the serial scan does
+            assert sharded.stats.nodes == res.stats.nodes
+            # the hit drops the queued pieces, and no worker outlives the call
+            assert RecordingPool.cancels.count(True) == 1
+            assert not multiprocessing.active_children()
+
+    @given(
+        core=st.integers(0, (1 << 12) - 1),
+        free=st.integers(0, (1 << 12) - 1),
+        j=st.integers(0, 12),
+        size=st.integers(1, 40),
+    )
+    @example(core=0, free=0, j=0, size=1)
+    @example(core=1, free=0b1110, j=0, size=1)
+    @example(core=0, free=0b1011, j=3, size=1)
+    def test_pieces_concatenate_to_the_combinations(self, core, free, j, size):
+        core &= ~free
+        j = min(j, free.bit_count())
+        got = []
+        for c, f in _pieces(core, free, j, size):
+            assert c & core == core and not c & f
+            piece = [c | sum(1 << v for v in combo) for combo in combinations(_bits(f), j - (c ^ core).bit_count())]
+            assert 0 < len(piece) <= size
+            got += piece
+        assert got == [core | sum(1 << v for v in combo) for combo in combinations(_bits(free), j)]
 
     def test_vertexset_survives_pickling(self):
         import pickle
