@@ -405,14 +405,16 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
  * forcing the graph under every placement hits (see above), and a cut never
  * exceeds the one the failing placement's own closure would give.  The scan
  * keeps the cuts of its last CUTS (64, fixed) failures in a ring, starting
- * with none, and per prefix (every position but the last) ANDs the cuts the
- * prefix misses into `need`; a closure runs only for a last vertex in
- * `need`.  A skipped candidate still counts as tested.  Same steps and
- * counts as _pykernel.search_min_superset. */
+ * with none.  As in failing_leaks, the prefixes P are the (j-1)-combinations
+ * of the free vertices but the last, and the last vertices are the mask
+ * `rest` of free vertices above P.  The cuts P misses are ANDed into `need`;
+ * a closure runs only for a last vertex in rest & need, taken by lowest bit.
+ * A skipped candidate still counts as tested.  Same steps and counts as
+ * _pykernel.search_min_superset. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, k, ell, standard, m = 0, j, i, p, q, free_v[64], idx[64], pos[64], ncuts = 0, head = 0;
-    uint64_t adj[64], core, free_mask, cand, prefix, need, hits, cut, cuts[CUTS];
+    int n, k, ell, standard, m = 0, j, i, free_v[64], idx[64], ncuts = 0, head = 0;
+    uint64_t adj[64], core, free_mask, cand, prefix, need, rest, hits, low, cut, cuts[CUTS];
     long long candidates = 0, closures = 0;
     PyObject *out = NULL;
     struct scan sc = {0, 0, 0, adj, {NULL, NULL, 0, 0}};
@@ -426,10 +428,8 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
     sc.standard = standard;
     free_mask &= ~core;
     for (i = 0; i < n; i++)
-        if ((free_mask >> i) & 1) {
-            pos[i] = m;
+        if ((free_mask >> i) & 1)
             free_v[m++] = i;
-        }
     j = k - POP(core);
     if (j < 0 || j > m)
         return Py_BuildValue("(iii)", -1, 0, 0);
@@ -439,7 +439,7 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
                       : Py_BuildValue("(KiL)", (unsigned long long)core, 1, closures);
         goto done;
     }
-    for (i = 0; i < j; i++)
+    for (i = 0; i < j - 1; i++)
         idx[i] = i;
     do {
         prefix = core;
@@ -449,15 +449,13 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
         for (i = 0; i < ncuts; i++)
             if ((prefix & cuts[i]) == 0)
                 need &= cuts[i];
-        for (p = idx[j - 1]; p < m; p = q + 1) {
-            /* the first last vertex at or after position p inside need */
-            hits = need & free_mask & ~(((uint64_t)1 << free_v[p]) - 1);
-            q = hits ? pos[CTZ(hits)] : m;
-            candidates += q - p;
-            if (q == m)
-                break;
-            candidates++;
-            cand = prefix | (uint64_t)1 << free_v[q];
+        /* the free vertices above P; P misses the last one, so the shift is below 64 */
+        rest = free_mask & (0 - ((uint64_t)1 << (j > 1 ? free_v[idx[j - 2]] + 1 : 0)));
+        while ((hits = rest & need) != 0) {
+            low = hits & (0 - hits);
+            candidates += POP(rest & (low - 1)) + 1;
+            rest &= 0 - (low << 1);  /* 0 once low is vertex 63 */
+            cand = prefix | low;
             if (cut_of(&sc, cand, &cut, &closures) < 0)
                 goto done;
             if (cut == 0) {
@@ -469,8 +467,8 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
             head = (head + 1) % CUTS;
             ncuts += ncuts < CUTS;
         }
-        idx[j - 1] = m - 1;  /* the last position is spent: next prefix */
-    } while (next_combination(idx, j, m));
+        candidates += POP(rest);
+    } while (next_combination(idx, j - 1, m - 1));
     out = Py_BuildValue("(iLL)", -1, candidates, closures);
 done:
     PyMem_Free(sc.memo.keys);

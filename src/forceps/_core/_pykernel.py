@@ -250,10 +250,12 @@ def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int,
     closure(S) contains closure(L), and this cut is never larger than the
     one closure(L) would give.  One call keeps its last 64 cuts (a fixed
     number), newest first, and starts with none, so a piece's counts
-    depend only on its own candidates.  Per prefix (every position but the
-    last) the cuts the prefix misses are ANDed into ``need``; a closure runs
-    only for a last vertex in ``need``, and each new cut is ANDed in.  A
-    skipped candidate still counts as tested.
+    depend only on its own candidates.  As in the leak scan (see _scan),
+    the prefixes P are the (j-1)-combinations of the free vertices but the
+    last, and the last vertices are the mask ``rest`` of free vertices
+    above P.  The cuts P misses are ANDed into ``need``; a closure runs
+    only for a last vertex in ``rest & need``, taken by lowest bit, and
+    each new cut is ANDed in.  A skipped candidate still counts as tested.
     """
     _check_graph(n, adj)
     _check_mask(n, core)
@@ -269,47 +271,32 @@ def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int,
     if j == 0:
         cut, closures = _cut(n, adj, core, ell, standard)
         return (-1 if cut else core), 1, closures
-    pos = {v: i for i, v in enumerate(free)}
-    idx = list(range(j))
-    m = len(free)
     cuts: deque[int] = deque(maxlen=_CUTS)
     candidates = 0
     closures = 0
-    while True:
-        prefix = core
-        for i in idx[:-1]:
-            prefix |= 1 << free[i]
+    for prefix in combinations(free[:-1], j - 1):
+        pmask = core
+        for v in prefix:
+            pmask |= 1 << v
         need = full
         for cut in cuts:
-            if not prefix & cut:
+            if not pmask & cut:
                 need &= cut
-        p = idx[-1]
-        while p < m:
-            # the first last vertex at or after position p inside need
-            hits = need & free_mask & -(1 << free[p])
-            q = pos[(hits & -hits).bit_length() - 1] if hits else m
-            candidates += q - p
-            if q == m:
-                break
-            candidates += 1
-            cand = prefix | 1 << free[q]
+        first = 1 << prefix[-1] + 1 if prefix else 1
+        rest = free_mask & -first  # the free vertices above P
+        while hits := rest & need:
+            low = hits & -hits
+            candidates += (rest & low - 1).bit_count() + 1
+            rest &= -(low << 1)
+            cand = pmask | low
             cut, c = _cut(n, adj, cand, ell, standard)
             closures += c
             if not cut:
                 return cand, candidates, closures
             need &= cut
             cuts.appendleft(cut)
-            p = q + 1
-        # next prefix: advance the combination with its last position spent
-        idx[-1] = m - 1
-        i = j - 1
-        while i >= 0 and idx[i] == m - j + i:
-            i -= 1
-        if i < 0:
-            return -1, candidates, closures
-        idx[i] += 1
-        for t in range(i + 1, j):
-            idx[t] = idx[t - 1] + 1
+        candidates += rest.bit_count()
+    return -1, candidates, closures
 
 
 def is_fort_mask(n, adj, fort, ell) -> bool:

@@ -68,10 +68,11 @@ def _add_source(p: _Parser) -> None:
     grp.add_argument("--family", metavar="SPEC", help="family spec, e.g. path:5 or grid:4:4")
 
 
-def _add_common(p: _Parser, rule: bool = True) -> None:
+def _add_common(p: _Parser, rule: bool = True, workers: bool = False) -> None:
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: FORCEPS_WORKERS or 1)")
+    if workers:
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: FORCEPS_WORKERS or 1)")
     if rule:
         p.add_argument("--rule", choices=("psd", "standard"), default="psd")
 
@@ -108,7 +109,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("number", parents=[], help="exact leak-robust forcing number")
     _add_source(p)
     p.add_argument("--ell", type=int, required=True)
-    _add_common(p)
+    _add_common(p, workers=True)
 
     p = sub.add_parser("check", help="test a blue set against every leak placement")
     _add_source(p)
@@ -138,21 +139,21 @@ def build_parser() -> _Parser:
     _add_source(p)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--max-n", type=int, default=ENUMERATION_GUARD)
-    _add_common(p, rule=False)
+    _add_common(p, rule=False, workers=True)
 
     p = sub.add_parser("scan-edges", help="edge-deletion differences over a graph6 stream")
     p.add_argument("file", nargs="?", help="graph6 lines (default: standard input)")
     p.add_argument("--ell", type=int, default=1)
-    _add_common(p, rule=False)
+    _add_common(p, rule=False, workers=True)
 
     p = sub.add_parser("families", help="family value tables with closed-form expectations")
     p.add_argument("--paper-suite", action="store_true",
                    help="run the built-in desk-scale verification ranges")
     p.add_argument("--extended", action="store_true",
-                   help="include the dimension-4 hypercube rows (minutes)")
+                   help="include the dimension-4 hypercube rows (a few seconds)")
     p.add_argument("--family", action="append", default=[], metavar="SPEC")
     p.add_argument("--ells", type=_vs, default=[0, 1, 2], metavar="L,L,...")
-    _add_common(p, rule=False)
+    _add_common(p, rule=False, workers=True)
 
     p = sub.add_parser("audit", help="monotonicity, dominance and degree checks on one graph")
     _add_source(p)

@@ -44,9 +44,6 @@ class FortFamily:
     def __len__(self) -> int:
         return len(self.forts)
 
-    def vertex_sets(self) -> list[VertexSet]:
-        return [f.vertices for f in self.forts]
-
 
 def is_leaky_psd_fort(g: Graph, vertices: VertexSet, ell: int) -> bool:
     """Evaluate the fort predicate (see module docstring) on one set.

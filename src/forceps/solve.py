@@ -105,47 +105,58 @@ def _pieces(core: int, free: int, j: int, size: int) -> Iterator[tuple[int, int]
     yield from _pieces(core, free ^ v, j, size)
 
 
-def _search_size_class(
-    g: Graph, core: int, k: int, ell: int, standard: bool, workers: int
+def _search_pieces(
+    pool: concurrent.futures.Executor, g: Graph, core: int, free: int, k: int, ell: int,
+    standard: bool, size: int,
 ) -> tuple[int, int, int]:
-    free = (1 << g.n) - 1 & ~core
-    j = k - core.bit_count()
-    total = comb(free.bit_count(), j)
-    if workers <= 1 or total < _PARALLEL_MIN_CANDIDATES:
-        return _core.search_min_superset(g.n, g.adj, core, free, k, ell, standard)
-    size = -(-total // (4 * workers))
+    """Search one size class as consecutive pieces of at most ``size``
+    candidates in ``pool``; the first piece with a hit holds its witness."""
+    futures = [
+        pool.submit(_core.search_min_superset, g.n, g.adj, c, f, k, ell, standard)
+        for c, f in _pieces(core, free, k - core.bit_count(), size)
+    ]
     nodes = 0
     closures = 0
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_core.search_min_superset, g.n, g.adj, c, f, k, ell, standard)
-            for c, f in _pieces(core, free, j, size)
-        ]
-        for future in futures:
-            found, cand, clos = future.result()
-            nodes += cand
-            closures += clos
-            if found >= 0:
-                # drop the queued pieces; the running ones finish first
-                pool.shutdown(cancel_futures=True)
-                return found, nodes, closures
+    for future in futures:
+        found, cand, clos = future.result()
+        nodes += cand
+        closures += clos
+        if found >= 0:
+            return found, nodes, closures
     return -1, nodes, closures
 
 
 def _solve_connected(g: Graph, ell: int, rule: Rule, workers: int) -> tuple[int, int, SolveStats]:
     """Exact value and witness mask for a connected (or any) graph treated
-    as a single search domain."""
+    as a single search domain.  With ``workers > 1`` the first size class
+    of at least ``_PARALLEL_MIN_CANDIDATES`` candidates opens one process
+    pool, which every later sharded class reuses."""
     n = g.n
     if g.max_degree() <= ell:
         return n, (1 << n) - 1, SolveStats()
     core = _degree_core(g, ell)
+    free = (1 << n) - 1 & ~core
     standard = rule is Rule.standard
     stats = SolveStats()
-    for k in range(max(core.bit_count(), 1), n + 1):
-        found, nodes, closures = _search_size_class(g, core, k, ell, standard, workers)
-        stats += SolveStats(nodes, closures)
-        if found >= 0:
-            return k, found, stats
+    pool = None
+    try:
+        for k in range(max(core.bit_count(), 1), n + 1):
+            total = comb(free.bit_count(), k - core.bit_count())
+            if workers > 1 and total >= _PARALLEL_MIN_CANDIDATES:
+                if pool is None:
+                    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                found, nodes, closures = _search_pieces(
+                    pool, g, core, free, k, ell, standard, -(-total // (4 * workers))
+                )
+            else:
+                found, nodes, closures = _core.search_min_superset(n, g.adj, core, free, k, ell, standard)
+            stats += SolveStats(nodes, closures)
+            if found >= 0:
+                return k, found, stats
+    finally:
+        if pool is not None:
+            # drop the hit class's queued pieces; the running ones finish first
+            pool.shutdown(cancel_futures=True)
     raise AssertionError("the full vertex set always forces")  # pragma: no cover
 
 

@@ -131,6 +131,25 @@ def test_workers_env_fallback(capsys, monkeypatch):
     assert code == 0 and out == "2 witness=[0,4]\n"
 
 
+@pytest.mark.parametrize("argv, takes_workers", [
+    (["number", "--family", "path:5", "--ell", "1"], True),
+    (["hitting", "--family", "path:5", "--ell", "1"], True),
+    (["families", "--family", "path:5"], True),
+    (["check", "--family", "path:5", "--blue", "0", "--ell", "1"], False),
+    (["closure", "--family", "path:5", "--blue", "0"], False),
+    (["forces", "--family", "path:5", "--blue", "0"], False),
+    (["forts", "--family", "path:5", "--ell", "1"], False),
+    (["audit", "--family", "path:5"], False),
+])
+def test_workers_only_where_read(capsys, argv, takes_workers):
+    # a command that never runs a pool rejects the flag as a usage error
+    code, _, err = run(capsys, *argv, "--workers", "2")
+    if takes_workers:
+        assert code == 0
+    else:
+        assert code == 1 and "unrecognized arguments: --workers 2" in err
+
+
 def test_scan_reads_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))

@@ -118,8 +118,13 @@ class TestParallelSearch:
         import forceps.solve as solve_mod
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            opened = 0
             pieces = 0
             cancels = []
+
+            def __init__(self, *args, **kwargs):
+                RecordingPool.opened += 1
+                super().__init__(*args, **kwargs)
 
             def submit(self, fn, /, *args, **kwargs):
                 RecordingPool.pieces += 1
@@ -142,10 +147,13 @@ class TestParallelSearch:
         # solve looks the pool class up on concurrent.futures at each use
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         for g, res in zip(wheels, serial):
+            RecordingPool.opened = 0
             RecordingPool.pieces = 0
             RecordingPool.cancels = []
             sharded = leaky_number(g, 2, workers=2)
             assert RecordingPool.pieces > 0
+            # every sharded size class of the solve shares one pool
+            assert RecordingPool.opened == 1
             assert (sharded.value, list(sharded.witness)) == (res.value, list(res.witness))
             # a cut-skipped candidate still counts, so the pieces up to the
             # hit enumerate what the serial scan does
