@@ -31,6 +31,7 @@ else:
 BACKEND = kernel.BACKEND
 components = kernel.components
 closure_mask = kernel.closure_mask
+realizable_forcers = kernel.realizable_forcers
 first_failing_leaks = kernel.first_failing_leaks
 search_min_superset = kernel.search_min_superset
 is_fort_mask = kernel.is_fort_mask

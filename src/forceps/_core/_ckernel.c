@@ -3,7 +3,7 @@
  * setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 6
+#define KERNEL_VERSION 7
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -116,12 +116,12 @@ static int next_combination(int *c, int k, int m)
 
 /* ------------------------------------------------------------ kernels */
 
-/* Component of `inside` containing its lowest vertex.  *boundary gets the
+/* Component of `inside` containing the vertex bit `seed`.  *boundary gets the
  * component's full reach, the union of its neighbourhoods, which includes
  * vertices of `inside`; the components() entry subtracts `inside`. */
-static uint64_t component(const uint64_t *adj, uint64_t inside, uint64_t *boundary)
+static uint64_t component(const uint64_t *adj, uint64_t inside, uint64_t seed, uint64_t *boundary)
 {
-    uint64_t comp = 0, reach = 0, frontier = inside & (0 - inside), grow, f;
+    uint64_t comp = 0, reach = 0, frontier = seed, grow, f;
     while (frontier) {
         comp |= frontier;
         grow = 0;
@@ -144,7 +144,7 @@ static uint64_t round_targets(const uint64_t *adj, uint64_t blue, uint64_t leaks
     /* the standard rule is the psd rule with the white vertices as one part
      * whose boundary holds every source */
     for (rest = white; rest; rest &= ~comp) {
-        comp = standard ? rest : component(adj, rest, &boundary);
+        comp = standard ? rest : component(adj, rest, rest & (0 - rest), &boundary);
         for (s = sources & boundary; s; s &= s - 1) {
             nb = adj[CTZ(s)] & comp;
             if (SINGLE(nb) && !(nb & hit)) {
@@ -333,7 +333,7 @@ static int is_fort(const uint64_t *adj, uint64_t fort, int ell)
     uint64_t rest, comp, boundary, b, nb;
     int cnt;
     for (rest = fort; rest; rest &= ~comp) {
-        comp = component(adj, rest, &boundary);
+        comp = component(adj, rest, rest & (0 - rest), &boundary);
         cnt = 0;
         for (b = boundary & ~fort; b; b &= b - 1) {
             nb = adj[CTZ(b)] & comp;
@@ -356,7 +356,7 @@ static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t
         || (found = PyList_New(0)) == NULL)
         return NULL;
     for (rest = inside; rest; rest &= ~comp) {
-        comp = component(adj, rest, &boundary);
+        comp = component(adj, rest, rest & (0 - rest), &boundary);
         item = Py_BuildValue("(KK)", (unsigned long long)comp, (unsigned long long)(boundary & ~inside));
         if (item == NULL || PyList_Append(found, item) < 0) {
             Py_XDECREF(item);
@@ -371,13 +371,65 @@ static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t
 static PyObject *py_closure_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n, standard;
-    uint64_t adj[64], blue, leaks, barred = 0, forcers;
-    if (check_nargs("closure_mask", nargs, 5, 6) < 0 || get_int(args[0], &n) < 0
+    uint64_t adj[64], blue, leaks, forcers;
+    if (check_nargs("closure_mask", nargs, 5, 5) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
-        || get_vmask(args[3], n, &leaks) < 0 || (standard = PyObject_IsTrue(args[4])) < 0
-        || (nargs > 5 && get_vmask(args[5], n, &barred) < 0))
+        || get_vmask(args[3], n, &leaks) < 0 || (standard = PyObject_IsTrue(args[4])) < 0)
         return NULL;
-    return PyLong_FromUnsignedLongLong(closure(n, adj, blue, leaks, standard, barred, &forcers));
+    return PyLong_FromUnsignedLongLong(closure(n, adj, blue, leaks, standard, 0, &forcers));
+}
+
+/* Per vertex v, the mask of vertices that force v in some valid leak-free psd
+ * sequence from `blue`, for v in `targets` outside `blue`; 0 for every other v.
+ *
+ * A force u -> v valid in a state S stays valid in every state containing S
+ * with v outside it (v's white component only shrinks), so the closure with
+ * v barred is the unique maximal state reached without coloring v, and u
+ * forces v in some sequence iff u -> v is valid there.  A round's targets do
+ * not depend on the bar, which only keeps v uncolored.  So one plain closure,
+ * round by round from B_0 = blue, gives every barred closure:
+ *   - v never colored: no round targets v, the barred closure is the plain
+ *     one, a fixed point where no force is valid; v gets 0;
+ *   - v colored in round r: rounds 1 .. r-1 run the same under the bar and
+ *     round r colors its targets but v, so the barred closure is the closure
+ *     of B_r - {v} with v barred; v's white component there is one search
+ *     from v.
+ * The rounds stop once every target is colored or the closure stalls.  Same
+ * steps as _pykernel.realizable_forcers. */
+static PyObject *py_realizable_forcers(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, v;
+    uint64_t adj[64], blue, targets, full, want, newly, hit, bit, final, comp, s, unused = 0, forcers[64] = {0};
+    PyObject *out, *item;
+    if (check_nargs("realizable_forcers", nargs, 4, 4) < 0 || get_int(args[0], &n) < 0
+        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
+        || get_vmask(args[3], n, &targets) < 0)
+        return NULL;
+    full = full_mask(n);
+    for (want = targets & ~blue; want; want &= ~newly) {
+        if ((newly = round_targets(adj, blue, 0, 0, full & ~blue, 0, &unused)) == 0)
+            break;
+        blue |= newly;
+        for (hit = newly & want; hit; hit &= hit - 1) {
+            bit = hit & (0 - hit);
+            v = CTZ(hit);
+            final = closure(n, adj, blue & ~bit, 0, 0, bit, &unused);
+            comp = component(adj, full & ~final, bit, &unused);
+            for (s = adj[v] & final; s; s &= s - 1)
+                if ((adj[CTZ(s)] & comp) == bit)
+                    forcers[v] |= s & (0 - s);
+        }
+    }
+    if ((out = PyTuple_New(n)) == NULL)
+        return NULL;
+    for (v = 0; v < n; v++) {
+        if ((item = PyLong_FromUnsignedLongLong(forcers[v])) == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, v, item);
+    }
+    return out;
 }
 
 static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -567,7 +619,7 @@ static int grow_fort(struct fort_search *s, int x, uint64_t inside, uint64_t out
         if ((s->holding[x].m[t] & ~inside) == 0)
             return 0;
     if (POP(threats) <= s->ell) {
-        comp = component(adj, inside, &boundary);
+        comp = component(adj, inside, inside & (0 - inside), &boundary);
         if (comp == inside)
             return push(&s->seeded, inside);
         for (rest = boundary & ~inside & ~out; rest; rest &= rest - 1) {
@@ -749,7 +801,7 @@ done:
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, "See _pykernel." #name "."}
 
 static PyMethodDef methods[] = {
-    METHOD(components), METHOD(closure_mask), METHOD(first_failing_leaks),
+    METHOD(components), METHOD(closure_mask), METHOD(realizable_forcers), METHOD(first_failing_leaks),
     METHOD(search_min_superset), METHOD(is_fort_mask), METHOD(minimal_fort_masks),
     METHOD(min_hitting_set), {NULL, NULL, 0, NULL},
 };

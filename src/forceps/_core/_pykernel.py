@@ -23,7 +23,7 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results or work counters change; _core refuses a compiled
 # twin whose version differs.
-KERNEL_VERSION = 6
+KERNEL_VERSION = 7
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
@@ -64,23 +64,30 @@ def _components(adj, inside) -> list[tuple[int, int]]:
     comps = []
     rest = inside
     while rest:
-        seed = rest & -rest
-        comp = 0
-        reach = 0
-        frontier = seed
-        while frontier:
-            comp |= frontier
-            grow = 0
-            f = frontier
-            while f:
-                low = f & -f
-                grow |= adj[low.bit_length() - 1]
-                f ^= low
-            reach |= grow
-            frontier = grow & inside & ~comp
+        comp, reach = _component(adj, inside, rest & -rest)
         comps.append((comp, reach & ~inside))
         rest &= ~comp
     return comps
+
+
+def _component(adj, inside, seed) -> tuple[int, int]:
+    """(component, reach): the component of ``inside`` holding the vertex
+    bit ``seed``, and the union of its neighborhoods, which includes
+    vertices of ``inside``."""
+    comp = 0
+    reach = 0
+    frontier = seed
+    while frontier:
+        comp |= frontier
+        grow = 0
+        f = frontier
+        while f:
+            low = f & -f
+            grow |= adj[low.bit_length() - 1]
+            f ^= low
+        reach |= grow
+        frontier = grow & inside & ~comp
+    return comp, reach
 
 
 def _round(adj, blue, leaks, standard, white, barred) -> tuple[int, int]:
@@ -106,13 +113,12 @@ def _round(adj, blue, leaks, standard, white, barred) -> tuple[int, int]:
     return hit & ~barred, forcers
 
 
-def closure_mask(n, adj, blue, leaks, standard, barred=0) -> int:
-    """Fixed point of round-simultaneous forcing; ``barred`` vertices are
-    never colored (used to enumerate realizable forces)."""
+def closure_mask(n, adj, blue, leaks, standard) -> int:
+    """Fixed point of round-simultaneous forcing."""
     _check_graph(n, adj)
-    for mask in (blue, leaks, barred):
+    for mask in (blue, leaks):
         _check_mask(n, mask)
-    return _closure(n, adj, blue, leaks, standard, barred)[0]
+    return _closure(n, adj, blue, leaks, standard)[0]
 
 
 def _closure(n, adj, blue, leaks, standard, barred=0) -> tuple[int, int]:
@@ -128,6 +134,62 @@ def _closure(n, adj, blue, leaks, standard, barred=0) -> tuple[int, int]:
             return blue, forcers
         blue |= newly
         forcers |= f
+
+
+def realizable_forcers(n, adj, blue, targets) -> tuple[int, ...]:
+    """Per vertex v, the vertices that force v in some valid leak-free psd
+    sequence of forces from ``blue``, as a mask: a tuple of ``n`` masks,
+    where entry v is 0 unless v is in ``targets`` and outside ``blue``.
+
+    Barred closures.  A force u -> v valid in a state S stays valid in every
+    state S' containing S with v outside it: u is still blue, and v's white
+    component in S' lies inside the one in S, so v is still u's only white
+    neighbor there.  So the closure with v barred (never colored) colors
+    every vertex that some sequence avoiding v colors, and is itself
+    reached by one: it is the unique maximal state reached without coloring
+    v.  u forces v in some sequence iff that force is valid in some state
+    reached without coloring v, iff it is valid in this barred closure.
+
+    One closure for all targets.  Run the plain closure round by round from
+    B_0 = ``blue``; B_r is the state after round r.  A round's targets do
+    not depend on the bar, which only keeps barred vertices uncolored.
+    - If v is never colored, no round targets v, so every round runs the
+      same with v barred and the barred closure is the plain one.  It is a
+      fixed point, where no force is valid: v has no forcer and gets 0.
+    - If round r colors v, rounds 1 .. r-1 run the same with v barred, and
+      round r colors the same targets but v.  So the barred closure is the
+      closure of B_r - {v} with v barred, and v's white component in it
+      comes from one search from v.
+    The rounds stop once every target is colored or the closure stalls.
+    """
+    _check_graph(n, adj)
+    _check_mask(n, blue)
+    _check_mask(n, targets)
+    full = (1 << n) - 1
+    out = [0] * n
+    want = targets & ~blue
+    while want:
+        newly, _ = _round(adj, blue, 0, False, full & ~blue, 0)
+        if not newly:
+            break
+        blue |= newly
+        hit = newly & want
+        want ^= hit
+        while hit:
+            bit = hit & -hit
+            hit ^= bit
+            final, _ = _closure(n, adj, blue ^ bit, 0, False, bit)
+            comp, _ = _component(adj, full & ~final, bit)
+            v = bit.bit_length() - 1
+            forcers = 0
+            f = adj[v] & final
+            while f:
+                low = f & -f
+                f ^= low
+                if adj[low.bit_length() - 1] & comp == bit:
+                    forcers |= low
+            out[v] = forcers
+    return tuple(out)
 
 
 def _scan(n, adj, blue, ell, standard) -> tuple[int, int, int]:
@@ -404,11 +466,11 @@ def _grow_fort(adj, ell, x, inside, out, once, twice, found, holding) -> None:
             return
     threats = once & ~twice & ~inside
     if threats.bit_count() <= ell:
-        comps = _components(adj, inside)
-        if len(comps) == 1:
+        comp, reach = _component(adj, inside, inside & -inside)
+        if comp == inside:
             found.append(inside)
             return
-        grow = comps[0][1] & ~out
+        grow = reach & ~inside & ~out
         while grow:
             low = grow & -grow
             y = low.bit_length() - 1

@@ -187,31 +187,16 @@ def possible_forces(g: Graph, blue: VertexSet) -> frozenset[Force]:
     """All psd forces realizable in some sequence of valid forces from
     ``blue`` (leak free).
 
-    Computed per target: run the closure with the target barred from ever
-    being colored, which is the unique maximal reachable state avoiding it,
-    then read off who can force the target there.  A force valid earlier
-    stays valid in that maximal state because extra blue vertices can only
-    shrink the target's white component.
+    The kernel primitive ``_core.realizable_forcers`` gives the forcers of
+    every white vertex in one call: per target, it reads off who can force
+    the target in the closure with the target barred from ever being
+    colored, the unique maximal state reachable without coloring it, and it
+    takes every barred closure from one chronological closure.
     """
     if blue.n != g.n:
         raise ValueError("blue set does not match the graph's vertex count")
-    out = []
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        if v in blue:
-            continue
-        out.extend(_forcers_of(g, blue.mask, v, full))
-    return frozenset(out)
-
-
-def _forcers_of(g: Graph, blue_mask: int, v: int, full: int) -> list[Force]:
-    final = _core.closure_mask(g.n, g.adj, blue_mask, 0, False, 1 << v)
-    comp = next(c for c, _ in _core.components(g.n, g.adj, full & ~final) if c >> v & 1)
-    return [
-        Force(u, v)
-        for u in _bits_ascending(g.adj[v] & final)
-        if g.adj[u] & comp == 1 << v
-    ]
+    masks = _core.realizable_forcers(g.n, g.adj, blue.mask, (1 << g.n) - 1 & ~blue.mask)
+    return frozenset(Force(u, v) for v, mask in enumerate(masks) for u in _bits_ascending(mask))
 
 
 def distinct_forcers(g: Graph, blue: VertexSet, v: int) -> int:
@@ -222,7 +207,7 @@ def distinct_forcers(g: Graph, blue: VertexSet, v: int) -> int:
         raise ValueError(f"vertex {v} outside [0, {g.n})")
     if v in blue:
         raise ValueError(f"vertex {v} is already blue; it has no forcers")
-    return len(_forcers_of(g, blue.mask, v, (1 << g.n) - 1))
+    return _core.realizable_forcers(g.n, g.adj, blue.mask, 1 << v)[v].bit_count()
 
 
 def one_leaky_criterion(g: Graph, blue: VertexSet) -> bool:
@@ -231,14 +216,13 @@ def one_leaky_criterion(g: Graph, blue: VertexSet) -> bool:
     True iff ``blue`` forces the graph leak-free and every non-blue vertex
     can be forced by two distinct vertices.  Two independent forcers mean
     no single leak can cut off a target, and the condition is also
-    necessary, so this agrees with the exhaustive one-leak test.
+    necessary, so this agrees with the exhaustive one-leak test.  The
+    forcers come from the kernel primitive ``_core.realizable_forcers``,
+    which gives a vertex the closure never colors no forcer, so a set that
+    does not force the graph fails the count too.
     """
     if blue.n != g.n:
         raise ValueError("blue set does not match the graph's vertex count")
-    full = (1 << g.n) - 1
-    if _core.closure_mask(g.n, g.adj, blue.mask, 0, False) != full:
-        return False
-    for v in range(g.n):
-        if v not in blue and len(_forcers_of(g, blue.mask, v, full)) < 2:
-            return False
-    return True
+    white = (1 << g.n) - 1 & ~blue.mask
+    masks = _core.realizable_forcers(g.n, g.adj, blue.mask, white)
+    return all(masks[v].bit_count() >= 2 for v in _bits_ascending(white))

@@ -26,7 +26,7 @@ from forceps.families import complete, hypercube, path
 from forceps.solve import _pieces
 
 from corpus import atlas_graphs, random_graph
-from oracles import async_closure_mask, naive_hitting_number, naive_is_ell_leaky
+from oracles import async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_possible_forces
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
 
@@ -95,11 +95,10 @@ def _top_forcer_instances(count):
 
 
 def test_closure_masks_agree(ck):
-    for g, blue, leaks, rng in _instances(600):
-        barred = (rng.getrandbits(g.n) & ~blue) if g.n else 0
+    for g, blue, leaks, _ in _instances(600):
         for std in (False, True):
-            assert _pykernel.closure_mask(g.n, g.adj, blue, leaks, std, barred) == \
-                ck.closure_mask(g.n, g.adj, blue, leaks, std, barred)
+            assert _pykernel.closure_mask(g.n, g.adj, blue, leaks, std) == \
+                ck.closure_mask(g.n, g.adj, blue, leaks, std)
 
 
 def test_async_closures_agree_and_match_canonical(ck):
@@ -109,6 +108,54 @@ def test_async_closures_agree_and_match_canonical(ck):
             assert async_closure_mask(g, blue, leaks, std, seed) == \
                 ck.closure_mask(g.n, g.adj, blue, leaks, std) == \
                 _pykernel.closure_mask(g.n, g.adj, blue, leaks, std)
+
+
+def test_realizable_forcers_agree(ck):
+    # every graph on at most 7 vertices, disconnected ones included, with
+    # seeded blue sets and target sets
+    rng = random.Random(0xF0C)
+    for g in atlas_graphs(7, connected=False):
+        full = (1 << g.n) - 1
+        for _ in range(4):
+            blue = rng.getrandbits(g.n)
+            for targets in (full, rng.getrandbits(g.n)):
+                assert _pykernel.realizable_forcers(g.n, g.adj, blue, targets) == \
+                    ck.realizable_forcers(g.n, g.adj, blue, targets)
+    # the word boundary: vertex 63 forces in the leak-free closure, so it is
+    # a realizable forcer
+    for g, blue, rng in _top_forcer_instances(12):
+        masks = _pykernel.realizable_forcers(64, g.adj, blue, (1 << 64) - 1)
+        assert masks == ck.realizable_forcers(64, g.adj, blue, (1 << 64) - 1)
+        assert any(m >> 63 & 1 for m in masks)
+        targets = rng.getrandbits(64)
+        assert _pykernel.realizable_forcers(64, g.adj, blue, targets) == \
+            ck.realizable_forcers(64, g.adj, blue, targets)
+    # and vertex 63 white, as a target
+    rng = random.Random(0x63)
+    for _ in range(40):
+        g = random_graph(rng, 64, rng.choice([0.05, 0.1, 0.2]))
+        blue = rng.getrandbits(64) & rng.getrandbits(64) & ~(1 << 63)
+        for targets in ((1 << 64) - 1, 1 << 63, rng.getrandbits(64) | 1 << 63):
+            assert _pykernel.realizable_forcers(64, g.adj, blue, targets) == \
+                ck.realizable_forcers(64, g.adj, blue, targets)
+
+
+def test_realizable_forcers_match_the_oracle(ck):
+    # the oracle searches every chronology from the blue set; every graph on
+    # at most 6 vertices, disconnected ones included, with a sample of blue
+    # sets, asked for every white vertex at once and for one at a time
+    rng = random.Random(0xF0)
+    for g in atlas_graphs(6, connected=False):
+        full = (1 << g.n) - 1
+        for blue in rng.sample(range(full + 1), min(full + 1, 12)):
+            want = [0] * g.n
+            for u, v in naive_possible_forces(g, frozenset(v for v in range(g.n) if blue >> v & 1)):
+                want[v] |= 1 << u
+            for k in (_pykernel, ck):
+                assert k.realizable_forcers(g.n, g.adj, blue, full) == tuple(want)
+                for v in range(g.n):
+                    masks = k.realizable_forcers(g.n, g.adj, blue, 1 << v)
+                    assert masks == tuple(want[v] if u == v else 0 for u in range(g.n))
 
 
 def test_leak_scans_agree(ck):
@@ -269,6 +316,7 @@ def test_twins_check_graph_and_budget_arguments_alike(ck):
     entries = (
         (lambda k, n, adj, ell: k.components(n, adj, 0), True, False),
         (lambda k, n, adj, ell: k.closure_mask(n, adj, 0, 0, False), True, False),
+        (lambda k, n, adj, ell: k.realizable_forcers(n, adj, 0, 0), True, False),
         (lambda k, n, adj, ell: k.first_failing_leaks(n, adj, 0, ell, False), True, True),
         (lambda k, n, adj, ell: k.search_min_superset(n, adj, 0, 1, 1, ell, False), True, True),
         (lambda k, n, adj, ell: k.is_fort_mask(n, adj, 1, ell), True, True),
@@ -333,7 +381,8 @@ def test_twins_reject_out_of_range_masks_alike(ck):
         lambda k, mask: k.is_fort_mask(3, p3.adj, mask, 0),
         lambda k, mask: k.closure_mask(3, p3.adj, mask, 0, False),
         lambda k, mask: k.closure_mask(3, p3.adj, 1, mask, False),
-        lambda k, mask: k.closure_mask(3, p3.adj, 1, 0, False, mask),
+        lambda k, mask: k.realizable_forcers(3, p3.adj, mask, 7),
+        lambda k, mask: k.realizable_forcers(3, p3.adj, 1, mask),
         lambda k, mask: k.first_failing_leaks(3, p3.adj, mask, 1, False),
         lambda k, mask: k.search_min_superset(3, p3.adj, mask, 7, 3, 0, False),
         lambda k, mask: k.search_min_superset(3, p3.adj, 0, mask, 1, 0, False),
