@@ -29,10 +29,6 @@ class Rule(Enum):
     psd = "psd"
 
 
-def _is_standard(rule: Rule) -> bool:
-    return rule is Rule.standard
-
-
 @dataclass(frozen=True)
 class Force:
     """A single force along the edge source -> target."""
@@ -149,7 +145,7 @@ def is_forcing_set(g: Graph, state: ColoringState, rule: Rule) -> bool:
     """Does the closure of this state color every vertex?"""
     _check_state(g, state)
     final = _core.closure_mask(
-        g.n, g.adj, state.blue.mask, state.leaks.mask, _is_standard(rule)
+        g.n, g.adj, state.blue.mask, state.leaks.mask, rule is Rule.standard
     )
     return final == (1 << g.n) - 1
 
@@ -177,7 +173,7 @@ def is_ell_leaky_forcing_set(
     """
     if blue.n != g.n:
         raise ValueError("blue set does not match the graph's vertex count")
-    fail, _ = _core.first_failing_leaks(g.n, g.adj, blue.mask, ell, _is_standard(rule))
+    fail, _ = _core.first_failing_leaks(g.n, g.adj, blue.mask, ell, rule is Rule.standard)
     if fail < 0:
         return LeakyVerdict(True, None)
     return LeakyVerdict(False, VertexSet.from_mask(g.n, fail))

@@ -153,9 +153,6 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def vertex_set(self) -> VertexSet:
         return VertexSet.from_mask(self.n, (1 << self.n) - 1)
 

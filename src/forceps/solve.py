@@ -1,18 +1,22 @@
 """Exact leak-robust forcing numbers and the audits built on them.
 
-The solver is exhaustive and certified: per connected component it seeds
-the candidate core with every vertex of degree at most ell (any of those
-can be stranded by leaking its whole neighborhood, so they belong to every
-valid set), then scans k-supersets of the core in lexicographic order,
-from the core size up, until one survives every leak placement.  The
-degree core is the only bound that skips size classes; it is sound by
+The solver is exhaustive and certified: it seeds the candidate core with
+every vertex of degree at most ell (any of those can be stranded by
+leaking its whole neighborhood, so they belong to every valid set), then
+per connected component scans k-supersets of the core in lexicographic
+order, from the core size up, until one survives every leak placement.
+The degree core is the only bound that skips size classes; it is sound by
 construction, and no caller can pass another.  Within one size class the
 kernel keeps the forts its failed candidates stalled on and runs no
 closure for a candidate that misses one (see
 ``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts every
-enumerated candidate, skipped or not.  Disconnected graphs are solved per
-component at the full leak budget (the adversary may concentrate all leaks
-in one component) and the answers are summed.
+enumerated candidate, skipped or not.  A component is searched inside the
+whole graph with every other vertex blue: those have no white neighbor,
+so they never force, and a leak placed on one is wasted.  So each
+component is solved at the full leak budget (the adversary may
+concentrate all leaks in one component) and the answers are summed.
+``leaky_number`` says how this moves ``SolveStats.leak_checks`` and how
+one process pool serves every component of a sharded solve.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule
 from .graph6 import to_graph6
-from .graphs import Graph, VertexSet, cartesian_product, connected_components, delete_edge, induced_subgraph
+from .graphs import Graph, VertexSet, cartesian_product, connected_components, delete_edge
 
 log = logging.getLogger("forceps")
 
@@ -44,9 +48,6 @@ class SolveStats:
 
     nodes: int = 0
     leak_checks: int = 0
-
-    def __add__(self, other: "SolveStats") -> "SolveStats":
-        return SolveStats(self.nodes + other.nodes, self.leak_checks + other.leak_checks)
 
 
 @dataclass(frozen=True)
@@ -117,47 +118,15 @@ def _search_pieces(
     ]
     nodes = 0
     closures = 0
-    for future in futures:
+    for i, future in enumerate(futures):
         found, cand, clos = future.result()
         nodes += cand
         closures += clos
         if found >= 0:
+            for queued in futures[i + 1:]:
+                queued.cancel()  # the pool goes on to the solve's next component
             return found, nodes, closures
     return -1, nodes, closures
-
-
-def _solve_connected(g: Graph, ell: int, rule: Rule, workers: int) -> tuple[int, int, SolveStats]:
-    """Exact value and witness mask for a connected (or any) graph treated
-    as a single search domain.  With ``workers > 1`` the first size class
-    of at least ``_PARALLEL_MIN_CANDIDATES`` candidates opens one process
-    pool, which every later sharded class reuses."""
-    n = g.n
-    if g.max_degree() <= ell:
-        return n, (1 << n) - 1, SolveStats()
-    core = _degree_core(g, ell)
-    free = (1 << n) - 1 & ~core
-    standard = rule is Rule.standard
-    stats = SolveStats()
-    pool = None
-    try:
-        for k in range(max(core.bit_count(), 1), n + 1):
-            total = comb(free.bit_count(), k - core.bit_count())
-            if workers > 1 and total >= _PARALLEL_MIN_CANDIDATES:
-                if pool is None:
-                    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-                found, nodes, closures = _search_pieces(
-                    pool, g, core, free, k, ell, standard, -(-total // (4 * workers))
-                )
-            else:
-                found, nodes, closures = _core.search_min_superset(n, g.adj, core, free, k, ell, standard)
-            stats += SolveStats(nodes, closures)
-            if found >= 0:
-                return k, found, stats
-    finally:
-        if pool is not None:
-            # drop the hit class's queued pieces; the running ones finish first
-            pool.shutdown(cancel_futures=True)
-    raise AssertionError("the full vertex set always forces")  # pragma: no cover
 
 
 def leaky_number(
@@ -173,33 +142,61 @@ def leaky_number(
     The value comes from the exact search alone: the search starts at the
     degree core and takes no bound from the caller, so a value at one
     budget can check the value at another.  ``ell`` beyond the vertex
-    count is clamped.  A disconnected graph is solved per component and
-    the values are summed.  With ``workers > 1`` a size class of at least
-    ``2**14`` candidates is split into consecutive pieces searched in a
-    process pool; the value, witness and ``stats.nodes`` are the serial
-    search's, while ``stats.leak_checks`` can differ, since each piece
-    starts with no fort cuts.
+    count is clamped.  Each connected component is searched inside ``g``
+    with every other vertex blue, and the values are summed.  With
+    ``workers > 1`` a size class of at least ``2**14`` candidates is split
+    into consecutive pieces searched in a process pool, which the first
+    such class opens and every later one reuses; the value, witness and
+    ``stats.nodes`` are the serial search's, while ``stats.leak_checks``
+    can differ, since each piece starts with no fort cuts.  On a
+    disconnected graph at ``ell >= 2`` the leak scan also places leaks
+    outside the component, so it can stop at another failing chain node,
+    and ``stats.leak_checks`` can differ from that of solving each
+    component as a graph of its own.
     """
     if ell < 0:
         raise ValueError("leak budget must be non-negative")
-    ell = min(ell, g.n)
-    comps = connected_components(g)
-    forced_core = VertexSet.from_mask(g.n, _degree_core(g, ell))
-    if len(comps) <= 1:
-        value, witness, stats = _solve_connected(g, ell, rule, workers)
-        return SolveResult(value, VertexSet.from_mask(g.n, witness), forced_core, rule, ell, stats)
-    value = 0
-    witness = 0
-    stats = SolveStats()
-    for comp in comps:
-        sub, back = induced_subgraph(g, comp)
-        v, w, s = _solve_connected(sub, ell, rule, workers)
-        value += v
-        stats += s
-        for i in range(sub.n):
-            if w >> i & 1:
-                witness |= 1 << back[i]
-    return SolveResult(value, VertexSet.from_mask(g.n, witness), forced_core, rule, ell, stats)
+    n = g.n
+    ell = min(ell, n)
+    full = (1 << n) - 1
+    core = _degree_core(g, ell)
+    standard = rule is Rule.standard
+    value = witness = nodes = closures = 0
+    pool = None
+    try:
+        for comp, _ in _core.components(n, g.adj, full):
+            free = comp & ~core
+            outside = n - comp.bit_count()
+            if not free:  # every vertex of the component can be stranded
+                value += comp.bit_count()
+                witness |= comp
+                continue
+            # the vertices outside comp are blue with no white neighbor: they
+            # never force, and a leak placed on one is wasted
+            blue = core | full & ~comp
+            for k in range(max(blue.bit_count(), outside + 1), n + 1):
+                total = comb(free.bit_count(), k - blue.bit_count())
+                if workers > 1 and total >= _PARALLEL_MIN_CANDIDATES:
+                    if pool is None:
+                        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                    found, cand, clos = _search_pieces(
+                        pool, g, blue, free, k, ell, standard, -(-total // (4 * workers))
+                    )
+                else:
+                    found, cand, clos = _core.search_min_superset(n, g.adj, blue, free, k, ell, standard)
+                nodes += cand
+                closures += clos
+                if found >= 0:
+                    value += k - outside
+                    witness |= found & comp
+                    break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return SolveResult(
+        value, VertexSet.from_mask(n, witness), VertexSet.from_mask(n, core), rule, ell,
+        SolveStats(nodes, closures),
+    )
 
 
 def product_bound_check(g: Graph, h: Graph, ell: int) -> tuple[int, int, bool]:

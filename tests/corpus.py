@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import networkx as nx
 
-from forceps import Graph
+from forceps import Graph, relabel
 
 # connected graphs per order 1..7, up to isomorphism
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -56,3 +56,13 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
     return Graph.from_edges(g.n + h.n, edges)
+
+
+def interleaved_union(g: Graph, h: Graph) -> tuple[Graph, list[int], list[int]]:
+    """Disjoint union of g and h whose labels alternate between the two
+    while both have vertices left.  Returns it and the new label of each
+    vertex of g and of h."""
+    m = min(g.n, h.n)
+    g_to = [2 * v if v < m else m + v for v in range(g.n)]
+    h_to = [2 * v + 1 if v < m else m + v for v in range(h.n)]
+    return relabel(disjoint_union(g, h), g_to + h_to), g_to, h_to

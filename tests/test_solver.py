@@ -12,6 +12,7 @@ from forceps import (
     Rule,
     ScanRecord,
     VertexSet,
+    connected_components,
     edge_deletion_scan,
     expected_value,
     family_table,
@@ -32,9 +33,9 @@ from forceps.families import (
     petersen_gp,
     wheel,
 )
-from forceps.solve import ScanSummary, _pieces
+from forceps.solve import ScanSummary, _pieces, _search_pieces
 
-from corpus import disjoint_union, random_graph
+from corpus import interleaved_union, random_graph
 from oracles import naive_leaky_number
 
 
@@ -71,7 +72,10 @@ class TestLeakyNumber:
 
     def test_component_sum(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-        assert value(g, 0) == 3  # triangle needs 2, isolated vertex 1
+        res = leaky_number(g, 0)
+        # the triangle tests its 3 singletons and hits at {0, 1}; the
+        # isolated vertex is all core and enumerates no candidate
+        assert (res.value, list(res.witness), res.stats.nodes) == (3, [0, 1, 3], 4)
 
     def test_budget_clamped(self):
         assert value(complete(2), 99) == 2
@@ -98,16 +102,27 @@ class TestAgainstBruteForce:
         g = random_graph(rng, rng.randint(1, 5), 0.5)
         ell = rng.randint(0, 2)
         for rule in (Rule.psd, Rule.standard):
-            assert value(g, ell, rule) == naive_leaky_number(g, ell, rule)[0]
+            res = leaky_number(g, ell, rule)
+            # the witness is the lexicographically first optimal set
+            assert (res.value, tuple(res.witness)) == naive_leaky_number(g, ell, rule)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_component_additivity(self, seed):
         rng = random.Random(900 + seed)
         a = random_graph(rng, rng.randint(1, 4), 0.6)
         b = random_graph(rng, rng.randint(1, 4), 0.6)
-        both = disjoint_union(a, b)
+        both, a_to, b_to = interleaved_union(a, b)
+
+        def moved(vs, to):
+            return sum(1 << to[v] for v in vs)
+
         for ell in (0, 1, 2):
-            assert value(both, ell) == value(a, ell) + value(b, ell)
+            for rule in (Rule.psd, Rule.standard):
+                whole, ra, rb = (leaky_number(h, ell, rule) for h in (both, a, b))
+                assert whole.value == ra.value + rb.value
+                assert whole.witness.mask == moved(ra.witness, a_to) | moved(rb.witness, b_to)
+                assert whole.forced_core.mask == moved(ra.forced_core, a_to) | moved(rb.forced_core, b_to)
+                assert whole.stats.nodes == ra.stats.nodes + rb.stats.nodes
 
 
 class TestParallelSearch:
@@ -119,7 +134,7 @@ class TestParallelSearch:
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             opened = 0
-            pieces = 0
+            frees = []
             cancels = []
 
             def __init__(self, *args, **kwargs):
@@ -127,16 +142,17 @@ class TestParallelSearch:
                 super().__init__(*args, **kwargs)
 
             def submit(self, fn, /, *args, **kwargs):
-                RecordingPool.pieces += 1
+                RecordingPool.frees.append(args[3])  # the piece's free mask
                 return super().submit(fn, *args, **kwargs)
 
             def shutdown(self, wait=True, *, cancel_futures=False):
                 RecordingPool.cancels.append(cancel_futures)
                 super().shutdown(wait, cancel_futures=cancel_futures)
 
-        wheels = (wheel(7), wheel(8))
-        serial = [leaky_number(g, 2) for g in wheels]
-        for g, res in zip(wheels, serial):
+        union, *_ = interleaved_union(wheel(7), wheel(8))
+        graphs = (wheel(7), wheel(8), union)
+        serial = [leaky_number(g, 2) for g in graphs]
+        for g, res in zip(graphs[:2], serial):
             # the degree core is empty, and the witness lies past the first
             # piece of its size class at two workers
             k = res.value
@@ -146,14 +162,16 @@ class TestParallelSearch:
         monkeypatch.setattr(solve_mod, "_PARALLEL_MIN_CANDIDATES", 16)
         # solve looks the pool class up on concurrent.futures at each use
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        for g, res in zip(wheels, serial):
+        for g, res in zip(graphs, serial):
             RecordingPool.opened = 0
-            RecordingPool.pieces = 0
+            RecordingPool.frees = []
             RecordingPool.cancels = []
             sharded = leaky_number(g, 2, workers=2)
-            assert RecordingPool.pieces > 0
-            # every sharded size class of the solve shares one pool
+            # every sharded size class of the solve, in every component,
+            # shares one pool
             assert RecordingPool.opened == 1
+            for comp in connected_components(g):
+                assert any(f and f & ~comp.mask == 0 for f in RecordingPool.frees)
             assert (sharded.value, list(sharded.witness)) == (res.value, list(res.witness))
             # a cut-skipped candidate still counts, so the pieces up to the
             # hit enumerate what the serial scan does
@@ -161,6 +179,30 @@ class TestParallelSearch:
             # the hit drops the queued pieces, and no worker outlives the call
             assert RecordingPool.cancels.count(True) == 1
             assert not multiprocessing.active_children()
+
+    def test_a_hit_cancels_the_queued_pieces(self):
+        import concurrent.futures
+
+        class ManualPool:
+            """Runs the first piece at once and leaves the rest queued."""
+
+            def __init__(self):
+                self.futures = []
+
+            def submit(self, fn, /, *args):
+                future = concurrent.futures.Future()
+                if not self.futures:
+                    future.set_result(fn(*args))
+                self.futures.append(future)
+                return future
+
+        # {0, 1}, the first pair of cycle(6), forces it with no leaks; the
+        # pool goes on to the solve's next component, so the queued pieces
+        # must not run
+        pool = ManualPool()
+        assert _search_pieces(pool, cycle(6), 0, (1 << 6) - 1, 2, 0, False, 1) == (0b11, 1, 1)
+        assert len(pool.futures) == comb(6, 2)
+        assert all(f.cancelled() for f in pool.futures[1:])
 
     @given(
         core=st.integers(0, (1 << 12) - 1),
