@@ -3,7 +3,7 @@
  * setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 7
+#define KERNEL_VERSION 8
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -15,6 +15,8 @@
 #define POP(x) __builtin_popcountll(x)
 #define CTZ(x) __builtin_ctzll(x)
 #define SINGLE(x) ((x) != 0 && ((x) & ((x) - 1)) == 0)
+#define HIGH(x) ((uint64_t)1 << (63 - __builtin_clzll(x)))  /* x nonzero */
+#define ABOVE(vs, p) ((p) ? (vs) & (0 - (HIGH(p) << 1)) : (vs))  /* p below vs's top */
 
 static uint64_t full_mask(int n) { return n >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1; }
 
@@ -100,24 +102,10 @@ static int load_adj(PyObject *adj, int n, uint64_t *out)
     return err;
 }
 
-/* Advance c[0..k) to the next k-combination of [0, m); 0 when exhausted. */
-static int next_combination(int *c, int k, int m)
-{
-    int i = k - 1, j;
-    while (i >= 0 && c[i] == m - k + i)
-        i--;
-    if (i < 0)
-        return 0;
-    c[i]++;
-    for (j = i + 1; j < k; j++)
-        c[j] = c[j - 1] + 1;
-    return 1;
-}
-
 /* ------------------------------------------------------------ kernels */
 
-/* Component of `inside` containing the vertex bit `seed`.  *boundary gets the
- * component's full reach, the union of its neighbourhoods, which includes
+/* The components of `inside` meeting `seed`, a vertex bit or a mask.  *boundary
+ * gets their full reach, the union of their neighbourhoods, which includes
  * vertices of `inside`; the components() entry subtracts `inside`. */
 static uint64_t component(const uint64_t *adj, uint64_t inside, uint64_t seed, uint64_t *boundary)
 {
@@ -174,6 +162,31 @@ static uint64_t closure(int n, const uint64_t *adj, uint64_t blue, uint64_t leak
     }
 }
 
+/* The lowest k vertices of `mask` (all of them if it has fewer). */
+static uint64_t lowest(uint64_t mask, int k)
+{
+    uint64_t out = 0;
+    for (; k > 0 && mask; k--, mask &= mask - 1)
+        out |= mask & (0 - mask);
+    return out;
+}
+
+/* Prefixes: the k-subsets P of u, the vertices of a mask vs but its highest,
+ * in lexicographic order of their ascending vertex lists, from lowest(u, k)
+ * on.  The leak scan walks placements and the search candidates this way: a
+ * prefix P, then a last vertex from ABOVE(vs, P), the vertices of vs above P
+ * (_pykernel._prefixes).  next_prefix gives the prefix after P, or 0 after
+ * the last: it keeps P below x, the highest vertex of P with a vertex of u
+ * outside P above it, and refills P's size from the vertices of u above x. */
+static uint64_t next_prefix(uint64_t vs, uint64_t p)
+{
+    uint64_t u = vs & ~HIGH(vs), x = u & ~p ? p & (HIGH(u & ~p) - 1) : 0;
+    if (x == 0)
+        return 0;
+    x = HIGH(x);
+    return (p & (x - 1)) | lowest(u & (0 - (x << 1)), POP(p & (0 - x)));
+}
+
 /* The chain nodes of one leak scan and their forcers: open addressing over
  * nonzero keys (a zero key marks a free slot), doubled at half load. */
 struct memo {
@@ -225,9 +238,11 @@ static int memo_put(struct memo *t, uint64_t key, uint64_t val)
 }
 
 /* One leak scan's fixed arguments and the memo of its chain nodes, which the
- * scan empties when it starts and its owner frees. */
+ * scan empties when it starts and its owner frees.  Placements range over
+ * `vs`, and ell is at most its size. */
 struct scan {
     int n, ell, standard;
+    uint64_t vs;
     const uint64_t *adj;
     struct memo memo;
 };
@@ -253,11 +268,11 @@ static int walk(struct scan *sc, uint64_t blue, uint64_t lmask, uint64_t *s, uin
     return 0;
 }
 
-/* First size-ell leak placement in lexicographic order whose closure of
- * `blue` misses a vertex: 1 with it in *leaks, 0 when every placement forces
- * the graph, -1 with MemoryError.  *reach gets the closure of a failing set S
- * inside *leaks (S is empty when the leak-free closure fails, and then the
- * placement is {0, ..., ell-1}), or the full mask.
+/* First size-ell leak placement inside sc->vs in lexicographic order whose
+ * closure of `blue` misses a vertex: 1 with it in *leaks, 0 when every
+ * placement forces the graph, -1 with MemoryError.  *reach gets the closure of
+ * a failing set S inside *leaks (S is empty when the leak-free closure fails,
+ * and then the placement is the lowest ell vertices of vs), or the full mask.
  *
  * Certification (see _pykernel._scan): when closure(S) is the full graph with
  * forcers F(S) (per target the smallest source that forced it), a placement
@@ -268,17 +283,18 @@ static int walk(struct scan *sc, uint64_t blue, uint64_t lmask, uint64_t *s, uin
  * looked up in the memo or run.  L fails as soon as some S inside it fails,
  * since more leaks never grow a closure.  Nodes below size ell stay in the
  * memo for the whole scan; a node of size ell is L itself, met once, so
- * ell = 1 never touches the table.  Placements sharing their first ell - 1
- * vertices P share the chain over P, and from its end only the last vertices
- * inside F(S) walk on; the others are certified at once. */
+ * ell = 1 never touches the table, and at most 1 + C(|vs|, ell) closures run.
+ * Placements sharing their first ell - 1 vertices P share the chain over P,
+ * and from its end only the last vertices inside F(S) walk on; the others
+ * are certified at once. */
 static int failing_leaks(struct scan *sc, uint64_t blue, uint64_t *leaks, uint64_t *reach,
                          long long *closures)
 {
-    uint64_t full = full_mask(sc->n), root, forcers, f, s, t, pmask, first, rest, low;
-    int c[64], i, k = sc->ell - 1, found;
+    uint64_t full = full_mask(sc->n), root, forcers, f, s, t, p, rest, low;
+    int found;
     ++*closures;
     if ((*reach = closure(sc->n, sc->adj, blue, 0, sc->standard, 0, &root)) != full) {
-        *leaks = full_mask(sc->ell);
+        *leaks = lowest(sc->vs, sc->ell);
         return 1;
     }
     if (sc->ell == 0)
@@ -287,44 +303,25 @@ static int failing_leaks(struct scan *sc, uint64_t blue, uint64_t *leaks, uint64
         memset(sc->memo.keys, 0, sc->memo.cap * sizeof *sc->memo.keys);
         sc->memo.len = 0;
     }
-    for (i = 0; i < k; i++)
-        c[i] = i;
+    p = lowest(sc->vs & ~HIGH(sc->vs), sc->ell - 1);
     do {
-        pmask = 0;
-        for (i = 0; i < k; i++)
-            pmask |= (uint64_t)1 << c[i];
-        first = (uint64_t)1 << (k ? c[k - 1] + 1 : 0);  /* the lowest last vertex */
         s = 0;
         forcers = root;
-        if ((found = walk(sc, blue, pmask, &s, &forcers, reach, closures)) != 0) {
-            *leaks = pmask | first;
+        rest = ABOVE(sc->vs, p);
+        if ((found = walk(sc, blue, p, &s, &forcers, reach, closures)) != 0) {
+            *leaks = p | (rest & (0 - rest));
             return found;
         }
-        for (rest = forcers & (0 - first); rest; rest &= rest - 1) {
+        for (rest &= forcers; rest; rest &= rest - 1) {
             low = rest & (0 - rest);
             t = s;
             f = forcers;
-            if ((found = walk(sc, blue, pmask | low, &t, &f, reach, closures)) != 0) {
-                *leaks = pmask | low;
+            if ((found = walk(sc, blue, p | low, &t, &f, reach, closures)) != 0) {
+                *leaks = p | low;
                 return found;
             }
         }
-    } while (next_combination(c, k, sc->n - 1));
-    return 0;
-}
-
-/* Fort cut of `cand`: *cut gets the vertices outside the closure of the
- * failing set S that failing_leaks stopped at, or 0 when `cand` forces the
- * graph under every placement; -1 with MemoryError.  closure(S) is a fixed
- * point under S, and so under the failing placement L, whose sources are
- * fewer; every set inside it stalls inside it under L, and no further
- * closure runs on L. */
-static int cut_of(struct scan *sc, uint64_t cand, uint64_t *cut, long long *closures)
-{
-    uint64_t leaks, reach;
-    if (failing_leaks(sc, cand, &leaks, &reach, closures) < 0)
-        return -1;
-    *cut = full_mask(sc->n) & ~reach;
+    } while ((p = next_prefix(sc->vs, p)) != 0);
     return 0;
 }
 
@@ -437,11 +434,12 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
     int found;
     uint64_t adj[64], blue, leaks, reach;
     long long closures = 0;
-    struct scan sc = {0, 0, 0, adj, {NULL, NULL, 0, 0}};
+    struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
     if (check_nargs("first_failing_leaks", nargs, 5, 5) < 0 || get_int(args[0], &sc.n) < 0
         || load_adj(args[1], sc.n, adj) < 0 || get_vmask(args[2], sc.n, &blue) < 0
         || get_ell(args[3], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[4])) < 0)
         return NULL;
+    sc.vs = full_mask(sc.n);
     found = failing_leaks(&sc, blue, &leaks, &reach, &closures);
     PyMem_Free(sc.memo.keys);
     if (found < 0)
@@ -453,74 +451,71 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
 
 /* Scan the sets of core plus k - |core| vertices of `free` (core vertices
  * inside it are ignored) in lexicographic order; solve._pieces splits a size
- * class into such pieces.  Fort cuts: cut_of gives a cut that every set
- * forcing the graph under every placement hits (see above), and a cut never
- * exceeds the one the failing placement's own closure would give.  The scan
- * keeps the cuts of its last CUTS (64, fixed) failures in a ring, starting
- * with none.  As in failing_leaks, the prefixes P are the (j-1)-combinations
- * of the free vertices but the last, and the last vertices are the mask
- * `rest` of free vertices above P.  The cuts P misses are ANDed into `need`;
- * a closure runs only for a last vertex in rest & need, taken by lowest bit.
- * A skipped candidate still counts as tested.  Same steps and counts as
- * _pykernel.search_min_superset. */
+ * class into such pieces.  Leaks go only on `live`, the components with a
+ * vertex outside core, with ell clamped to its size: a component inside core
+ * is blue with only blue neighbours in every candidate, so a leak on it is
+ * wasted, and a candidate's scan runs at most 1 + C(|live|, ell) closures.
+ * For ell <= 1 the last leak is a leak-free forcer, already live, so live is
+ * computed only for ell >= 2.  A failing candidate's scan gives the
+ * closure of a failing chain node S inside the failing placement L, a fixed
+ * point under L too, so the vertices outside it are a fort cut that every
+ * valid set hits.  The last CUTS (64, fixed) cuts stay in a ring, starting
+ * with none.  Candidates are walked prefix by prefix, as failing_leaks walks
+ * placements; the cuts a prefix misses are ANDed into `need`, and a closure
+ * runs only for a last vertex in rest & need, taken by lowest bit.  A skipped
+ * candidate still counts as tested.  Same steps and counts as
+ * _pykernel.search_min_superset, which gives the proofs. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, k, ell, standard, m = 0, j, i, free_v[64], idx[64], ncuts = 0, head = 0;
-    uint64_t adj[64], core, free_mask, cand, prefix, need, rest, hits, low, cut, cuts[CUTS];
+    int n, k, j, i, ncuts = 0, head = 0;
+    uint64_t adj[64], core, free_mask, full, leaks, reach, p, need, rest, hits, low, cand, unused, cuts[CUTS];
     long long candidates = 0, closures = 0;
     PyObject *out = NULL;
-    struct scan sc = {0, 0, 0, adj, {NULL, NULL, 0, 0}};
+    struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
     if (check_nargs("search_min_superset", nargs, 7, 7) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &core) < 0
         || get_vmask(args[3], n, &free_mask) < 0 || get_int(args[4], &k) < 0
-        || get_ell(args[5], &ell, n) < 0 || (standard = PyObject_IsTrue(args[6])) < 0)
+        || get_ell(args[5], &sc.ell, n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0)
         return NULL;
     sc.n = n;
-    sc.ell = ell;
-    sc.standard = standard;
+    full = full_mask(n);
     free_mask &= ~core;
-    for (i = 0; i < n; i++)
-        if ((free_mask >> i) & 1)
-            free_v[m++] = i;
     j = k - POP(core);
-    if (j < 0 || j > m)
+    if (j < 0 || j > POP(free_mask))
         return Py_BuildValue("(iii)", -1, 0, 0);
+    sc.vs = sc.ell >= 2 ? component(adj, full, full & ~core, &unused) : full;
+    if (sc.ell > POP(sc.vs))
+        sc.ell = POP(sc.vs);
     if (j == 0) {
-        if (cut_of(&sc, core, &cut, &closures) == 0)
-            out = cut ? Py_BuildValue("(iiL)", -1, 1, closures)
-                      : Py_BuildValue("(KiL)", (unsigned long long)core, 1, closures);
+        if (failing_leaks(&sc, core, &leaks, &reach, &closures) >= 0)
+            out = reach == full ? Py_BuildValue("(KiL)", (unsigned long long)core, 1, closures)
+                                : Py_BuildValue("(iiL)", -1, 1, closures);
         goto done;
     }
-    for (i = 0; i < j - 1; i++)
-        idx[i] = i;
+    p = lowest(free_mask & ~HIGH(free_mask), j - 1);
     do {
-        prefix = core;
-        for (i = 0; i < j - 1; i++)
-            prefix |= (uint64_t)1 << free_v[idx[i]];
         need = ~(uint64_t)0;
         for (i = 0; i < ncuts; i++)
-            if ((prefix & cuts[i]) == 0)
+            if (((core | p) & cuts[i]) == 0)
                 need &= cuts[i];
-        /* the free vertices above P; P misses the last one, so the shift is below 64 */
-        rest = free_mask & (0 - ((uint64_t)1 << (j > 1 ? free_v[idx[j - 2]] + 1 : 0)));
-        while ((hits = rest & need) != 0) {
+        for (rest = ABOVE(free_mask, p); (hits = rest & need) != 0;) {
             low = hits & (0 - hits);
             candidates += POP(rest & (low - 1)) + 1;
             rest &= 0 - (low << 1);  /* 0 once low is vertex 63 */
-            cand = prefix | low;
-            if (cut_of(&sc, cand, &cut, &closures) < 0)
+            cand = core | p | low;
+            if (failing_leaks(&sc, cand, &leaks, &reach, &closures) < 0)
                 goto done;
-            if (cut == 0) {
+            if (reach == full) {
                 out = Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
                 goto done;
             }
-            need &= cut;
-            cuts[head] = cut;  /* the ring drops its oldest cut once full */
+            cuts[head] = full & ~reach;  /* the ring drops its oldest cut once full */
+            need &= cuts[head];
             head = (head + 1) % CUTS;
             ncuts += ncuts < CUTS;
         }
         candidates += POP(rest);
-    } while (next_combination(idx, j - 1, m - 1));
+    } while ((p = next_prefix(free_mask, p)) != 0);
     out = Py_BuildValue("(iLL)", -1, candidates, closures);
 done:
     PyMem_Free(sc.memo.keys);

@@ -23,7 +23,7 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results or work counters change; _core refuses a compiled
 # twin whose version differs.
-KERNEL_VERSION = 7
+KERNEL_VERSION = 8
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
@@ -71,9 +71,9 @@ def _components(adj, inside) -> list[tuple[int, int]]:
 
 
 def _component(adj, inside, seed) -> tuple[int, int]:
-    """(component, reach): the component of ``inside`` holding the vertex
-    bit ``seed``, and the union of its neighborhoods, which includes
-    vertices of ``inside``."""
+    """(component, reach): the components of ``inside`` meeting ``seed``, a
+    vertex bit or a mask, and the union of their neighborhoods, which
+    includes vertices of ``inside``."""
     comp = 0
     reach = 0
     frontier = seed
@@ -192,12 +192,26 @@ def realizable_forcers(n, adj, blue, targets) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _scan(n, adj, blue, ell, standard) -> tuple[int, int, int]:
+def _prefixes(vs, k, base):
+    """For each ``k``-subset P of the vertices of ``vs`` but its highest, in
+    lexicographic order: (``base | P``, the vertices of ``vs`` above P).
+    The leak scan and the search walk placements and candidates this way:
+    a prefix, then a last vertex from the mask above it."""
+    if k == 0:
+        yield base, vs
+        return
+    below = [1 << v for v in range(vs.bit_length() - 1) if vs >> v & 1]
+    for p in map(sum, combinations(below, k)):  # a sum of distinct bits is their union
+        yield base | p, vs & -(1 << p.bit_length())
+
+
+def _scan(n, adj, blue, vs, ell, standard) -> tuple[int, int, int]:
     """(leaks, reach, closures run): the lexicographically first size-``ell``
-    leak placement whose closure of ``blue`` misses a vertex, or -1, and
-    the closure of a failing S inside it, or the full mask.  If the
-    leak-free closure already fails, every placement fails and the first
-    one is {0, ..., ell-1}.
+    leak placement inside ``vs`` whose closure of ``blue`` misses a vertex,
+    or -1, and the closure of a failing S inside it, or the full mask.
+    ``ell`` is at most the size of ``vs``.  If the leak-free closure already
+    fails, every placement fails and the first one is the lowest ``ell``
+    vertices of ``vs``.
 
     Certification.  Let S be a set of leaks whose closure is the full
     graph, with forcers F(S) (per target the smallest source that forced it
@@ -211,31 +225,30 @@ def _scan(n, adj, blue, ell, standard) -> tuple[int, int, int]:
     fails as soon as some S inside it fails, since a closure never grows
     when more vertices leak.  Chain nodes smaller than ``ell`` are memoized
     for the whole call; a node of size ``ell`` is L itself and is met once.
-    Only closures run count, so the count is at most 1 + C(n, ell).
+    Only closures run count, so the count is at most 1 + C(|vs|, ell).
 
-    Placements sharing their first ``ell - 1`` vertices P share the start
-    of their chains: P's vertices are the lowest of each, so the chain
-    takes them first, until (P - S) & F(S) is empty.  From there a last
-    vertex outside F(S) certifies its placement at once, and only the last
-    vertices inside F(S) walk on."""
+    Placements sharing their first ``ell - 1`` vertices P (see _prefixes)
+    share the start of their chains: P's vertices are the lowest of each,
+    so the chain takes them first, until (P - S) & F(S) is empty.  From
+    there a last vertex outside F(S) certifies its placement at once, and
+    only the last vertices inside F(S) walk on."""
     full = (1 << n) - 1
     reach, root = _closure(n, adj, blue, 0, standard)
     if reach != full:
-        return (1 << ell) - 1, reach, 1
+        leaks = 0
+        for _ in range(ell):
+            leaks |= vs & ~leaks & -(vs & ~leaks)
+        return leaks, reach, 1
     if ell == 0:
         return -1, full, 1
     closures = 1
     known: dict[int, int] = {}  # chain node -> its forcers, nodes below size ell
-    for prefix in combinations(range(n - 1), ell - 1):
-        pmask = 0
-        for v in prefix:
-            pmask |= 1 << v
-        first = 1 << prefix[-1] + 1 if prefix else 1  # the lowest last vertex
+    for pmask, rest in _prefixes(vs, ell - 1, 0):
         s, forcers, reach, c = _walk(n, adj, blue, ell, standard, pmask, 0, root, known)
         closures += c
         if reach != full:
-            return pmask | first, reach, closures
-        rest = forcers & -first
+            return pmask | rest & -rest, reach, closures
+        rest &= forcers
         while rest:
             low = rest & -rest
             rest ^= low
@@ -279,19 +292,8 @@ def first_failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int]:
     _check_graph(n, adj)
     _check_mask(n, blue)
     _check_ell(ell)
-    leaks, _, closures = _scan(n, adj, blue, min(ell, n), standard)
+    leaks, _, closures = _scan(n, adj, blue, (1 << n) - 1, min(ell, n), standard)
     return leaks, closures
-
-
-def _cut(n, adj, cand, ell, standard) -> tuple[int, int]:
-    """(cut, closures run): the vertices outside closure(S) for the failing
-    chain node S inside the first failing placement L of ``cand`` (S is
-    empty when the leak-free closure fails), or 0 when ``cand`` forces the
-    graph under every placement.  closure(S) is a fixed point under S, and
-    so under L, which has fewer sources; every set inside it therefore
-    stalls inside it under L, and no further closure runs on L."""
-    _, reach, closures = _scan(n, adj, cand, ell, standard)
-    return (1 << n) - 1 & ~reach, closures
 
 
 def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int, int]:
@@ -302,59 +304,64 @@ def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int,
     ``full & ~core`` scans every size-``k`` superset of ``core``; a smaller
     ``free`` scans one piece of that range (see ``solve._pieces``).
 
+    Live vertices.  A component wholly inside ``core`` is blue with only
+    blue neighbors in every candidate, so it never forces and a leak on it
+    is wasted.  Leaks go only on ``live``, the other components, with the
+    budget clamped to its size: some ``ell``-placement fails iff some
+    min(``ell``, |live|)-placement inside ``live`` does, since more leaks
+    never grow a closure, and a candidate's scan runs at most
+    1 + C(|live|, ``ell``) closures.  For ``ell`` <= 1 the last leak is a
+    leak-free forcer, already live, so ``live`` is computed only for
+    ``ell`` >= 2.
+
     Fort cuts.  When a candidate fails, the leak scan stops at a failing
     chain node S inside the first failing placement L (S is empty when the
     leak-free closure fails) and returns reach = closure(S).  It is a fixed
     point under S, and so under L, whose sources are fewer.  Coloring more
     vertices blue never shrinks a closure, so every set inside ``reach``
     stalls inside ``reach`` under L and fails too: ``full & ~reach`` is a
-    cut that every surviving candidate hits.  Since S lies inside L,
-    closure(S) contains closure(L), and this cut is never larger than the
-    one closure(L) would give.  One call keeps its last 64 cuts (a fixed
-    number), newest first, and starts with none, so a piece's counts
-    depend only on its own candidates.  As in the leak scan (see _scan),
-    the prefixes P are the (j-1)-combinations of the free vertices but the
-    last, and the last vertices are the mask ``rest`` of free vertices
-    above P.  The cuts P misses are ANDed into ``need``; a closure runs
-    only for a last vertex in ``rest & need``, taken by lowest bit, and
-    each new cut is ANDed in.  A skipped candidate still counts as tested.
+    cut that every surviving candidate hits, and no further closure runs on
+    L.  Since S lies inside L, closure(S) contains closure(L), and this cut
+    is never larger than the one closure(L) would give.  One call keeps its
+    last 64 cuts (a fixed number), newest first, and starts with none, so a
+    piece's counts depend only on its own candidates.  The candidates are
+    walked as the leak scan walks placements (see _prefixes): the cuts a
+    prefix P misses are ANDed into ``need``; a closure runs only for a last
+    vertex in ``rest & need``, taken by lowest bit, and each new cut is
+    ANDed in.  A skipped candidate still counts as tested.
     """
     _check_graph(n, adj)
     _check_mask(n, core)
     _check_mask(n, free)
     _check_ell(ell)
-    ell = min(ell, n)
     full = (1 << n) - 1
-    free_mask = free & ~core
-    free = [v for v in range(n) if free_mask >> v & 1]
+    free &= ~core
     j = k - core.bit_count()
-    if j < 0 or j > len(free):
+    if j < 0 or j > free.bit_count():
         return -1, 0, 0
+    live = _component(adj, full, full & ~core)[0] if ell >= 2 else full
+    ell = min(ell, live.bit_count())
     if j == 0:
-        cut, closures = _cut(n, adj, core, ell, standard)
-        return (-1 if cut else core), 1, closures
+        _, reach, closures = _scan(n, adj, core, live, ell, standard)
+        return (core if reach == full else -1), 1, closures
     cuts: deque[int] = deque(maxlen=_CUTS)
     candidates = 0
     closures = 0
-    for prefix in combinations(free[:-1], j - 1):
-        pmask = core
-        for v in prefix:
-            pmask |= 1 << v
+    for pmask, rest in _prefixes(free, j - 1, core):
         need = full
         for cut in cuts:
             if not pmask & cut:
                 need &= cut
-        first = 1 << prefix[-1] + 1 if prefix else 1
-        rest = free_mask & -first  # the free vertices above P
         while hits := rest & need:
             low = hits & -hits
             candidates += (rest & low - 1).bit_count() + 1
             rest &= -(low << 1)
             cand = pmask | low
-            cut, c = _cut(n, adj, cand, ell, standard)
+            _, reach, c = _scan(n, adj, cand, live, ell, standard)
             closures += c
-            if not cut:
+            if reach == full:
                 return cand, candidates, closures
+            cut = full & ~reach
             need &= cut
             cuts.appendleft(cut)
         candidates += rest.bit_count()

@@ -147,11 +147,12 @@ def build_parser() -> _Parser:
     _add_common(p, rule=False, workers=True)
 
     p = sub.add_parser("families", help="family value tables with closed-form expectations")
-    p.add_argument("--paper-suite", action="store_true",
-                   help="run the built-in desk-scale verification ranges")
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--paper-suite", action="store_true",
+                     help="run the built-in desk-scale verification ranges")
+    grp.add_argument("--family", action="append", metavar="SPEC")
     p.add_argument("--extended", action="store_true",
                    help="include the dimension-4 hypercube rows (a few seconds)")
-    p.add_argument("--family", action="append", default=[], metavar="SPEC")
     p.add_argument("--ells", type=_vs, default=[0, 1, 2], metavar="L,L,...")
     _add_common(p, rule=False, workers=True)
 
@@ -302,10 +303,10 @@ def _cmd_scan_edges(args, out: TextIO) -> int:
 
 
 def _cmd_families(args, out: TextIO) -> int:
-    if args.family:
-        jobs = [(FamilySpec.parse(s), tuple(args.ells)) for s in args.family]
-    else:
+    if args.paper_suite:
         jobs = default_suite(extended=args.extended)
+    else:
+        jobs = [(FamilySpec.parse(s), tuple(args.ells)) for s in args.family]
     failures = 0
     rows = 0
     workers = _workers(args)

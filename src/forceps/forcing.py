@@ -95,22 +95,25 @@ def _check_state(g: Graph, state: ColoringState) -> None:
         raise ValueError("state does not match the graph's vertex count")
 
 
-def force_candidates(g: Graph, state: ColoringState, rule: Rule) -> frozenset[Force]:
-    """Every force valid in the given state (before any is applied)."""
-    _check_state(g, state)
-    blue = state.blue.mask
-    sources = blue & ~state.leaks.mask
+def _valid_forces(g: Graph, blue: int, leaks: int, rule: Rule) -> Iterator[tuple[int, int]]:
+    """Every (source, target) pair valid in the state of masks ``blue`` and
+    ``leaks``; within each part the sources come in ascending order."""
+    sources = blue & ~leaks
     white = (1 << g.n) - 1 & ~blue
     # the standard rule is the psd rule with the white vertices as one part
     # whose boundary holds every source
     parts = [(white, -1)] if rule is Rule.standard else _core.components(g.n, g.adj, white)
-    out = []
     for comp, boundary in parts:
         for u in _bits_ascending(sources & boundary):
             nb = g.adj[u] & comp
             if nb and nb & (nb - 1) == 0:
-                out.append(Force(u, nb.bit_length() - 1))
-    return frozenset(out)
+                yield u, nb.bit_length() - 1
+
+
+def force_candidates(g: Graph, state: ColoringState, rule: Rule) -> frozenset[Force]:
+    """Every force valid in the given state (before any is applied)."""
+    _check_state(g, state)
+    return frozenset(Force(u, v) for u, v in _valid_forces(g, state.blue.mask, state.leaks.mask, rule))
 
 
 def closure(g: Graph, state: ColoringState, rule: Rule) -> tuple[VertexSet, Chronology]:
@@ -121,24 +124,21 @@ def closure(g: Graph, state: ColoringState, rule: Rule) -> tuple[VertexSet, Chro
     Returns the final blue set and the chronology of applied forces.
     """
     _check_state(g, state)
-    blue = state.blue
+    blue = state.blue.mask
     steps: list[tuple[int, Force]] = []
     rnd = 0
     while True:
-        cands = force_candidates(g, ColoringState(blue, state.leaks), rule)
-        if not cands:
-            final = VertexSet.from_mask(g.n, blue.mask)
-            break
+        # a target lies in one part, whose sources come in ascending order,
+        # so the first pair per target has its smallest source
+        per_target: dict[int, int] = {}
+        for u, v in _valid_forces(g, blue, state.leaks.mask, rule):
+            per_target.setdefault(v, u)
+        if not per_target:
+            return VertexSet.from_mask(g.n, blue), Chronology(tuple(steps))
         rnd += 1
-        per_target: dict[int, Force] = {}
-        for f in sorted(cands, key=lambda f: (f.source, f.target)):
-            per_target.setdefault(f.target, f)
-        mask = blue.mask
         for t in sorted(per_target):
-            steps.append((rnd, per_target[t]))
-            mask |= 1 << t
-        blue = VertexSet.from_mask(g.n, mask)
-    return final, Chronology(tuple(steps))
+            steps.append((rnd, Force(per_target[t], t)))
+            blue |= 1 << t
 
 
 def is_forcing_set(g: Graph, state: ColoringState, rule: Rule) -> bool:

@@ -12,11 +12,11 @@ closure for a candidate that misses one (see
 ``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts every
 enumerated candidate, skipped or not.  A component is searched inside the
 whole graph with every other vertex blue: those have no white neighbor,
-so they never force, and a leak placed on one is wasted.  So each
+so they never force, and the kernel places no leak on them.  So each
 component is solved at the full leak budget (the adversary may
-concentrate all leaks in one component) and the answers are summed.
-``leaky_number`` says how this moves ``SolveStats.leak_checks`` and how
-one process pool serves every component of a sharded solve.
+concentrate all leaks in one component), the answers and the counters
+are summed, and ``leaky_number`` says how one process pool serves every
+component of a sharded solve.
 """
 
 from __future__ import annotations
@@ -148,11 +148,7 @@ def leaky_number(
     into consecutive pieces searched in a process pool, which the first
     such class opens and every later one reuses; the value, witness and
     ``stats.nodes`` are the serial search's, while ``stats.leak_checks``
-    can differ, since each piece starts with no fort cuts.  On a
-    disconnected graph at ``ell >= 2`` the leak scan also places leaks
-    outside the component, so it can stop at another failing chain node,
-    and ``stats.leak_checks`` can differ from that of solving each
-    component as a graph of its own.
+    can differ, since each piece starts with no fort cuts.
     """
     if ell < 0:
         raise ValueError("leak budget must be non-negative")

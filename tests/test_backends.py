@@ -25,7 +25,7 @@ from forceps._core import _pykernel
 from forceps.families import complete, hypercube, path
 from forceps.solve import _pieces
 
-from corpus import atlas_graphs, random_graph
+from corpus import atlas_graphs, interleaved_union, random_graph
 from oracles import async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_possible_forces
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
@@ -221,6 +221,40 @@ def test_searches_agree(ck):
             for std in (False, True):
                 assert _pykernel.search_min_superset(64, g.adj, core, free, k, ell, std) == \
                     ck.search_min_superset(64, g.adj, core, free, k, ell, std)
+    # disjoint unions whose core covers one part: leaks go only on the
+    # components with a vertex outside the core, and the budget may exceed them
+    rng = random.Random(0xDEAD)
+    for _ in range(60):
+        a = random_graph(rng, rng.randint(1, 5), 0.5)
+        b = random_graph(rng, rng.randint(1, 5), 0.5)
+        g, a_to, b_to = interleaved_union(a, b)
+        part = sum(1 << v for v in a_to)
+        core = part | rng.getrandbits(g.n) & ~part & rng.getrandbits(g.n)
+        free = rng.choice([(1 << g.n) - 1, rng.getrandbits(g.n)])
+        k = rng.randint(core.bit_count(), g.n)
+        for ell in (2, 3):
+            for std in (False, True):
+                assert _pykernel.search_min_superset(g.n, g.adj, core, free, k, ell, std) == \
+                    ck.search_min_superset(g.n, g.adj, core, free, k, ell, std)
+    # 64 vertices in two groups with no edge between them, the dead one
+    # inside the core; vertex 63 lies in the dead group, then in the live one
+    for top_live in (False, True):
+        rng = random.Random(0x640 + top_live)
+        for _ in range(6):
+            live = sum(1 << v for v in rng.sample(range(63), 9)) | top_live << 63
+            live |= 0 if top_live else 1 << rng.choice([v for v in range(63) if not live >> v & 1])
+            inside = [live >> u & 1 for u in range(64)]
+            g = Graph.from_edges(64, [(u, v) for u in range(64) for v in range(u + 1, 64)
+                                      if inside[u] == inside[v] and rng.random() < 0.4])
+            core = (1 << 64) - 1 & ~live | rng.getrandbits(64) & live & rng.getrandbits(64)
+            for ell in range(4):
+                k = core.bit_count() + rng.randint(0, 2)
+                for std in (False, True):
+                    found = _pykernel.search_min_superset(64, g.adj, core, live, k, ell, std)
+                    assert found == ck.search_min_superset(64, g.adj, core, live, k, ell, std)
+                    # a hit forces the graph under placements over every vertex
+                    if found[0] >= 0:
+                        assert ck.first_failing_leaks(64, g.adj, found[0], ell, std)[0] == -1
 
 
 def test_sharded_search_agrees_with_full_scan(ck):

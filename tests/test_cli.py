@@ -166,6 +166,15 @@ def test_families_paper_suite_exits_zero_iff_all_match(capsys):
     assert "mismatches=0" in err
 
 
+@pytest.mark.parametrize("argv, err_part", [
+    (["--paper-suite", "--family", "path:3"], "not allowed with argument"),
+    ([], "one of the arguments --paper-suite --family is required"),
+])
+def test_families_takes_the_suite_or_families(capsys, argv, err_part):
+    code, out, err = run(capsys, "families", *argv)
+    assert code == 1 and out == "" and err_part in err
+
+
 def test_families_custom_rows(capsys):
     code, out, _ = run(capsys, "families", "--family", "wheel:6",
                        "--ells", "0,2", "--format", "jsonl")

@@ -16,6 +16,7 @@ from forceps import (
     edge_deletion_scan,
     expected_value,
     family_table,
+    from_graph6,
     is_ell_leaky_forcing_set,
     leaky_number,
     monotonicity_audit,
@@ -123,6 +124,16 @@ class TestAgainstBruteForce:
                 assert whole.witness.mask == moved(ra.witness, a_to) | moved(rb.witness, b_to)
                 assert whole.forced_core.mask == moved(ra.forced_core, a_to) | moved(rb.forced_core, b_to)
                 assert whole.stats.nodes == ra.stats.nodes + rb.stats.nodes
+                assert whole.stats.leak_checks == ra.stats.leak_checks + rb.stats.leak_checks
+
+    def test_leak_checks_add_over_components(self):
+        # K1 interleaved with Db[ at two leaks: the scans of the 5-vertex
+        # component place no leak on the isolated vertex, so the union runs
+        # the 11 closures the component runs alone
+        both, _, _ = interleaved_union(from_graph6("@"), from_graph6("Db["))
+        for rule in (Rule.psd, Rule.standard):
+            res = leaky_number(both, 2, rule)
+            assert (res.value, res.stats.leak_checks) == (5, 11)
 
 
 class TestParallelSearch:
