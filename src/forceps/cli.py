@@ -26,7 +26,7 @@ from ._core import BACKEND
 from .errors import AuditFailure, ForcepsError
 from .families import FamilySpec, generate
 from .forcing import ColoringState, Rule, closure, is_ell_leaky_forcing_set, possible_forces
-from .forts import ENUMERATION_GUARD, fort_family_json_lines, hitting_number, is_connected_fort_standard, minimal_forts
+from .forts import ENUMERATION_GUARD, hitting_number, is_connected_fort_standard, minimal_forts
 from .graph6 import Graph6Error, from_graph6
 from .graphs import Graph, VertexSet
 from .solve import (
@@ -97,10 +97,6 @@ def _workers(args) -> int:
     return max(1, int(env)) if env.isdigit() else 1
 
 
-def _rule(args) -> Rule:
-    return Rule.standard if getattr(args, "rule", "psd") == "standard" else Rule.psd
-
-
 def build_parser() -> _Parser:
     top = _Parser(prog="forceps", description=__doc__)
     top.add_argument("--version", action="version", version=f"forceps {__version__} ({BACKEND} kernel)")
@@ -151,8 +147,6 @@ def build_parser() -> _Parser:
     grp.add_argument("--paper-suite", action="store_true",
                      help="run the built-in desk-scale verification ranges")
     grp.add_argument("--family", action="append", metavar="SPEC")
-    p.add_argument("--extended", action="store_true",
-                   help="include the dimension-4 hypercube rows (a few seconds)")
     p.add_argument("--ells", type=_vs, default=[0, 1, 2], metavar="L,L,...")
     _add_common(p, rule=False, workers=True)
 
@@ -164,56 +158,53 @@ def build_parser() -> _Parser:
     return top
 
 
-def _emit(out: TextIO, line: str) -> None:
-    out.write(line + "\n")
+def _write(out: TextIO, args, record: dict, *text_lines: str) -> None:
+    """Print ``record`` as one compact JSON line under ``--format jsonl``,
+    and otherwise the text lines."""
+    if args.format == "jsonl":
+        out.write(json.dumps(record, separators=(",", ":")) + "\n")
+    else:
+        for line in text_lines:
+            out.write(line + "\n")
+
+
+def _print_finding(finding: dict) -> None:
+    print(f"finding: {json.dumps(finding)}", file=sys.stderr)
 
 
 def _cmd_number(args, out: TextIO) -> int:
     g = _resolve_graph(args)
-    res = leaky_number(g, args.ell, _rule(args), workers=_workers(args))
-    if args.format == "jsonl":
-        _emit(out, json.dumps({
-            "value": res.value,
-            "witness": list(res.witness),
-            "forced_core": list(res.forced_core),
-            "ell": res.ell,
-            "rule": res.rule.value,
-        }, separators=(",", ":")))
-    else:
-        _emit(out, f"{res.value} witness={_fmt_vertices(res.witness)}")
+    res = leaky_number(g, args.ell, Rule(args.rule), workers=_workers(args))
+    _write(out, args, {
+        "value": res.value,
+        "witness": list(res.witness),
+        "forced_core": list(res.forced_core),
+        "ell": res.ell,
+        "rule": res.rule.value,
+    }, f"{res.value} witness={_fmt_vertices(res.witness)}")
     return 0
 
 
 def _cmd_check(args, out: TextIO) -> int:
     g = _resolve_graph(args)
-    verdict = is_ell_leaky_forcing_set(g, VertexSet(g.n, args.blue), args.ell, _rule(args))
-    if args.format == "jsonl":
-        _emit(out, json.dumps({
-            "ok": verdict.ok,
-            "witness_leaks": None if verdict.ok else list(verdict.witness_leaks),
-        }, separators=(",", ":")))
-    elif verdict.ok:
-        _emit(out, "true")
-    else:
-        _emit(out, f"false witness_leaks={_fmt_vertices(verdict.witness_leaks)}")
+    verdict = is_ell_leaky_forcing_set(g, VertexSet(g.n, args.blue), args.ell, Rule(args.rule))
+    _write(out, args, {
+        "ok": verdict.ok,
+        "witness_leaks": None if verdict.ok else list(verdict.witness_leaks),
+    }, "true" if verdict.ok else f"false witness_leaks={_fmt_vertices(verdict.witness_leaks)}")
     return 0
 
 
 def _cmd_closure(args, out: TextIO) -> int:
     g = _resolve_graph(args)
     state = ColoringState(VertexSet(g.n, args.blue), VertexSet(g.n, args.leaks))
-    final, chron = closure(g, state, _rule(args))
+    final, chron = closure(g, state, Rule(args.rule))
     forced = len(final) == g.n
-    if args.format == "jsonl":
-        _emit(out, json.dumps({
-            "chronology": [[rnd, f.source, f.target] for rnd, f in chron],
-            "blue": list(final),
-            "forced": forced,
-        }, separators=(",", ":")))
-    else:
-        for line in chron.to_lines():
-            _emit(out, line)
-        _emit(out, f"blue={_fmt_vertices(final)} forced={str(forced).lower()}")
+    _write(out, args, {
+        "chronology": [[rnd, f.source, f.target] for rnd, f in chron],
+        "blue": list(final),
+        "forced": forced,
+    }, *chron.to_lines(), f"blue={_fmt_vertices(final)} forced={str(forced).lower()}")
     return 0
 
 
@@ -221,25 +212,16 @@ def _cmd_forces(args, out: TextIO) -> int:
     g = _resolve_graph(args)
     forces = sorted(possible_forces(g, VertexSet(g.n, args.blue)),
                     key=lambda f: (f.source, f.target))
-    if args.format == "jsonl":
-        _emit(out, json.dumps({"forces": [[f.source, f.target] for f in forces]},
-                              separators=(",", ":")))
-    else:
-        for f in forces:
-            _emit(out, str(f))
+    _write(out, args, {"forces": [[f.source, f.target] for f in forces]}, *map(str, forces))
     return 0
 
 
 def _cmd_forts(args, out: TextIO) -> int:
     g = _resolve_graph(args)
-    family = minimal_forts(g, args.ell, max_vertices=args.max_n)
-    if args.format == "jsonl":
-        for line in fort_family_json_lines(g, family):
-            _emit(out, line)
-    else:
-        for f in family:
-            conn = is_connected_fort_standard(g, f)
-            _emit(out, f"{_fmt_vertices(f.vertices)} ell={f.ell} connected={str(conn).lower()}")
+    for f in minimal_forts(g, args.ell, max_vertices=args.max_n):
+        conn = is_connected_fort_standard(g, f)
+        _write(out, args, {"vertices": list(f.vertices), "ell": f.ell, "connected": conn},
+               f"{_fmt_vertices(f.vertices)} ell={f.ell} connected={str(conn).lower()}")
     return 0
 
 
@@ -248,18 +230,15 @@ def _cmd_hitting(args, out: TextIO) -> int:
     value, witness = hitting_number(g, args.ell, max_vertices=args.max_n)
     solver = leaky_number(g, args.ell, Rule.psd, workers=_workers(args))
     match = value == solver.value
-    if args.format == "jsonl":
-        _emit(out, json.dumps({
-            "hitting": value, "witness": list(witness),
-            "number": solver.value, "match": match,
-        }, separators=(",", ":")))
-    else:
-        _emit(out, f"{value} witness={_fmt_vertices(witness)} number={solver.value} match={str(match).lower()}")
+    _write(out, args, {
+        "hitting": value, "witness": list(witness),
+        "number": solver.value, "match": match,
+    }, f"{value} witness={_fmt_vertices(witness)} number={solver.value} match={str(match).lower()}")
     if not match:
-        finding = {"kind": "fort-hitting-mismatch", "ell": args.ell,
-                   "hitting": value, "number": solver.value}
-        print(f"finding: {json.dumps(finding)}", file=sys.stderr)
-        return 2
+        raise AuditFailure("fort hitting number differs from the solver's value", {
+            "kind": "fort-hitting-mismatch", "ell": args.ell,
+            "hitting": value, "number": solver.value,
+        })
     return 0
 
 
@@ -280,31 +259,28 @@ def _cmd_scan_edges(args, out: TextIO) -> int:
     try:
         for rec in edge_deletion_scan(_read_graph6_stream(fh), args.ell, _workers(args)):
             summary.add(rec)
-            if args.format == "jsonl":
-                _emit(out, json.dumps({
-                    "graph6": rec.graph6, "edge": list(rec.edge),
-                    "value_g": rec.value_g, "value_g_minus_e": rec.value_g_minus_e,
-                    "diff": rec.diff,
-                }, separators=(",", ":")))
-            else:
-                _emit(out, f"{rec.graph6} edge=({rec.edge[0]},{rec.edge[1]}) "
-                           f"value={rec.value_g} deleted={rec.value_g_minus_e} diff={rec.diff}")
+            _write(out, args, {
+                "graph6": rec.graph6, "edge": list(rec.edge),
+                "value_g": rec.value_g, "value_g_minus_e": rec.value_g_minus_e,
+                "diff": rec.diff,
+            }, f"{rec.graph6} edge=({rec.edge[0]},{rec.edge[1]}) "
+               f"value={rec.value_g} deleted={rec.value_g_minus_e} diff={rec.diff}")
     finally:
         if args.file:
             fh.close()
     for line in summary.to_lines():
         print(line, file=sys.stderr)
     if summary.window_violations():
-        finding = {"kind": "edge-deletion-window", "min_diff": summary.min_diff,
-                   "max_diff": summary.max_diff}
-        print(f"finding: {json.dumps(finding)}", file=sys.stderr)
-        return 2
+        raise AuditFailure("an edge deletion moved the value outside [-2, 1]", {
+            "kind": "edge-deletion-window", "min_diff": summary.min_diff,
+            "max_diff": summary.max_diff,
+        })
     return 0
 
 
 def _cmd_families(args, out: TextIO) -> int:
     if args.paper_suite:
-        jobs = default_suite(extended=args.extended)
+        jobs = default_suite()
     else:
         jobs = [(FamilySpec.parse(s), tuple(args.ells)) for s in args.family]
     failures = 0
@@ -313,19 +289,17 @@ def _cmd_families(args, out: TextIO) -> int:
     for spec, ells in jobs:
         for row in family_table([spec], ells, workers=workers):
             rows += 1
-            if args.format == "jsonl":
-                _emit(out, json.dumps({
-                    "family": row.family, "ell": row.ell, "computed": row.computed,
-                    "expected": row.expected, "match": row.match,
-                }, separators=(",", ":")))
-            else:
-                exp = "-" if row.expected is None else str(row.expected)
-                _emit(out, f"{row.family:<28} ell={row.ell:<3} computed={row.computed:<4} "
-                           f"expected={exp:<4} match={str(row.match).lower()}")
+            exp = "-" if row.expected is None else str(row.expected)
+            _write(out, args, {
+                "family": row.family, "ell": row.ell, "computed": row.computed,
+                "expected": row.expected, "match": row.match,
+            }, f"{row.family:<28} ell={row.ell:<3} computed={row.computed:<4} "
+               f"expected={exp:<4} match={str(row.match).lower()}")
             if not row.match:
                 failures += 1
-                print(f"finding: {json.dumps({'kind': 'family-value-mismatch', 'family': row.family, 'ell': row.ell, 'computed': row.computed, 'expected': row.expected})}",
-                      file=sys.stderr)
+                _print_finding({"kind": "family-value-mismatch", "family": row.family,
+                                "ell": row.ell, "computed": row.computed,
+                                "expected": row.expected})
     print(f"rows={rows} mismatches={failures}", file=sys.stderr)
     return 2 if failures else 0
 
@@ -334,10 +308,8 @@ def _cmd_audit(args, out: TextIO) -> int:
     g = _resolve_graph(args)
     max_ell = g.n if args.max_ell is None else args.max_ell
     values = monotonicity_audit(g, max_ell)
-    if args.format == "jsonl":
-        _emit(out, json.dumps({"values": values, "max_ell": max_ell}, separators=(",", ":")))
-    else:
-        _emit(out, f"values={values} (budgets 0..{max_ell}) checks=ok")
+    _write(out, args, {"values": values, "max_ell": max_ell},
+           f"values={values} (budgets 0..{max_ell}) checks=ok")
     return 0
 
 
@@ -364,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args, sys.stdout)
     except AuditFailure as exc:
-        print(f"finding: {json.dumps(exc.finding)}", file=sys.stderr)
+        _print_finding(exc.finding)
         return 2
     except (ForcepsError, Graph6Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

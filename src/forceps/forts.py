@@ -146,20 +146,3 @@ def is_connected_fort_standard(g: Graph, fort: Fort) -> bool:
     if fort.vertices.n != g.n:
         raise ValueError("fort does not match the graph")
     return len(_core.components(g.n, g.adj, fort.vertices.mask)) <= 1
-
-
-def fort_family_json_lines(g: Graph, family: FortFamily) -> list[str]:
-    """One JSON object per fort: vertices (ascending), ell, connected."""
-    import json
-
-    return [
-        json.dumps(
-            {
-                "vertices": list(f.vertices),
-                "ell": f.ell,
-                "connected": is_connected_fort_standard(g, f),
-            },
-            separators=(",", ":"),
-        )
-        for f in family
-    ]

@@ -22,7 +22,6 @@ component of a sharded solve.
 from __future__ import annotations
 
 import concurrent.futures
-import logging
 from dataclasses import dataclass, field
 from itertools import islice, product as iter_product
 from math import comb
@@ -33,9 +32,7 @@ from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule
 from .graph6 import to_graph6
-from .graphs import Graph, VertexSet, cartesian_product, connected_components, delete_edge
-
-log = logging.getLogger("forceps")
+from .graphs import Graph, VertexSet, cartesian_product, delete_edge
 
 _PARALLEL_MIN_CANDIDATES = 1 << 14
 
@@ -248,8 +245,6 @@ def monotonicity_audit(g: Graph, max_ell: int) -> list[int]:
 def _scan_one(args) -> list[ScanRecord]:
     g, ell = args
     g6 = to_graph6(g)
-    if len(connected_components(g)) > 1:
-        log.warning("scan input %s is disconnected; solved per component", g6)
     base = leaky_number(g, ell).value
     records = []
     for u, v in g.edges():
@@ -382,16 +377,16 @@ def family_table(
     return rows
 
 
-def default_suite(extended: bool = False) -> list[tuple[FamilySpec, tuple[int, ...]]]:
+def default_suite() -> list[tuple[FamilySpec, tuple[int, ...]]]:
     """The desk-scale verification ranges.
 
     Paths, cycles, complete graphs and wheels up to 8 (rim) vertices,
     complete bipartite graphs with at most 8 vertices, every labeled tree
     on up to 7 vertices, hypercubes up to dimension 3 (dimension 4 at
-    budgets <= 3 behind ``extended``), prisms over cycles up to 6, and
-    grids up to 5x4.  Budgets cover every break point of the closed forms;
-    grid budget 2 rows (no closed form, exploration only) are limited to
-    at most 12 vertices to keep the sweep quick.
+    budgets <= 3), prisms over cycles up to 6, and grids up to 5x4.
+    Budgets cover every break point of the closed forms; grid budget 2
+    rows (no closed form, exploration only) are limited to at most 12
+    vertices to keep the sweep quick.
     """
     suite: list[tuple[FamilySpec, tuple[int, ...]]] = []
     for n in range(1, 9):
@@ -411,8 +406,7 @@ def default_suite(extended: bool = False) -> list[tuple[FamilySpec, tuple[int, .
     suite.append((FamilySpec("fig3_spider"), (0, 1, 2, 3)))
     for d in range(0, 4):
         suite.append((FamilySpec("hypercube", (d,)), tuple(range((1 << d) + 1))))
-    if extended:
-        suite.append((FamilySpec("hypercube", (4,)), (0, 1, 2, 3)))
+    suite.append((FamilySpec("hypercube", (4,)), (0, 1, 2, 3)))
     for n in range(3, 7):
         suite.append((FamilySpec("petersen_gp", (n, 1)), (0, 1, 2, 3)))
     for n in range(2, 6):

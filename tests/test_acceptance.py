@@ -52,7 +52,7 @@ def _pass(name: str) -> None:
 @lru_cache(maxsize=None)
 def _suite_rows():
     rows = []
-    for spec, ells in default_suite(extended=True):
+    for spec, ells in default_suite():
         rows.extend(family_table([spec], ells))
     return rows
 

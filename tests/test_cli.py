@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -93,6 +94,12 @@ def test_jsonl_for_remaining_commands(capsys):
                        "--format", "jsonl")
     assert code == 0 and json.loads(out) == {"values": [1, 2, 4], "max_ell": 2}
 
+    code, out, _ = run(capsys, "hitting", "--family", "path:3", "--ell", "1",
+                       "--format", "jsonl")
+    assert code == 0 and json.loads(out) == {
+        "hitting": 2, "witness": [0, 2], "number": 2, "match": True,
+    }
+
 
 def test_scan_edges_stream(tmp_path, capsys):
     stream = tmp_path / "graphs.g6"
@@ -151,7 +158,6 @@ def test_workers_only_where_read(capsys, argv, takes_workers):
 
 
 def test_scan_reads_stdin(capsys, monkeypatch):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
     code, out, err = run(capsys, "scan-edges", "--ell", "1")
     assert code == 0
@@ -163,12 +169,14 @@ def test_families_paper_suite_exits_zero_iff_all_match(capsys):
     assert code == 0
     rows = [json.loads(l) for l in out.splitlines()]
     assert all(r["match"] for r in rows)
+    assert [r["ell"] for r in rows if r["family"] == "hypercube:4"] == [0, 1, 2, 3]
     assert "mismatches=0" in err
 
 
 @pytest.mark.parametrize("argv, err_part", [
     (["--paper-suite", "--family", "path:3"], "not allowed with argument"),
     ([], "one of the arguments --paper-suite --family is required"),
+    (["--family", "path:3", "--extended"], "unrecognized arguments: --extended"),
 ])
 def test_families_takes_the_suite_or_families(capsys, argv, err_part):
     code, out, err = run(capsys, "families", *argv)
@@ -257,3 +265,40 @@ def test_hitting_mismatch_is_exit_two(capsys, monkeypatch):
     code, out, err = run(capsys, "hitting", "--family", "path:3", "--ell", "1")
     assert code == 2 and "match=false" in out
     assert "fort-hitting-mismatch" in err
+
+
+def test_scan_window_violation_is_exit_two(capsys, monkeypatch):
+    import forceps.cli as cli_mod
+    from forceps.solve import ScanRecord
+
+    def widened(graphs, ell, workers):
+        for g in graphs:
+            yield ScanRecord(to_graph6(g), (0, 1), 3, 1)
+
+    monkeypatch.setattr(cli_mod, "edge_deletion_scan", widened)
+    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
+    code, out, err = run(capsys, "scan-edges", "--ell", "1")
+    assert code == 2 and out == "A_ edge=(0,1) value=3 deleted=1 diff=2\n"
+    assert err.splitlines() == [
+        "records=1 min_diff=2 max_diff=2",
+        "deletions that raised the value by 1: 0",
+        'finding: {"kind": "edge-deletion-window", "min_diff": 2, "max_diff": 2}',
+    ]
+
+
+def test_families_mismatch_is_exit_two(capsys, monkeypatch):
+    import forceps.cli as cli_mod
+    from forceps.solve import FamilyRow
+
+    def table(specs, ells, workers=1):
+        return [FamilyRow("path:3", 0, 1, 1), FamilyRow("path:3", 1, 3, 2)]
+
+    monkeypatch.setattr(cli_mod, "family_table", table)
+    code, out, err = run(capsys, "families", "--family", "path:3", "--format", "jsonl")
+    assert code == 2
+    assert [json.loads(l)["match"] for l in out.splitlines()] == [True, False]
+    assert err.splitlines() == [
+        'finding: {"kind": "family-value-mismatch", "family": "path:3", "ell": 1, '
+        '"computed": 3, "expected": 2}',
+        "rows=2 mismatches=1",
+    ]

@@ -1,4 +1,4 @@
-import json
+import re
 
 import pytest
 
@@ -13,7 +13,7 @@ from forceps import (
     leaky_number,
     minimal_forts,
 )
-from forceps.forts import Fort, fort_family_json_lines
+from forceps.forts import Fort
 from forceps.families import complete, cycle, path
 
 from oracles import naive_is_fort, naive_minimal_forts
@@ -104,6 +104,17 @@ class TestFortFromFailure:
         with pytest.raises(ValueError):
             fort_from_failure(path(3), vs(3, 0), VertexSet(3))
 
+    def test_remainder_failing_the_predicate_is_reported(self, monkeypatch):
+        import forceps._core as core
+
+        monkeypatch.setattr(core, "is_fort_mask", lambda n, adj, mask, ell: False)
+        with pytest.raises(AuditFailure) as info:
+            fort_from_failure(path(3), vs(3, 0, 1), vs(3, 1))
+        assert info.value.finding == {
+            "kind": "fort-extraction", "graph6": "Bg", "blue": [0, 1],
+            "leaks": [1], "remainder": [2], "ell": 1,
+        }
+
 
 class TestHittingNumber:
     def test_path3_one_leak(self):
@@ -146,11 +157,12 @@ class TestConnectedForts:
         assert is_connected_fort_standard(path(3), Fort(vs(3), 0))
 
 
-def test_json_lines_schema():
-    fam = minimal_forts(path(3), 1)
-    lines = fort_family_json_lines(path(3), fam)
-    objs = [json.loads(line) for line in lines]
-    assert objs == [
-        {"vertices": [0], "ell": 1, "connected": True},
-        {"vertices": [2], "ell": 1, "connected": True},
-    ]
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_leaky_psd_fort(path(3), vs(4, 0), 0), "vertex set does not match the graph"),
+    (lambda: fort_from_failure(path(3), vs(4, 0), VertexSet(4)), "state does not match the graph"),
+    (lambda: is_connected_fort_standard(path(3), Fort(vs(4, 0), 0)),
+     "fort does not match the graph"),
+], ids=["fort-predicate", "fort-from-failure", "connected-fort"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

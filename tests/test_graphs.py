@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +52,17 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(65, tuple([0] * 65))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: VertexSet(65), "universe size 65 outside [0, 64]"),
+    (lambda: Graph(2, (0,)), "adjacency length does not match vertex count"),
+    (lambda: Graph(2, (0b100, 0)), "neighborhood of 0 leaves [0, 2)"),
+    (lambda: Graph.from_edges(2, [(1, 1)]), "loop at vertex 1"),
+], ids=["vertexset-universe", "graph-short-adjacency", "graph-row-range", "from-edges-loop"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_graph_accessors():

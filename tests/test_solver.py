@@ -81,6 +81,10 @@ class TestLeakyNumber:
     def test_budget_clamped(self):
         assert value(complete(2), 99) == 2
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^leak budget must be non-negative$"):
+            leaky_number(path(3), -1)
+
     def test_witness_and_core_invariants(self):
         res = leaky_number(wheel(5), 2)
         assert len(res.witness) == res.value
