@@ -3,7 +3,7 @@
  * setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 8
+#define KERNEL_VERSION 9
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -325,6 +325,45 @@ static int failing_leaks(struct scan *sc, uint64_t blue, uint64_t *leaks, uint64
     return 0;
 }
 
+/* A small fort of the rule inside `cut`, a stalled closure's white remainder:
+ * at most ell threats (outside vertices with exactly one neighbour in it),
+ * and connected under the psd rule.  one, two and three are bit-sliced counts
+ * of neighbours in the fort.  Same steps as _pykernel._small_fort, which
+ * explains them. */
+static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int standard)
+{
+    uint64_t low = cut & (0 - cut), fort = 0, one = 0, two = 0, three = 0;
+    uint64_t frontier, rest, bit, nb, smaller, x, unused;
+    for (frontier = standard ? cut : low; frontier; frontier = one & cut & ~fort) {
+        fort |= frontier;
+        for (; frontier; frontier &= frontier - 1) {
+            nb = adj[CTZ(frontier)];
+            three |= two & nb;
+            two |= one & nb;
+            one |= nb;
+        }
+    }
+    if (POP(fort) <= 2)
+        return fort;
+    for (rest = fort ^ low; rest; rest ^= bit) {
+        bit = HIGH(rest);
+        nb = adj[CTZ(bit)];
+        smaller = fort ^ bit;
+        if (POP(((one & ~two & ~nb) | (two & ~three & nb)) & ~smaller) > ell)
+            continue;
+        x = nb & smaller;
+        if (!standard && (x & (x - 1)) != 0 && component(adj, smaller, low, &unused) != smaller)
+            continue;
+        fort = smaller;
+        one &= two | ~nb;
+        two &= three | ~nb;
+        for (x = three & nb; x; x &= x - 1)  /* at least three before the drop: recount */
+            if (POP(adj[CTZ(x)] & fort) < 3)
+                three ^= x & (0 - x);
+    }
+    return fort;
+}
+
 static int is_fort(const uint64_t *adj, uint64_t fort, int ell)
 {
     uint64_t rest, comp, boundary, b, nb;
@@ -458,12 +497,20 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
  * For ell <= 1 the last leak is a leak-free forcer, already live, so live is
  * computed only for ell >= 2.  A failing candidate's scan gives the
  * closure of a failing chain node S inside the failing placement L, a fixed
- * point under L too, so the vertices outside it are a fort cut that every
- * valid set hits.  The last CUTS (64, fixed) cuts stay in a ring, starting
- * with none.  Candidates are walked prefix by prefix, as failing_leaks walks
- * placements; the cuts a prefix misses are ANDed into `need`, and a closure
- * runs only for a last vertex in rest & need, taken by lowest bit.  A skipped
- * candidate still counts as tested.  Same steps and counts as
+ * point under S, so the vertices W outside it are a fort whose threats lie in
+ * S.  The cut kept is small_fort's F inside W: at most ell (as clamped)
+ * outside vertices with exactly one neighbour in F, and F connected under the
+ * psd rule.  A set missing F fails once F's threats leak: while F is white, a
+ * non-leaked blue vertex has no neighbour in F or at least two, so under the
+ * standard rule it forces nothing in F, and under the psd rule its
+ * neighbours in F share one white component, the one holding F, so it forces
+ * no vertex of F either.  Only failing candidates are skipped, so the witness
+ * and the candidate count do not depend on the cuts.  The last CUTS (64,
+ * fixed) cuts stay in a ring, starting with none.  Candidates are walked
+ * prefix by prefix, as failing_leaks walks placements; the cuts a prefix
+ * misses are ANDed into `need`, and a closure runs only for a last vertex in
+ * rest & need, taken by lowest bit.  A skipped candidate still counts as
+ * tested.  Same steps and counts as
  * _pykernel.search_min_superset, which gives the proofs. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -509,7 +556,8 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
                 out = Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
                 goto done;
             }
-            cuts[head] = full & ~reach;  /* the ring drops its oldest cut once full */
+            /* the ring drops its oldest cut once full */
+            cuts[head] = small_fort(adj, full & ~reach, sc.ell, sc.standard);
             need &= cuts[head];
             head = (head + 1) % CUTS;
             ncuts += ncuts < CUTS;

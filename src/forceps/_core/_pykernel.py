@@ -23,7 +23,7 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results or work counters change; _core refuses a compiled
 # twin whose version differs.
-KERNEL_VERSION = 8
+KERNEL_VERSION = 9
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
@@ -98,11 +98,29 @@ def _round(adj, blue, leaks, standard, white, barred) -> tuple[int, int]:
     hit = barred
     forcers = 0
     sources = blue & ~leaks
-    # the standard rule is the psd rule with the white vertices as one part
-    # whose boundary holds every source
-    parts = [(white, -1)] if standard else _components(adj, white)
-    for comp, boundary in parts:
-        s = sources & boundary
+    rest = white
+    while rest:
+        # the standard rule is the psd rule with the white vertices as one
+        # part whose boundary holds every source; a psd part is the white
+        # component of the lowest vertex left, grown here (see _component)
+        if standard:
+            comp = rest
+            s = sources
+        else:
+            comp = 0
+            reach = 0
+            frontier = rest & -rest
+            while frontier:
+                comp |= frontier
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                reach |= grow
+                frontier = grow & rest & ~comp
+            s = sources & reach
+        rest &= ~comp
         while s:
             low = s & -s
             s ^= low
@@ -279,6 +297,63 @@ def _walk(n, adj, blue, ell, standard, lmask, s, forcers, known) -> tuple[int, i
     return s, forcers, full, closures
 
 
+def _small_fort(adj, cut, ell, standard) -> int:
+    """A small fort of the rule inside ``cut``, a stalled closure's white
+    remainder (see search_min_superset): a set F that some vertex of every
+    surviving candidate must hit.  Its threats, the vertices outside F with
+    exactly one neighbor in F, number at most ``ell``, and under the psd
+    rule F is connected.
+
+    A psd cut is first narrowed to the component of its lowest vertex, and
+    a standard cut is taken whole.  A set of at most two vertices is kept as
+    it is.  Otherwise the lowest vertex stays, and each other vertex v, from
+    the highest down, is dropped when F - v is still such a set.  ``one``,
+    ``two`` and ``three`` hold the vertices with at least one, two and three
+    neighbors in F, so the threats of F - v are the vertices outside it
+    with one neighbor in F and none in v, or two in F and one in v: each
+    drop is tested without a search.  Under the psd rule a drop that passes
+    then grows one component to test that F - v is connected, unless v has
+    a single neighbor in F - v."""
+    low = cut & -cut
+    fort = one = two = three = 0
+    frontier = cut if standard else low
+    while frontier:
+        fort |= frontier
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nb = adj[bit.bit_length() - 1]
+            three |= two & nb
+            two |= one & nb
+            one |= nb
+        frontier = one & cut & ~fort
+    if fort.bit_count() <= 2:
+        return fort
+    rest = fort ^ low
+    while rest:
+        v = rest.bit_length() - 1
+        bit = 1 << v
+        rest ^= bit
+        nb = adj[v]
+        smaller = fort ^ bit
+        if ((one & ~two & ~nb | two & ~three & nb) & ~smaller).bit_count() > ell:
+            continue
+        if not standard:
+            x = nb & smaller
+            if x & (x - 1) and _component(adj, smaller, low)[0] != smaller:
+                continue
+        fort = smaller
+        one &= two | ~nb
+        two &= three | ~nb
+        x = three & nb  # at least three before the drop: recount
+        while x:
+            bit = x & -x
+            x ^= bit
+            if (adj[bit.bit_length() - 1] & fort).bit_count() < 3:
+                three ^= bit
+    return fort
+
+
 def first_failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int]:
     """Lexicographically first size-``ell`` leak placement whose closure
     misses a vertex, or -1 if none exists.  Second item counts closures run.
@@ -317,18 +392,29 @@ def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int,
     Fort cuts.  When a candidate fails, the leak scan stops at a failing
     chain node S inside the first failing placement L (S is empty when the
     leak-free closure fails) and returns reach = closure(S).  It is a fixed
-    point under S, and so under L, whose sources are fewer.  Coloring more
-    vertices blue never shrinks a closure, so every set inside ``reach``
-    stalls inside ``reach`` under L and fails too: ``full & ~reach`` is a
-    cut that every surviving candidate hits, and no further closure runs on
-    L.  Since S lies inside L, closure(S) contains closure(L), and this cut
-    is never larger than the one closure(L) would give.  One call keeps its
-    last 64 cuts (a fixed number), newest first, and starts with none, so a
-    piece's counts depend only on its own candidates.  The candidates are
-    walked as the leak scan walks placements (see _prefixes): the cuts a
-    prefix P misses are ANDed into ``need``; a closure runs only for a last
-    vertex in ``rest & need``, taken by lowest bit, and each new cut is
-    ANDed in.  A skipped candidate still counts as tested.
+    point under S, so W = ``full & ~reach`` is a fort whose threats, the
+    vertices outside W with exactly one neighbor in a white component of W
+    (psd) or in W (standard), all lie in S.  Since S lies inside L,
+    closure(S) contains closure(L), and W is never larger than the white
+    set of closure(L).  The cut kept is a smaller fort F inside W (see
+    _small_fort): at most ``ell`` vertices outside F (``ell`` as clamped to
+    ``live``) have exactly one neighbor in F, and F is connected under the
+    psd rule.  Every set that misses F fails once F's threats are leaked:
+    F starts white, and while it is, a non-leaked blue vertex has no
+    neighbor in F or at least two, all white.  Under the standard rule such
+    a vertex forces nothing inside F; under the psd rule its neighbors in F
+    lie in one white component, the one holding the connected F, so it
+    forces no vertex of F either.  So F is never colored, and it is a cut
+    that every surviving candidate hits; one that misses W misses F too.
+    Only failing candidates are skipped, so the witness and the candidate
+    count do not depend on the cuts, while the closures run do.  One call
+    keeps its last 64 cuts (a fixed number), newest first, and starts with
+    none, so a piece's counts depend only on its own candidates.  The
+    candidates are walked as the leak scan walks placements (see
+    _prefixes): the cuts a prefix P misses are ANDed into ``need``; a
+    closure runs only for a last vertex in ``rest & need``, taken by lowest
+    bit, and each new cut is ANDed in.  A skipped candidate still counts as
+    tested.
     """
     _check_graph(n, adj)
     _check_mask(n, core)
@@ -361,7 +447,7 @@ def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int,
             closures += c
             if reach == full:
                 return cand, candidates, closures
-            cut = full & ~reach
+            cut = _small_fort(adj, full & ~reach, ell, standard)
             need &= cut
             cuts.appendleft(cut)
         candidates += rest.bit_count()

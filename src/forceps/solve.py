@@ -7,8 +7,9 @@ per connected component scans k-supersets of the core in lexicographic
 order, from the core size up, until one survives every leak placement.
 The degree core is the only bound that skips size classes; it is sound by
 construction, and no caller can pass another.  Within one size class the
-kernel keeps the forts its failed candidates stalled on and runs no
-closure for a candidate that misses one (see
+kernel keeps, per failed candidate, a small fort among the vertices its
+stalled closure left white, and runs no closure for a candidate that
+misses one (see
 ``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts every
 enumerated candidate, skipped or not.  A component is searched inside the
 whole graph with every other vertex blue: those have no white neighbor,
@@ -21,11 +22,10 @@ component of a sharded solve.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from itertools import islice, product as iter_product
 from math import comb
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import _core
 from .errors import AuditFailure
@@ -33,6 +33,9 @@ from .families import FamilySpec, generate
 from .forcing import Rule
 from .graph6 import to_graph6
 from .graphs import Graph, VertexSet, cartesian_product, delete_edge
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 _PARALLEL_MIN_CANDIDATES = 1 << 14
 
@@ -104,7 +107,7 @@ def _pieces(core: int, free: int, j: int, size: int) -> Iterator[tuple[int, int]
 
 
 def _search_pieces(
-    pool: concurrent.futures.Executor, g: Graph, core: int, free: int, k: int, ell: int,
+    pool: Executor, g: Graph, core: int, free: int, k: int, ell: int,
     standard: bool, size: int,
 ) -> tuple[int, int, int]:
     """Search one size class as consecutive pieces of at most ``size``
@@ -171,6 +174,8 @@ def leaky_number(
                 total = comb(free.bit_count(), k - blue.bit_count())
                 if workers > 1 and total >= _PARALLEL_MIN_CANDIDATES:
                     if pool is None:
+                        import concurrent.futures  # only pool paths pay its import
+
                         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
                     found, cand, clos = _search_pieces(
                         pool, g, blue, free, k, ell, standard, -(-total // (4 * workers))
@@ -267,6 +272,8 @@ def edge_deletion_scan(
         for task in tasks:
             yield from _scan_one(task)
         return
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         while batch := list(islice(tasks, 8 * workers)):
             for records in pool.map(_scan_one, batch):

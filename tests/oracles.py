@@ -174,6 +174,15 @@ def naive_is_fort(g: Graph, vertices: set[int], ell: int) -> bool:
     return True
 
 
+def naive_is_standard_fort(g: Graph, vertices: set[int], ell: int) -> bool:
+    """Whole-set fort test of the standard rule: at most ``ell`` outside
+    vertices have exactly one neighbor in the set, whatever its components."""
+    adj = _adj_sets(g)
+    inside = set(vertices)
+    threats = sum(1 for v in range(g.n) if v not in inside and len(adj[v] & inside) == 1)
+    return threats <= ell
+
+
 def naive_minimal_forts(g: Graph, ell: int) -> list[frozenset]:
     forts = []
     for k in range(1, g.n + 1):

@@ -20,13 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from forceps import Graph, Rule, _core
+from forceps import Graph, Rule, VertexSet, _core, is_ell_leaky_forcing_set, leaky_number
 from forceps._core import _pykernel
-from forceps.families import complete, hypercube, path
+from forceps.families import complete, grid, hypercube, path
 from forceps.solve import _pieces
 
 from corpus import atlas_graphs, interleaved_union, random_graph
-from oracles import async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_possible_forces
+from oracles import (
+    async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_standard_fort, naive_possible_forces,
+)
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
 
@@ -200,7 +202,7 @@ def test_certified_scan_skips_closures(ck):
         assert closures < 1 + comb(q3.n, 2)
 
 
-def test_searches_agree(ck):
+def test_searches_agree(ck, monkeypatch):
     for g, blue, _, rng in _instances(150, max_n=7):
         if g.n == 0:
             continue
@@ -255,6 +257,31 @@ def test_searches_agree(ck):
                     # a hit forces the graph under placements over every vertex
                     if found[0] >= 0:
                         assert ck.first_failing_leaks(64, g.adj, found[0], ell, std)[0] == -1
+    # graphs of 10 to 16 vertices, searched class by class from the degree
+    # core up to the first hit, as a solve does; most failed candidates'
+    # cuts shrink to a smaller fort there
+    small_fort = _pykernel._small_fort
+    shrunk = []
+
+    def recording(adj, cut, ell, standard):
+        fort = small_fort(adj, cut, ell, standard)
+        shrunk.append(fort != cut)
+        return fort
+
+    monkeypatch.setattr(_pykernel, "_small_fort", recording)
+    rng = random.Random(0x1016)
+    for _ in range(10):
+        n = rng.randint(10, 16)
+        g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.4]))
+        for ell in (1, 2, 3):
+            core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
+            for std in (False, True):
+                for k in range(core.bit_count(), n + 1):
+                    found = _pykernel.search_min_superset(n, g.adj, core, (1 << n) - 1, k, ell, std)
+                    assert found == ck.search_min_superset(n, g.adj, core, (1 << n) - 1, k, ell, std)
+                    if found[0] >= 0:
+                        break
+    assert 2 * sum(shrunk) > len(shrunk)
 
 
 def test_sharded_search_agrees_with_full_scan(ck):
@@ -279,6 +306,69 @@ def test_sharded_search_agrees_with_full_scan(ck):
                                 found = piece
                                 break
                         assert (found, candidates) == full[:2]
+
+
+def test_small_forts_lie_in_their_cuts_and_are_forts_of_the_rule():
+    # a closure stalled under at most ell leaks leaves a white remainder
+    # whose threats are among the leaks; the search keeps a smaller fort of
+    # the rule inside it: a connected psd fort, or a standard fort judged on
+    # the whole set
+    rng = random.Random(0x5F0)
+    shrunk = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.5]))
+        full = (1 << n) - 1
+        for ell in range(4):
+            blue = rng.getrandbits(n)
+            leaks = sum(1 << v for v in rng.sample(range(n), min(ell, n)))
+            for std in (False, True):
+                cut = full & ~_pykernel.closure_mask(n, g.adj, blue, leaks, std)
+                if not cut:
+                    continue
+                fort = _pykernel._small_fort(g.adj, cut, ell, std)
+                assert fort and fort & ~cut == 0
+                shrunk += fort != cut
+                if std:
+                    assert naive_is_standard_fort(g, {v for v in range(n) if fort >> v & 1}, ell)
+                else:
+                    assert _pykernel.is_fort_mask(n, g.adj, fort, ell)
+                    assert len(_pykernel.components(n, g.adj, fort)) == 1
+    assert shrunk > 0
+
+
+def test_sets_missing_a_kept_cut_fail():
+    # the cut the search keeps for a failing candidate: the small fort inside
+    # the white remainder of its leak scan.  A set missing it lies inside the
+    # largest one, and a smaller blue set never forces more, so that set
+    # failing shows that every set missing the cut fails
+    rng = random.Random(0xA71)
+    for g in atlas_graphs(7):
+        full = (1 << g.n) - 1
+        for ell in range(4):
+            budget = min(ell, g.n)
+            for rule in (Rule.psd, Rule.standard):
+                std = rule is Rule.standard
+                for blue in rng.sample(range(full + 1), min(full + 1, 4)):
+                    _, reach, _ = _pykernel._scan(g.n, g.adj, blue, full, budget, std)
+                    if reach == full:
+                        continue
+                    fort = _pykernel._small_fort(g.adj, full & ~reach, budget, std)
+                    rest = VertexSet.from_mask(g.n, full & ~fort)
+                    assert not is_ell_leaky_forcing_set(g, rest, ell, rule).ok
+
+
+def test_anchor_leak_checks_are_pinned(ck, monkeypatch):
+    # perfbench's solve anchors: weaker cuts would run more closures
+    pinned = {
+        (hypercube(4), 2): {Rule.psd: 2967, Rule.standard: 230},
+        (grid(4, 4), 1): {Rule.psd: 187, Rule.standard: 74},
+    }
+    for kern in (_pykernel, ck):
+        monkeypatch.setattr(_core, "search_min_superset", kern.search_min_superset)
+        for (g, ell), counts in pinned.items():
+            for rule, leak_checks in counts.items():
+                assert leaky_number(g, ell, rule).stats.leak_checks == leak_checks
 
 
 def test_search_returns_the_first_superset_the_oracle_accepts(ck):

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -238,6 +242,14 @@ class TestParallelSearch:
             assert 0 < len(piece) <= size
             got += piece
         assert got == [core | sum(1 << v for v in combo) for combo in combinations(_bits(free), j)]
+
+    def test_import_leaves_the_pool_modules_unloaded(self):
+        # only the two pool paths import concurrent.futures, which loads logging
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, forceps; print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_vertexset_survives_pickling(self):
         import pickle
