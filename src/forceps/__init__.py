@@ -11,7 +11,6 @@ from ._core import BACKEND as KERNEL_BACKEND
 from .errors import AuditFailure, ForcepsError, GuardError
 from .families import FamilySpec, generate
 from .forcing import (
-    Chronology,
     ColoringState,
     Force,
     LeakyVerdict,
@@ -25,8 +24,6 @@ from .forcing import (
     possible_forces,
 )
 from .forts import (
-    Fort,
-    FortFamily,
     fort_from_failure,
     hitting_number,
     is_connected_fort_standard,
@@ -63,14 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditFailure",
-    "Chronology",
     "ColoringState",
     "FamilyRow",
     "FamilySpec",
     "Force",
     "ForcepsError",
-    "Fort",
-    "FortFamily",
     "Graph",
     "Graph6Error",
     "GuardError",

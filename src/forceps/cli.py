@@ -204,7 +204,8 @@ def _cmd_closure(args, out: TextIO) -> int:
         "chronology": [[rnd, f.source, f.target] for rnd, f in chron],
         "blue": list(final),
         "forced": forced,
-    }, *chron.to_lines(), f"blue={_fmt_vertices(final)} forced={str(forced).lower()}")
+    }, *(f"{rnd} {f}" for rnd, f in chron),
+       f"blue={_fmt_vertices(final)} forced={str(forced).lower()}")
     return 0
 
 
@@ -220,8 +221,8 @@ def _cmd_forts(args, out: TextIO) -> int:
     g = _resolve_graph(args)
     for f in minimal_forts(g, args.ell, max_vertices=args.max_n):
         conn = is_connected_fort_standard(g, f)
-        _write(out, args, {"vertices": list(f.vertices), "ell": f.ell, "connected": conn},
-               f"{_fmt_vertices(f.vertices)} ell={f.ell} connected={str(conn).lower()}")
+        _write(out, args, {"vertices": list(f), "ell": args.ell, "connected": conn},
+               f"{_fmt_vertices(f)} ell={args.ell} connected={str(conn).lower()}")
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graphs import Graph, cartesian_product
+from .graphs import MAX_VERTICES, Graph, cartesian_product
 
 
 @dataclass(frozen=True)
@@ -70,27 +70,37 @@ class FamilySpec:
         return ":".join([self.kind, *map(str, self.params)])
 
 
+def _check_order(order: int) -> None:
+    """Reject an order above the capacity before any edge is built."""
+    if order > MAX_VERTICES:
+        raise ValueError(f"vertex count {order} outside [0, {MAX_VERTICES}]")
+
+
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
+    _check_order(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_order(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete needs n >= 1")
+    _check_order(n)
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def wheel(n: int) -> Graph:
     if n < 3:
         raise ValueError("wheel needs rim size n >= 3")
+    _check_order(n + 1)
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
     return Graph.from_edges(n + 1, edges)
 
@@ -98,6 +108,7 @@ def wheel(n: int) -> Graph:
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete_bipartite needs m, n >= 1")
+    _check_order(m + n)
     return Graph.from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
@@ -108,7 +119,7 @@ def star(n: int) -> Graph:
 def hypercube(d: int) -> Graph:
     if d < 0:
         raise ValueError("hypercube needs d >= 0")
-    if 2**d > 64:
+    if d > 6:
         raise ValueError(f"hypercube dimension {d} exceeds the 64-vertex capacity")
     n = 1 << d
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
@@ -118,6 +129,7 @@ def hypercube(d: int) -> Graph:
 def grid(n: int, m: int) -> Graph:
     if n < 1 or m < 1:
         raise ValueError("grid needs n, m >= 1")
+    _check_order(n * m)
     return cartesian_product(path(n), path(m))
 
 
@@ -126,6 +138,7 @@ def petersen_gp(n: int, k: int = 1) -> Graph:
         raise ValueError("only petersen_gp(n, 1) (the prism) is supported")
     if n < 3:
         raise ValueError("petersen_gp needs n >= 3")
+    _check_order(2 * n)
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(n + i, n + (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]

@@ -56,26 +56,6 @@ class ColoringState:
 
 
 @dataclass(frozen=True)
-class Chronology:
-    """The ordered record of forces of one closure run.
-
-    Steps are (round, force) pairs; rounds are numbered from 1 and every
-    target appears exactly once.
-    """
-
-    steps: tuple[tuple[int, Force], ...] = ()
-
-    def __iter__(self) -> Iterator[tuple[int, Force]]:
-        return iter(self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def to_lines(self) -> list[str]:
-        return [f"{rnd} {force}" for rnd, force in self.steps]
-
-
-@dataclass(frozen=True)
 class LeakyVerdict:
     """Outcome of an adversarial leak-placement test.
 
@@ -116,12 +96,16 @@ def force_candidates(g: Graph, state: ColoringState, rule: Rule) -> frozenset[Fo
     return frozenset(Force(u, v) for u, v in _valid_forces(g, state.blue.mask, state.leaks.mask, rule))
 
 
-def closure(g: Graph, state: ColoringState, rule: Rule) -> tuple[VertexSet, Chronology]:
+def closure(
+    g: Graph, state: ColoringState, rule: Rule
+) -> tuple[VertexSet, tuple[tuple[int, Force], ...]]:
     """Run the forcing process to its fixed point.
 
     Each round gathers all currently valid forces, keeps the smallest
     (source, target) pair per target, and applies them simultaneously.
-    Returns the final blue set and the chronology of applied forces.
+    Returns the final blue set and the chronology of applied forces: the
+    ordered (round, force) steps, with rounds numbered from 1 and every
+    target appearing exactly once.
     """
     _check_state(g, state)
     blue = state.blue.mask
@@ -134,7 +118,7 @@ def closure(g: Graph, state: ColoringState, rule: Rule) -> tuple[VertexSet, Chro
         for u, v in _valid_forces(g, blue, state.leaks.mask, rule):
             per_target.setdefault(v, u)
         if not per_target:
-            return VertexSet.from_mask(g.n, blue), Chronology(tuple(steps))
+            return VertexSet.from_mask(g.n, blue), tuple(steps)
         rnd += 1
         for t in sorted(per_target):
             steps.append((rnd, Force(per_target[t], t)))

@@ -12,37 +12,12 @@ the forcing number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from . import _core
 from .errors import AuditFailure, GuardError
 from .graph6 import to_graph6
 from .graphs import Graph, VertexSet, _bits_ascending
 
 ENUMERATION_GUARD = 20  # fort families grow exponentially with the order
-
-
-@dataclass(frozen=True)
-class Fort:
-    """A vertex set certified against the fort predicate at budget ``ell``."""
-
-    vertices: VertexSet
-    ell: int
-
-
-@dataclass(frozen=True)
-class FortFamily:
-    """Inclusion-minimal forts, pairwise incomparable, in lexicographic
-    order of their vertex lists."""
-
-    forts: tuple[Fort, ...]
-
-    def __iter__(self) -> Iterator[Fort]:
-        return iter(self.forts)
-
-    def __len__(self) -> int:
-        return len(self.forts)
 
 
 def is_leaky_psd_fort(g: Graph, vertices: VertexSet, ell: int) -> bool:
@@ -73,9 +48,11 @@ def _check_guard(g: Graph, ell: int, max_vertices: int) -> None:
         )
 
 
-def minimal_forts(g: Graph, ell: int, *, max_vertices: int = ENUMERATION_GUARD) -> FortFamily:
-    """All inclusion-minimal forts at budget ``ell``, in lexicographic order
-    of their vertex lists.
+def minimal_forts(
+    g: Graph, ell: int, *, max_vertices: int = ENUMERATION_GUARD
+) -> tuple[VertexSet, ...]:
+    """All inclusion-minimal forts at budget ``ell``, pairwise incomparable,
+    in lexicographic order of their vertex lists.
 
     Minimal forts are connected, and a connected set is a fort iff at most
     ``ell`` outside vertices have exactly one neighbor in it; the kernel
@@ -85,14 +62,14 @@ def minimal_forts(g: Graph, ell: int, *, max_vertices: int = ENUMERATION_GUARD) 
     """
     _check_guard(g, ell, max_vertices)
     masks = sorted(_core.minimal_fort_masks(g.n, g.adj, ell), key=lambda m: list(_bits_ascending(m)))
-    return FortFamily(tuple(Fort(VertexSet.from_mask(g.n, m), ell) for m in masks))
+    return tuple(VertexSet.from_mask(g.n, m) for m in masks)
 
 
-def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> Fort:
+def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> VertexSet:
     """Extract the fort left behind by a stalled closure.
 
-    The non-blue remainder of the closure of (blue, leaks) under the psd
-    rule must satisfy the fort predicate at budget |leaks|; if it does not,
+    Returns the non-blue remainder of the closure of (blue, leaks) under the
+    psd rule, a fort at budget |leaks|.  If it fails the fort predicate,
     the identity this package relies on is broken on this instance, which
     is raised as an AuditFailure rather than ignored.
     """
@@ -116,7 +93,7 @@ def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> Fort:
                 "ell": ell,
             },
         )
-    return Fort(remainder, ell)
+    return remainder
 
 
 def hitting_number(
@@ -136,13 +113,13 @@ def hitting_number(
     return size, VertexSet.from_mask(g.n, witness)
 
 
-def is_connected_fort_standard(g: Graph, fort: Fort) -> bool:
+def is_connected_fort_standard(g: Graph, fort: VertexSet) -> bool:
     """Whether the fort induces a connected subgraph.
 
     A connected fort is at the same time a fort for the standard rule at
     the same budget, since there is only one component for outside vertices
     to threaten.
     """
-    if fort.vertices.n != g.n:
+    if fort.n != g.n:
         raise ValueError("fort does not match the graph")
-    return len(_core.components(g.n, g.adj, fort.vertices.mask)) <= 1
+    return len(_core.components(g.n, g.adj, fort.mask)) <= 1

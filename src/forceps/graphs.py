@@ -44,6 +44,8 @@ class VertexSet:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "VertexSet":
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"universe size {n} outside [0, {MAX_VERTICES}]")
         if mask < 0 or mask >> n:
             raise ValueError(f"mask {mask:#x} has bits outside [0, {n})")
         self = cls.__new__(cls)

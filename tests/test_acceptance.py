@@ -309,7 +309,7 @@ def test_c6i_possible_forces_match_exhaustive_chronologies():
 def test_c6j_minimal_fort_families_are_sound_and_hit_by_all_sets():
     for g in atlas_graphs(6):
         for ell in (0, 1, 2):
-            family = [f.vertices.mask for f in minimal_forts(g, ell)]
+            family = [f.mask for f in minimal_forts(g, ell)]
             for mask in range(1, 1 << g.n):
                 if kernel.is_fort_mask(g.n, g.adj, mask, ell):
                     assert any(m & mask == m for m in family), "fort missing a minimal core"

@@ -208,6 +208,32 @@ def test_graph6_file_source(tmp_path, capsys):
     assert code == 0 and out == "2 witness=[0,1]\n"
 
 
+def test_graph6_file_of_blank_lines_is_exit_one(tmp_path, capsys):
+    src = tmp_path / "blank.g6"
+    src.write_text("\n   \n\n")
+    code, out, err = run(capsys, "number", "--graph6-file", str(src), "--ell", "1")
+    assert code == 1 and out == "" and err == f"error: no graph6 line found in {src}\n"
+
+
+def test_scan_skips_blank_lines(tmp_path, capsys, caplog):
+    stream = tmp_path / "graphs.g6"
+    stream.write_text("\nA_\n  \n\nBw\n\n")
+    code, out, err = run(capsys, "scan-edges", str(stream), "--ell", "1")
+    assert code == 0 and caplog.text == ""
+    assert len(out.splitlines()) == 1 + 3 and "records=4" in err
+
+
+def test_empty_blue_list_is_the_empty_set(capsys):
+    code, out, _ = run(capsys, "closure", "--family", "path:3", "--blue", "")
+    assert code == 0 and out == "blue=[] forced=false\n"
+
+
+def test_oversized_family_is_exit_one(capsys):
+    code, out, err = run(capsys, "number", "--family", "complete_bipartite:30000:30000",
+                         "--ell", "1")
+    assert code == 1 and out == "" and err == "error: vertex count 60000 outside [0, 64]\n"
+
+
 def test_forts_text_output(capsys):
     code, out, _ = run(capsys, "forts", "--family", "cycle:4", "--ell", "0")
     assert code == 0

@@ -1,6 +1,10 @@
+import re
+import time
+
 import pytest
 
-from forceps import FamilySpec, cartesian_product, from_graph6, generate, relabel, to_graph6
+from forceps import FamilySpec, Graph, cartesian_product, from_graph6, generate, relabel, to_graph6
+import forceps.families as families
 from forceps.families import (
     complete,
     complete_bipartite,
@@ -127,3 +131,49 @@ def test_generated_families_roundtrip_graph6():
         g = generate(spec)
         assert g.n <= 8
         assert from_graph6(to_graph6(g)) == g, str(spec)
+
+
+_OVER = "vertex count 65 outside [0, 64]"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("path:65", _OVER),
+    ("cycle:65", _OVER),
+    ("complete:65", _OVER),
+    ("wheel:64", _OVER),
+    ("complete_bipartite:1:64", _OVER),
+    ("complete_bipartite:64:1", _OVER),
+    ("star:64", _OVER),
+    ("grid:5:13", _OVER),
+    ("grid:1:65", _OVER),
+    ("petersen_gp:33:1", "vertex count 66 outside [0, 64]"),
+    ("hypercube:7", "hypercube dimension 7 exceeds the 64-vertex capacity"),
+    ("tree_from_pruefer" + ":0" * 63, "tree order exceeds the 64-vertex capacity"),
+])
+def test_every_family_rejects_the_first_order_above_capacity(spec, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(FamilySpec.parse(spec))
+
+
+def test_huge_orders_are_rejected_before_anything_is_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "from_edges", build)
+    monkeypatch.setattr(families, "cartesian_product", build)
+    specs = {
+        "complete_bipartite:30000:30000": "vertex count 60000 outside [0, 64]",
+        "path:1000000": "vertex count 1000000 outside [0, 64]",
+        "cycle:1000000": "vertex count 1000000 outside [0, 64]",
+        "complete:1000000": "vertex count 1000000 outside [0, 64]",
+        "wheel:1000000": "vertex count 1000001 outside [0, 64]",
+        "star:1000000": "vertex count 1000001 outside [0, 64]",
+        "grid:1000000:1000000": "vertex count 1000000000000 outside [0, 64]",
+        "petersen_gp:1000000:1": "vertex count 2000000 outside [0, 64]",
+        "hypercube:1000000000": "hypercube dimension 1000000000 exceeds the 64-vertex capacity",
+    }
+    start = time.perf_counter()
+    for spec, message in specs.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(FamilySpec.parse(spec))
+    assert time.perf_counter() - start < 1.0  # 2**d alone took seconds at d = 10**9

@@ -13,7 +13,6 @@ from forceps import (
     leaky_number,
     minimal_forts,
 )
-from forceps.forts import Fort
 from forceps.families import complete, cycle, path
 
 from oracles import naive_is_fort, naive_minimal_forts
@@ -54,17 +53,17 @@ class TestPredicate:
 class TestMinimalForts:
     def test_path3_one_leak(self):
         fam = minimal_forts(path(3), 1)
-        assert [list(f.vertices) for f in fam] == [[0], [2]]
+        assert [list(f) for f in fam] == [[0], [2]]
 
     def test_path3_leak_free_is_whole_path(self):
         # no proper subset survives: each lone endpoint is threatened once
         fam = minimal_forts(path(3), 0)
-        assert [list(f.vertices) for f in fam] == [[0, 1, 2]]
+        assert [list(f) for f in fam] == [[0, 1, 2]]
         assert [sorted(f) for f in naive_minimal_forts(path(3), 0)] == [[0, 1, 2]]
 
     def test_triangle_pairs(self):
         fam = minimal_forts(complete(3), 0)
-        assert [list(f.vertices) for f in fam] == [[0, 1], [0, 2], [1, 2]]
+        assert [list(f) for f in fam] == [[0, 1], [0, 2], [1, 2]]
 
     def test_guard(self):
         with pytest.raises(GuardError):
@@ -78,7 +77,7 @@ class TestMinimalForts:
         for g in atlas_graphs(6, connected=False):
             for ell in (0, 1, 2):
                 want = [sorted(f) for f in naive_minimal_forts(g, ell)]
-                assert [list(f.vertices) for f in minimal_forts(g, ell)] == want
+                assert [list(f) for f in minimal_forts(g, ell)] == want
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -89,16 +88,13 @@ class TestMinimalForts:
 
 class TestFortFromFailure:
     def test_leaked_path_remainder(self):
-        fort = fort_from_failure(path(3), vs(3, 0, 1), vs(3, 1))
-        assert list(fort.vertices) == [2] and fort.ell == 1
+        assert fort_from_failure(path(3), vs(3, 0, 1), vs(3, 1)) == vs(3, 2)
 
     def test_cycle_remainder(self):
-        fort = fort_from_failure(cycle(4), vs(4, 0), VertexSet(4))
-        assert list(fort.vertices) == [1, 2, 3] and fort.ell == 0
+        assert fort_from_failure(cycle(4), vs(4, 0), VertexSet(4)) == vs(4, 1, 2, 3)
 
     def test_whole_graph_when_nothing_blue(self):
-        fort = fort_from_failure(complete(3), VertexSet(3), VertexSet(3))
-        assert list(fort.vertices) == [0, 1, 2]
+        assert fort_from_failure(complete(3), VertexSet(3), VertexSet(3)) == vs(3, 0, 1, 2)
 
     def test_completed_closure_rejected(self):
         with pytest.raises(ValueError):
@@ -145,22 +141,22 @@ class TestHittingNumber:
 
 class TestConnectedForts:
     def test_singleton_connected(self):
-        assert is_connected_fort_standard(path(3), Fort(vs(3, 0), 1))
+        assert is_connected_fort_standard(path(3), vs(3, 0))
 
     def test_two_endpoints_disconnected(self):
-        assert not is_connected_fort_standard(path(4), Fort(vs(4, 0, 3), 1))
+        assert not is_connected_fort_standard(path(4), vs(4, 0, 3))
 
     def test_cycle_arc_connected(self):
-        assert is_connected_fort_standard(cycle(4), Fort(vs(4, 1, 2, 3), 0))
+        assert is_connected_fort_standard(cycle(4), vs(4, 1, 2, 3))
 
     def test_empty_fort_reads_connected(self):
-        assert is_connected_fort_standard(path(3), Fort(vs(3), 0))
+        assert is_connected_fort_standard(path(3), vs(3))
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: is_leaky_psd_fort(path(3), vs(4, 0), 0), "vertex set does not match the graph"),
     (lambda: fort_from_failure(path(3), vs(4, 0), VertexSet(4)), "state does not match the graph"),
-    (lambda: is_connected_fort_standard(path(3), Fort(vs(4, 0), 0)),
+    (lambda: is_connected_fort_standard(path(3), vs(4, 0)),
      "fort does not match the graph"),
 ], ids=["fort-predicate", "fort-from-failure", "connected-fort"])
 def test_argument_checks(call, message):

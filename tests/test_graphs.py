@@ -43,6 +43,14 @@ def test_vertexset_validation():
         VertexSet(2, [0]).mask = 3
 
 
+def test_vertexset_equality_hash_and_repr():
+    a = VertexSet(3, [0, 2])
+    assert a == VertexSet.from_mask(3, 0b101) and hash(a) == hash(VertexSet.from_mask(3, 0b101))
+    assert a != VertexSet(4, [0, 2])
+    assert a != {0, 2} and a.__eq__({0, 2}) is NotImplemented
+    assert repr(a) == "{0,2}" and repr(VertexSet(3)) == "{}"
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))  # asymmetric
@@ -56,10 +64,13 @@ def test_graph_validation():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: VertexSet(65), "universe size 65 outside [0, 64]"),
+    (lambda: VertexSet.from_mask(100, 0), "universe size 100 outside [0, 64]"),
+    (lambda: VertexSet.from_mask(-1, 0), "universe size -1 outside [0, 64]"),
     (lambda: Graph(2, (0,)), "adjacency length does not match vertex count"),
     (lambda: Graph(2, (0b100, 0)), "neighborhood of 0 leaves [0, 2)"),
     (lambda: Graph.from_edges(2, [(1, 1)]), "loop at vertex 1"),
-], ids=["vertexset-universe", "graph-short-adjacency", "graph-row-range", "from-edges-loop"])
+], ids=["vertexset-universe", "from-mask-universe", "from-mask-negative-universe",
+        "graph-short-adjacency", "graph-row-range", "from-edges-loop"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

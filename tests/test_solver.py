@@ -337,6 +337,7 @@ class TestEdgeDeletionScan:
 
     def test_summary_collects_increases(self):
         summary = ScanSummary()
+        assert not summary.window_violations()  # no record, no violation
         summary.add(ScanRecord("Bw", (0, 1), 3, 2))
         summary.add(ScanRecord("A_", (0, 1), 2, 4))
         assert summary.min_diff == -2 and summary.max_diff == 1
