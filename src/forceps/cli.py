@@ -27,7 +27,7 @@ from .errors import AuditFailure, ForcepsError
 from .families import FamilySpec, generate
 from .forcing import ColoringState, Rule, closure, is_ell_leaky_forcing_set, possible_forces
 from .forts import ENUMERATION_GUARD, hitting_number, is_connected_fort_standard, minimal_forts
-from .graph6 import Graph6Error, from_graph6
+from .graph6 import Graph6Error, _finding_graph, from_graph6
 from .graphs import Graph, VertexSet
 from .solve import (
     ScanSummary,
@@ -237,7 +237,7 @@ def _cmd_hitting(args, out: TextIO) -> int:
     }, f"{value} witness={_fmt_vertices(witness)} number={solver.value} match={str(match).lower()}")
     if not match:
         raise AuditFailure("fort hitting number differs from the solver's value", {
-            "kind": "fort-hitting-mismatch", "ell": args.ell,
+            "kind": "fort-hitting-mismatch", **_finding_graph(g), "ell": args.ell,
             "hitting": value, "number": solver.value,
         })
     return 0

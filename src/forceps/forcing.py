@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import _core
-from .graphs import Graph, VertexSet, _bits_ascending
+from .graphs import Graph, VertexSet, _bits_ascending, _mask
 
 
 class Rule(Enum):
@@ -51,8 +51,7 @@ class ColoringState:
     leaks: VertexSet
 
     def __post_init__(self):
-        if self.blue.n != self.leaks.n:
-            raise ValueError("blue and leak sets live in different universes")
+        self.blue._check_universe(self.leaks)
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,6 @@ class LeakyVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _check_state(g: Graph, state: ColoringState) -> None:
-    if state.blue.n != g.n:
-        raise ValueError("state does not match the graph's vertex count")
 
 
 def _valid_forces(g: Graph, blue: int, leaks: int, rule: Rule) -> Iterator[tuple[int, int]]:
@@ -92,8 +86,8 @@ def _valid_forces(g: Graph, blue: int, leaks: int, rule: Rule) -> Iterator[tuple
 
 def force_candidates(g: Graph, state: ColoringState, rule: Rule) -> frozenset[Force]:
     """Every force valid in the given state (before any is applied)."""
-    _check_state(g, state)
-    return frozenset(Force(u, v) for u, v in _valid_forces(g, state.blue.mask, state.leaks.mask, rule))
+    blue = _mask(g, state.blue)
+    return frozenset(Force(u, v) for u, v in _valid_forces(g, blue, state.leaks.mask, rule))
 
 
 def closure(
@@ -107,8 +101,7 @@ def closure(
     ordered (round, force) steps, with rounds numbered from 1 and every
     target appearing exactly once.
     """
-    _check_state(g, state)
-    blue = state.blue.mask
+    blue = _mask(g, state.blue)
     steps: list[tuple[int, Force]] = []
     rnd = 0
     while True:
@@ -127,10 +120,8 @@ def closure(
 
 def is_forcing_set(g: Graph, state: ColoringState, rule: Rule) -> bool:
     """Does the closure of this state color every vertex?"""
-    _check_state(g, state)
-    final = _core.closure_mask(
-        g.n, g.adj, state.blue.mask, state.leaks.mask, rule is Rule.standard
-    )
+    blue = _mask(g, state.blue)
+    final = _core.closure_mask(g.n, g.adj, blue, state.leaks.mask, rule is Rule.standard)
     return final == (1 << g.n) - 1
 
 
@@ -155,9 +146,7 @@ def is_ell_leaky_forcing_set(
     (ValueError) and clamps one beyond the vertex count (extra leaks have
     nowhere new to land).
     """
-    if blue.n != g.n:
-        raise ValueError("blue set does not match the graph's vertex count")
-    fail, _ = _core.first_failing_leaks(g.n, g.adj, blue.mask, ell, rule is Rule.standard)
+    fail, _ = _core.first_failing_leaks(g.n, g.adj, _mask(g, blue), ell, rule is Rule.standard)
     if fail < 0:
         return LeakyVerdict(True, None)
     return LeakyVerdict(False, VertexSet.from_mask(g.n, fail))
@@ -173,21 +162,18 @@ def possible_forces(g: Graph, blue: VertexSet) -> frozenset[Force]:
     colored, the unique maximal state reachable without coloring it, and it
     takes every barred closure from one chronological closure.
     """
-    if blue.n != g.n:
-        raise ValueError("blue set does not match the graph's vertex count")
-    masks = _core.realizable_forcers(g.n, g.adj, blue.mask, (1 << g.n) - 1 & ~blue.mask)
-    return frozenset(Force(u, v) for v, mask in enumerate(masks) for u in _bits_ascending(mask))
+    mask = _mask(g, blue)
+    masks = _core.realizable_forcers(g.n, g.adj, mask, (1 << g.n) - 1 & ~mask)
+    return frozenset(Force(u, v) for v, row in enumerate(masks) for u in _bits_ascending(row))
 
 
 def distinct_forcers(g: Graph, blue: VertexSet, v: int) -> int:
     """Number of distinct vertices that can realizably force ``v``."""
-    if blue.n != g.n:
-        raise ValueError("blue set does not match the graph's vertex count")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside [0, {g.n})")
+    mask = _mask(g, blue)
+    g._check_vertex(v)
     if v in blue:
         raise ValueError(f"vertex {v} is already blue; it has no forcers")
-    return _core.realizable_forcers(g.n, g.adj, blue.mask, 1 << v)[v].bit_count()
+    return _core.realizable_forcers(g.n, g.adj, mask, 1 << v)[v].bit_count()
 
 
 def one_leaky_criterion(g: Graph, blue: VertexSet) -> bool:
@@ -201,8 +187,7 @@ def one_leaky_criterion(g: Graph, blue: VertexSet) -> bool:
     which gives a vertex the closure never colors no forcer, so a set that
     does not force the graph fails the count too.
     """
-    if blue.n != g.n:
-        raise ValueError("blue set does not match the graph's vertex count")
-    white = (1 << g.n) - 1 & ~blue.mask
-    masks = _core.realizable_forcers(g.n, g.adj, blue.mask, white)
+    mask = _mask(g, blue)
+    white = (1 << g.n) - 1 & ~mask
+    masks = _core.realizable_forcers(g.n, g.adj, mask, white)
     return all(masks[v].bit_count() >= 2 for v in _bits_ascending(white))

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from . import _core
 from .errors import AuditFailure, GuardError
-from .graph6 import to_graph6
-from .graphs import Graph, VertexSet, _bits_ascending
+from .graph6 import _finding_graph
+from .graphs import Graph, VertexSet, _bits_ascending, _mask
 
 ENUMERATION_GUARD = 20  # fort families grow exponentially with the order
 
@@ -31,11 +31,10 @@ def is_leaky_psd_fort(g: Graph, vertices: VertexSet, ell: int) -> bool:
     of zero this is the classical psd fort.  The kernel rejects a negative
     ``ell`` (ValueError).
     """
-    if vertices.n != g.n:
-        raise ValueError("vertex set does not match the graph")
-    if not vertices:
+    mask = _mask(g, vertices)
+    if not mask:
         raise ValueError("a fort must be nonempty")
-    return _core.is_fort_mask(g.n, g.adj, vertices.mask, ell)
+    return _core.is_fort_mask(g.n, g.adj, mask, ell)
 
 
 def _check_guard(g: Graph, ell: int, max_vertices: int) -> None:
@@ -73,10 +72,8 @@ def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> VertexSet:
     the identity this package relies on is broken on this instance, which
     is raised as an AuditFailure rather than ignored.
     """
-    if blue.n != g.n or leaks.n != g.n:
-        raise ValueError("state does not match the graph")
     full = (1 << g.n) - 1
-    final = _core.closure_mask(g.n, g.adj, blue.mask, leaks.mask, False)
+    final = _core.closure_mask(g.n, g.adj, _mask(g, blue), _mask(g, leaks), False)
     if final == full:
         raise ValueError("closure colors every vertex; there is no fort to extract")
     remainder = VertexSet.from_mask(g.n, full & ~final)
@@ -86,7 +83,7 @@ def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> VertexSet:
             "stalled closure remainder is not a fort",
             {
                 "kind": "fort-extraction",
-                "graph6": to_graph6(g),
+                **_finding_graph(g),
                 "blue": list(blue),
                 "leaks": list(leaks),
                 "remainder": list(remainder),
@@ -120,6 +117,4 @@ def is_connected_fort_standard(g: Graph, fort: VertexSet) -> bool:
     the same budget, since there is only one component for outside vertices
     to threaten.
     """
-    if fort.n != g.n:
-        raise ValueError("fort does not match the graph")
-    return len(_core.components(g.n, g.adj, fort.mask)) <= 1
+    return len(_core.components(g.n, g.adj, _mask(g, fort))) <= 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 from .graphs import Graph
 
 _PREFIX = ">>graph6<<"
+_SHORT_MAX = 62  # the most vertices a one-byte header holds
 
 
 class Graph6Error(ValueError):
@@ -68,7 +69,7 @@ def from_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     """Canonical short-form encoding of a graph on at most 62 vertices."""
-    if g.n > 62:
+    if g.n > _SHORT_MAX:
         raise Graph6Error(f"cannot encode {g.n} vertices in short form")
     bits = 0
     for col in range(1, g.n):
@@ -81,3 +82,11 @@ def to_graph6(g: Graph) -> str:
     for k in range(nbits + pad - 6, -6, -6):
         out.append(chr((bits >> k & 0x3F) + 63))
     return "".join(out)
+
+
+def _finding_graph(g: Graph) -> dict:
+    """The fields that name ``g`` in a finding: its graph6 string, or, on
+    more vertices than the short form holds, its order and edge list."""
+    if g.n > _SHORT_MAX:
+        return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    return {"graph6": to_graph6(g)}

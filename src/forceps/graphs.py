@@ -158,10 +158,16 @@ class Graph:
     def vertex_set(self) -> VertexSet:
         return VertexSet.from_mask(self.n, (1 << self.n) - 1)
 
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside [0, {self.n})")
+
     def neighbors(self, v: int) -> VertexSet:
+        self._check_vertex(v)
         return VertexSet.from_mask(self.n, self.adj[v])
 
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -187,6 +193,13 @@ class Graph:
 
     def num_edges(self) -> int:
         return sum(self.degrees()) // 2
+
+
+def _mask(g: Graph, vs: VertexSet) -> int:
+    """The mask of ``vs``, checked to be a vertex set of ``g``."""
+    if vs.n != g.n:
+        raise ValueError(f"vertex set on {vs.n} vertices does not match a graph on {g.n}")
+    return vs.mask
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:

@@ -31,7 +31,7 @@ from . import _core
 from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule
-from .graph6 import to_graph6
+from .graph6 import _finding_graph, to_graph6
 from .graphs import Graph, VertexSet, cartesian_product, delete_edge
 
 if TYPE_CHECKING:
@@ -219,25 +219,24 @@ def monotonicity_audit(g: Graph, max_ell: int) -> list[int]:
     for ell in range(max_ell + 1):
         psd_vals.append(leaky_number(g, ell, Rule.psd).value)
         std_vals.append(leaky_number(g, ell, Rule.standard).value)
-    g6 = to_graph6(g)
     for ell in range(1, max_ell + 1):
         if psd_vals[ell] < psd_vals[ell - 1]:
             raise AuditFailure(
                 "value decreased when the leak budget grew",
-                {"kind": "leak-monotonicity", "graph6": g6, "values": psd_vals},
+                {"kind": "leak-monotonicity", **_finding_graph(g), "values": psd_vals},
             )
     for ell in range(max_ell + 1):
         if psd_vals[ell] > std_vals[ell]:
             raise AuditFailure(
                 "psd value exceeded the standard-rule value",
-                {"kind": "rule-dominance", "graph6": g6, "ell": ell,
+                {"kind": "rule-dominance", **_finding_graph(g), "ell": ell,
                  "psd": psd_vals[ell], "standard": std_vals[ell]},
             )
     for ell in range(max_ell + 1):
         if (psd_vals[ell] == g.n) != (g.max_degree() <= ell):
             raise AuditFailure(
                 "value-equals-order characterization failed",
-                {"kind": "degree-characterization", "graph6": g6, "ell": ell,
+                {"kind": "degree-characterization", **_finding_graph(g), "ell": ell,
                  "value": psd_vals[ell], "max_degree": g.max_degree()},
             )
     return psd_vals

@@ -72,6 +72,11 @@ def test_hitting_matches_number(capsys):
 def test_audit(capsys):
     code, out, _ = run(capsys, "audit", "--family", "cycle:5", "--max-ell", "2")
     assert code == 0 and "values=[2, 2, 5]" in out
+    # above 62 vertices graph6 has no short form; the audit does not need one
+    code, out, _ = run(capsys, "audit", "--family", "path:64", "--max-ell", "1")
+    assert code == 0 and "values=[1, 2]" in out
+    code, out, _ = run(capsys, "audit", "--family", "cycle:63", "--max-ell", "1")
+    assert code == 0 and "values=[2, 2]" in out
 
 
 def test_jsonl_for_remaining_commands(capsys):
@@ -277,6 +282,21 @@ def test_audit_failure_is_exit_two(capsys, monkeypatch):
     assert code == 2 and '"kind": "rule-dominance"' in err
 
 
+def test_large_graph_finding_names_its_edges(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    def decreasing(g, ell, rule):
+        return SimpleNamespace(value=2 - ell if rule.value == "psd" else 5)
+
+    monkeypatch.setattr("forceps.solve.leaky_number", decreasing)
+    code, _, err = run(capsys, "audit", "--family", "path:64", "--max-ell", "1")
+    assert code == 2
+    assert json.loads(err.split("finding: ", 1)[1]) == {
+        "kind": "leak-monotonicity", "n": 64,
+        "edges": [[v, v + 1] for v in range(63)], "values": [2, 1],
+    }
+
+
 def test_hitting_mismatch_is_exit_two(capsys, monkeypatch):
     import forceps.cli as cli_mod
 
@@ -290,7 +310,8 @@ def test_hitting_mismatch_is_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "leaky_number", inflated)
     code, out, err = run(capsys, "hitting", "--family", "path:3", "--ell", "1")
     assert code == 2 and "match=false" in out
-    assert "fort-hitting-mismatch" in err
+    finding = json.loads(err.split("finding: ", 1)[1])
+    assert finding["kind"] == "fort-hitting-mismatch" and finding["graph6"] == "Bg"
 
 
 def test_scan_window_violation_is_exit_two(capsys, monkeypatch):

@@ -194,22 +194,22 @@ class TestOneLeakyCriterion:
         assert one_leaky_criterion(path(2), vs(2, 0, 1))
 
 
-_STATE = "state does not match the graph's vertex count"
-_BLUE = "blue set does not match the graph's vertex count"
+_FOREIGN = "vertex set on 4 vertices does not match a graph on 3"
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: ColoringState(VertexSet(3), VertexSet(4)),
-     "blue and leak sets live in different universes"),
-    (lambda: force_candidates(path(3), state(4, [0]), Rule.psd), _STATE),
-    (lambda: closure(path(3), state(4, [0]), Rule.psd), _STATE),
-    (lambda: is_ell_leaky_forcing_set(path(3), vs(4, 0), 1), _BLUE),
-    (lambda: possible_forces(path(3), vs(4, 0)), _BLUE),
-    (lambda: distinct_forcers(path(3), vs(4, 0), 1), _BLUE),
+    (lambda: ColoringState(VertexSet(3), VertexSet(4)), "vertex sets live in different universes"),
+    (lambda: force_candidates(path(3), state(4, [0]), Rule.psd), _FOREIGN),
+    (lambda: closure(path(3), state(4, [0]), Rule.psd), _FOREIGN),
+    (lambda: is_forcing_set(path(3), state(4, [0]), Rule.psd), _FOREIGN),
+    (lambda: is_ell_leaky_forcing_set(path(3), vs(4, 0), 1), _FOREIGN),
+    (lambda: possible_forces(path(3), vs(4, 0)), _FOREIGN),
+    (lambda: distinct_forcers(path(3), vs(4, 0), 1), _FOREIGN),
     (lambda: distinct_forcers(path(3), vs(3, 0), 3), "vertex 3 outside [0, 3)"),
-    (lambda: one_leaky_criterion(path(3), vs(4, 0)), _BLUE),
-], ids=["state-universes", "force-candidates", "closure", "leaky-test", "possible-forces",
-        "distinct-forcers-universe", "distinct-forcers-vertex", "one-leaky-criterion"])
+    (lambda: one_leaky_criterion(path(3), vs(4, 0)), _FOREIGN),
+], ids=["state-universes", "force-candidates", "closure", "forcing-set", "leaky-test",
+        "possible-forces", "distinct-forcers-universe", "distinct-forcers-vertex",
+        "one-leaky-criterion"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

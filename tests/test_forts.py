@@ -153,12 +153,15 @@ class TestConnectedForts:
         assert is_connected_fort_standard(path(3), vs(3))
 
 
+_FOREIGN = "vertex set on 4 vertices does not match a graph on 3"
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: is_leaky_psd_fort(path(3), vs(4, 0), 0), "vertex set does not match the graph"),
-    (lambda: fort_from_failure(path(3), vs(4, 0), VertexSet(4)), "state does not match the graph"),
-    (lambda: is_connected_fort_standard(path(3), vs(4, 0)),
-     "fort does not match the graph"),
-], ids=["fort-predicate", "fort-from-failure", "connected-fort"])
+    (lambda: is_leaky_psd_fort(path(3), vs(4, 0), 0), _FOREIGN),
+    (lambda: fort_from_failure(path(3), vs(4, 0), VertexSet(4)), _FOREIGN),
+    (lambda: fort_from_failure(path(3), vs(3, 0), VertexSet(4)), _FOREIGN),
+    (lambda: is_connected_fort_standard(path(3), vs(4, 0)), _FOREIGN),
+], ids=["fort-predicate", "fort-from-failure", "fort-from-failure-leaks", "connected-fort"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
