@@ -4,8 +4,9 @@ The compiled extension ``_ckernel`` is plain C (``_ckernel.c``) that
 setuptools compiles; a ``src/`` checkout gets it with
 ``python setup.py build_ext --inplace``.  Nothing is built at import time:
 when the extension is absent, or FORCEPS_PURE_PYTHON is set to a value other
-than empty or ``0``, the pure Python twin is used.  Both expose identical
-functions with identical results.  A compiled extension whose
+than empty or ``0``, the pure Python twin is used.  The C twin has the six
+functions the workloads time, with identical results; ``closure_mask`` and
+``is_fort_mask`` exist only in Python.  A compiled extension whose
 ``KERNEL_VERSION`` differs from the Python twin's was built from older
 sources; importing it raises ImportError instead of returning other counts.
 """
@@ -30,10 +31,11 @@ else:
 
 BACKEND = kernel.BACKEND
 components = kernel.components
-closure_mask = kernel.closure_mask
 realizable_forcers = kernel.realizable_forcers
 first_failing_leaks = kernel.first_failing_leaks
 search_min_superset = kernel.search_min_superset
-is_fort_mask = kernel.is_fort_mask
 minimal_fort_masks = kernel.minimal_fort_masks
 min_hitting_set = kernel.min_hitting_set
+# Only untimed callers (forcing-set and fort checks) use these: one implementation.
+closure_mask = _pykernel.closure_mask
+is_fort_mask = _pykernel.is_fort_mask

@@ -1,6 +1,7 @@
-/* C twin of the pure Python forcing kernels: same functions, same argument
- * conventions, bit-identical results.  See _pykernel for the semantics.
- * setup.py compiles this file as a plain extension. */
+/* C twin of the six primitives of _pykernel that the workloads time, with the
+ * same argument conventions and bit-identical results.  See _pykernel for the
+ * semantics; its closure_mask and is_fort_mask serve only untimed callers and
+ * have no C twin.  setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
 #define KERNEL_VERSION 9
@@ -364,22 +365,6 @@ static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int stand
     return fort;
 }
 
-static int is_fort(const uint64_t *adj, uint64_t fort, int ell)
-{
-    uint64_t rest, comp, boundary, b, nb;
-    int cnt;
-    for (rest = fort; rest; rest &= ~comp) {
-        comp = component(adj, rest, rest & (0 - rest), &boundary);
-        cnt = 0;
-        for (b = boundary & ~fort; b; b &= b - 1) {
-            nb = adj[CTZ(b)] & comp;
-            if (SINGLE(nb) && ++cnt > ell)
-                return 0;
-        }
-    }
-    return 1;
-}
-
 /* ------------------------------------------------------ Python entries */
 
 static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -402,17 +387,6 @@ static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t
         Py_DECREF(item);
     }
     return found;
-}
-
-static PyObject *py_closure_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    int n, standard;
-    uint64_t adj[64], blue, leaks, forcers;
-    if (check_nargs("closure_mask", nargs, 5, 5) < 0 || get_int(args[0], &n) < 0
-        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
-        || get_vmask(args[3], n, &leaks) < 0 || (standard = PyObject_IsTrue(args[4])) < 0)
-        return NULL;
-    return PyLong_FromUnsignedLongLong(closure(n, adj, blue, leaks, standard, 0, &forcers));
 }
 
 /* Per vertex v, the mask of vertices that force v in some valid leak-free psd
@@ -568,17 +542,6 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
 done:
     PyMem_Free(sc.memo.keys);
     return out;
-}
-
-static PyObject *py_is_fort_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    int n, ell;
-    uint64_t adj[64], fort;
-    if (check_nargs("is_fort_mask", nargs, 4, 4) < 0 || get_int(args[0], &n) < 0
-        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &fort) < 0
-        || get_ell(args[3], &ell, n) < 0)
-        return NULL;
-    return PyBool_FromLong(is_fort(adj, fort, ell));
 }
 
 /* A growable array of masks. */
@@ -844,14 +807,14 @@ done:
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, "See _pykernel." #name "."}
 
 static PyMethodDef methods[] = {
-    METHOD(components), METHOD(closure_mask), METHOD(realizable_forcers), METHOD(first_failing_leaks),
-    METHOD(search_min_superset), METHOD(is_fort_mask), METHOD(minimal_fort_masks),
-    METHOD(min_hitting_set), {NULL, NULL, 0, NULL},
+    METHOD(components), METHOD(realizable_forcers), METHOD(first_failing_leaks),
+    METHOD(search_min_superset), METHOD(minimal_fort_masks), METHOD(min_hitting_set),
+    {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, .m_name = "_ckernel", .m_size = -1, .m_methods = methods,
-    .m_doc = "C twin of the pure Python forcing kernels; see _pykernel for the semantics.",
+    .m_doc = "C twin of the timed pure Python forcing kernels; see _pykernel for the semantics.",
 };
 
 PyMODINIT_FUNC PyInit__ckernel(void)

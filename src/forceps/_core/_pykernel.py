@@ -1,7 +1,9 @@
 """Pure Python forcing kernels over bitmask graphs.
 
-This module is the reference twin of the C kernel: same public functions,
-same argument conventions, same results and error types, bit for bit.
+This module is the reference twin of the C kernel: its functions have the
+same argument conventions, results and error types, bit for bit.  It holds
+every kernel function; the C twin has all but ``closure_mask`` and
+``is_fort_mask``, which no timed caller uses.
 Graphs arrive as a vertex count ``n`` in ``[0, 64]`` (else ValueError)
 plus a sequence of at least ``n`` neighborhood masks (else IndexError);
 vertex sets are plain ints over ``0 .. n-1``.  A mask argument outside

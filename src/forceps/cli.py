@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from typing import Iterator, TextIO
 
@@ -27,7 +25,7 @@ from .errors import AuditFailure, ForcepsError
 from .families import FamilySpec, generate
 from .forcing import ColoringState, Rule, closure, is_ell_leaky_forcing_set, possible_forces
 from .forts import ENUMERATION_GUARD, hitting_number, is_connected_fort_standard, minimal_forts
-from .graph6 import Graph6Error, _finding_graph, from_graph6
+from .graph6 import Graph6Error, _finding_graph, from_graph6, to_graph6
 from .graphs import Graph, VertexSet
 from .solve import (
     ScanSummary,
@@ -37,8 +35,6 @@ from .solve import (
     leaky_number,
     monotonicity_audit,
 )
-
-log = logging.getLogger("forceps")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +53,15 @@ def _vs(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _fmt_vertices(vertices) -> str:
     return "[" + ",".join(map(str, vertices)) + "]"
 
@@ -71,8 +76,7 @@ def _add_source(p: _Parser) -> None:
 def _add_common(p: _Parser, rule: bool = True, workers: bool = False) -> None:
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
     if workers:
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: FORCEPS_WORKERS or 1)")
+        p.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
     if rule:
         p.add_argument("--rule", choices=("psd", "standard"), default="psd")
 
@@ -88,13 +92,6 @@ def _resolve_graph(args) -> Graph:
                     return from_graph6(line)
         raise ForcepsError(f"no graph6 line found in {args.graph6_file}")
     return generate(FamilySpec.parse(args.family))
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("FORCEPS_WORKERS", "")
-    return max(1, int(env)) if env.isdigit() else 1
 
 
 def build_parser() -> _Parser:
@@ -174,7 +171,7 @@ def _print_finding(finding: dict) -> None:
 
 def _cmd_number(args, out: TextIO) -> int:
     g = _resolve_graph(args)
-    res = leaky_number(g, args.ell, Rule(args.rule), workers=_workers(args))
+    res = leaky_number(g, args.ell, Rule(args.rule), workers=args.workers)
     _write(out, args, {
         "value": res.value,
         "witness": list(res.witness),
@@ -229,7 +226,7 @@ def _cmd_forts(args, out: TextIO) -> int:
 def _cmd_hitting(args, out: TextIO) -> int:
     g = _resolve_graph(args)
     value, witness = hitting_number(g, args.ell, max_vertices=args.max_n)
-    solver = leaky_number(g, args.ell, Rule.psd, workers=_workers(args))
+    solver = leaky_number(g, args.ell, Rule.psd, workers=args.workers)
     match = value == solver.value
     _write(out, args, {
         "hitting": value, "witness": list(witness),
@@ -251,20 +248,21 @@ def _read_graph6_stream(fh: TextIO) -> Iterator[Graph]:
         try:
             yield from_graph6(line)
         except Graph6Error as exc:
-            log.warning("skipping malformed graph6 at line %d: %s", lineno, exc)
+            print(f"skipping malformed graph6 at line {lineno}: {exc}", file=sys.stderr)
 
 
 def _cmd_scan_edges(args, out: TextIO) -> int:
     fh = open(args.file) if args.file else sys.stdin
     summary = ScanSummary()
     try:
-        for rec in edge_deletion_scan(_read_graph6_stream(fh), args.ell, _workers(args)):
+        for rec in edge_deletion_scan(_read_graph6_stream(fh), args.ell, args.workers):
             summary.add(rec)
+            g6 = to_graph6(rec.graph)  # a short-form input has at most 62 vertices
             _write(out, args, {
-                "graph6": rec.graph6, "edge": list(rec.edge),
+                "graph6": g6, "edge": list(rec.edge),
                 "value_g": rec.value_g, "value_g_minus_e": rec.value_g_minus_e,
                 "diff": rec.diff,
-            }, f"{rec.graph6} edge=({rec.edge[0]},{rec.edge[1]}) "
+            }, f"{g6} edge=({rec.edge[0]},{rec.edge[1]}) "
                f"value={rec.value_g} deleted={rec.value_g_minus_e} diff={rec.diff}")
     finally:
         if args.file:
@@ -286,9 +284,8 @@ def _cmd_families(args, out: TextIO) -> int:
         jobs = [(FamilySpec.parse(s), tuple(args.ells)) for s in args.family]
     failures = 0
     rows = 0
-    workers = _workers(args)
     for spec, ells in jobs:
-        for row in family_table([spec], ells, workers=workers):
+        for row in family_table([spec], ells, workers=args.workers):
             rows += 1
             exp = "-" if row.expected is None else str(row.expected)
             _write(out, args, {
@@ -328,7 +325,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

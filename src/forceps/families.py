@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graphs import MAX_VERTICES, Graph, cartesian_product
+from .graphs import Graph, _check_order, cartesian_product
 
 
 @dataclass(frozen=True)
@@ -33,24 +33,10 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...] = ()
 
-    _ARITY = {
-        "path": 1,
-        "cycle": 1,
-        "complete": 1,
-        "wheel": 1,
-        "complete_bipartite": 2,
-        "star": 1,
-        "hypercube": 1,
-        "grid": 2,
-        "petersen_gp": 2,
-        "tree_from_pruefer": None,  # variadic
-        "fig3_spider": 0,
-    }
-
     def __post_init__(self):
-        if self.kind not in self._ARITY:
+        if self.kind not in _FAMILIES:
             raise ValueError(f"unknown family {self.kind!r}")
-        arity = self._ARITY[self.kind]
+        arity = _FAMILIES[self.kind][1]
         if arity is not None and len(self.params) != arity:
             raise ValueError(
                 f"family {self.kind} takes {arity} parameter(s), got {len(self.params)}"
@@ -68,12 +54,6 @@ class FamilySpec:
 
     def __str__(self) -> str:
         return ":".join([self.kind, *map(str, self.params)])
-
-
-def _check_order(order: int) -> None:
-    """Reject an order above the capacity before any edge is built."""
-    if order > MAX_VERTICES:
-        raise ValueError(f"vertex count {order} outside [0, {MAX_VERTICES}]")
 
 
 def path(n: int) -> Graph:
@@ -172,21 +152,23 @@ def fig3_spider() -> Graph:
     return Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)])
 
 
-_BUILDERS = {
-    "path": path,
-    "cycle": cycle,
-    "complete": complete,
-    "wheel": wheel,
-    "complete_bipartite": complete_bipartite,
-    "star": star,
-    "hypercube": hypercube,
-    "grid": grid,
-    "petersen_gp": petersen_gp,
-    "fig3_spider": fig3_spider,
+# kind -> (builder, parameter count); None marks the one variadic builder,
+# which takes its parameters as one tuple
+_FAMILIES = {
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "wheel": (wheel, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "star": (star, 1),
+    "hypercube": (hypercube, 1),
+    "grid": (grid, 2),
+    "petersen_gp": (petersen_gp, 2),
+    "tree_from_pruefer": (tree_from_pruefer, None),
+    "fig3_spider": (fig3_spider, 0),
 }
 
 
 def generate(spec: FamilySpec) -> Graph:
-    if spec.kind == "tree_from_pruefer":
-        return tree_from_pruefer(spec.params)
-    return _BUILDERS[spec.kind](*spec.params)
+    builder, arity = _FAMILIES[spec.kind]
+    return builder(spec.params) if arity is None else builder(*spec.params)

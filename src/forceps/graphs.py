@@ -16,6 +16,12 @@ from . import _core
 MAX_VERTICES = 64
 
 
+def _check_order(n: int) -> None:
+    """Reject a vertex count outside the capacity before anything is built."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
 def _bits_ascending(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -128,8 +134,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -145,6 +150,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:

@@ -22,6 +22,7 @@ component of a sharded solve.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from itertools import islice, product as iter_product
 from math import comb
@@ -31,7 +32,7 @@ from . import _core
 from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule
-from .graph6 import _finding_graph, to_graph6
+from .graph6 import _finding_graph
 from .graphs import Graph, VertexSet, cartesian_product, delete_edge
 
 if TYPE_CHECKING:
@@ -62,7 +63,7 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    graph6: str
+    graph: Graph
     edge: tuple[int, int]
     value_g: int
     value_g_minus_e: int
@@ -248,12 +249,11 @@ def monotonicity_audit(g: Graph, max_ell: int) -> list[int]:
 
 def _scan_one(args) -> list[ScanRecord]:
     g, ell = args
-    g6 = to_graph6(g)
     base = leaky_number(g, ell).value
     records = []
     for u, v in g.edges():
         reduced = leaky_number(delete_edge(g, u, v), ell).value
-        records.append(ScanRecord(g6, (u, v), base, reduced))
+        records.append(ScanRecord(g, (u, v), base, reduced))
     return records
 
 
@@ -286,7 +286,7 @@ class ScanSummary:
     records: int = 0
     min_diff: int | None = None
     max_diff: int | None = None
-    increases: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
+    increases: list[tuple[Graph, tuple[int, int]]] = field(default_factory=list)
 
     def add(self, rec: ScanRecord) -> None:
         self.records += 1
@@ -294,7 +294,7 @@ class ScanSummary:
         self.min_diff = d if self.min_diff is None else min(self.min_diff, d)
         self.max_diff = d if self.max_diff is None else max(self.max_diff, d)
         if d == 1:
-            self.increases.append((rec.graph6, rec.edge))
+            self.increases.append((rec.graph, rec.edge))
 
     def window_violations(self, lower: int = -2, upper: int = 1) -> bool:
         if self.records == 0:
@@ -306,8 +306,10 @@ class ScanSummary:
             f"records={self.records} min_diff={self.min_diff} max_diff={self.max_diff}",
             f"deletions that raised the value by 1: {len(self.increases)}",
         ]
-        for g6, (u, v) in self.increases:
-            lines.append(f"  {g6} edge=({u},{v})")
+        for g, (u, v) in self.increases:
+            name = _finding_graph(g)  # graph6, or the edges of a larger graph
+            text = name["graph6"] if "graph6" in name else json.dumps(name)
+            lines.append(f"  {text} edge=({u},{v})")
         return lines
 
 

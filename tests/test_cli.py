@@ -119,12 +119,12 @@ def test_scan_edges_stream(tmp_path, capsys):
     assert "records=5" in err
 
 
-def test_scan_skips_malformed_lines(tmp_path, capsys, caplog):
+def test_scan_skips_malformed_lines(tmp_path, capsys):
     stream = tmp_path / "graphs.g6"
     stream.write_text("A_\n~~~bogus\nBw\n")
-    code, out, _ = run(capsys, "scan-edges", str(stream), "--ell", "1")
+    code, out, err = run(capsys, "scan-edges", str(stream), "--ell", "1")
     assert code == 0
-    assert "skipping malformed graph6 at line 2" in caplog.text
+    assert err.splitlines()[0].startswith("skipping malformed graph6 at line 2: ")
     assert len(out.splitlines()) == 1 + 3  # K2 has one edge, K3 has three
 
 
@@ -137,10 +137,11 @@ def test_scan_byte_identical_across_worker_counts(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_workers_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("FORCEPS_WORKERS", "2")
-    code, out, _ = run(capsys, "number", "--family", "path:5", "--ell", "1")
-    assert code == 0 and out == "2 witness=[0,4]\n"
+@pytest.mark.parametrize("count", ["0", "-2", "two"])
+def test_workers_below_one_is_exit_one(capsys, count):
+    code, out, err = run(capsys, "number", "--family", "path:5", "--ell", "1", "--workers", count)
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: argument --workers: expected an integer >= 1, got '{count}'\n")
 
 
 @pytest.mark.parametrize("argv, takes_workers", [
@@ -220,11 +221,11 @@ def test_graph6_file_of_blank_lines_is_exit_one(tmp_path, capsys):
     assert code == 1 and out == "" and err == f"error: no graph6 line found in {src}\n"
 
 
-def test_scan_skips_blank_lines(tmp_path, capsys, caplog):
+def test_scan_skips_blank_lines(tmp_path, capsys):
     stream = tmp_path / "graphs.g6"
     stream.write_text("\nA_\n  \n\nBw\n\n")
     code, out, err = run(capsys, "scan-edges", str(stream), "--ell", "1")
-    assert code == 0 and caplog.text == ""
+    assert code == 0 and "skipping" not in err
     assert len(out.splitlines()) == 1 + 3 and "records=4" in err
 
 
@@ -320,7 +321,7 @@ def test_scan_window_violation_is_exit_two(capsys, monkeypatch):
 
     def widened(graphs, ell, workers):
         for g in graphs:
-            yield ScanRecord(to_graph6(g), (0, 1), 3, 1)
+            yield ScanRecord(g, (0, 1), 3, 1)
 
     monkeypatch.setattr(cli_mod, "edge_deletion_scan", widened)
     monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))

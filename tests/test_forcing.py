@@ -68,7 +68,7 @@ class TestClosureAgainstKernel:
     def test_chronology_path_matches_kernel_masks(self):
         import random
 
-        from forceps._core import kernel
+        from forceps import _core
         from corpus import random_graph
 
         rng = random.Random(0xC10)
@@ -81,7 +81,7 @@ class TestClosureAgainstKernel:
             )
             for rule, std in ((Rule.psd, False), (Rule.standard, True)):
                 final, chron = closure(g, st, rule)
-                assert final.mask == kernel.closure_mask(g.n, g.adj, blue, leaks, std)
+                assert final.mask == _core.closure_mask(g.n, g.adj, blue, leaks, std)
                 # each target exactly once, never initially blue
                 targets = [f.target for _, f in chron]
                 assert len(targets) == len(set(targets))

@@ -69,11 +69,14 @@ def test_graph_validation():
     (lambda: Graph(2, (0,)), "adjacency length does not match vertex count"),
     (lambda: Graph(2, (0b100, 0)), "neighborhood of 0 leaves [0, 2)"),
     (lambda: Graph.from_edges(2, [(1, 1)]), "loop at vertex 1"),
+    (lambda: Graph.from_edges(10**12, []), "vertex count 1000000000000 outside [0, 64]"),
+    (lambda: Graph.from_edges(-1, [(0, 1)]), "vertex count -1 outside [0, 64]"),
     (lambda: path(3).degree(-1), "vertex -1 outside [0, 3)"),
     (lambda: path(3).neighbors(-1), "vertex -1 outside [0, 3)"),
     (lambda: path(3).degree(3), "vertex 3 outside [0, 3)"),
 ], ids=["vertexset-universe", "from-mask-universe", "from-mask-negative-universe",
         "graph-short-adjacency", "graph-row-range", "from-edges-loop",
+        "from-edges-huge-order", "from-edges-negative-order",
         "degree-negative", "neighbors-negative", "degree-past-end"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

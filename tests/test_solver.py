@@ -17,6 +17,7 @@ from forceps import (
     ScanRecord,
     VertexSet,
     connected_components,
+    delete_edge,
     edge_deletion_scan,
     expected_value,
     family_table,
@@ -335,15 +336,36 @@ class TestEdgeDeletionScan:
         assert first == next(iter(edge_deletion_scan([path(3)], 1)))
         records.close()
 
+    def test_scans_graphs_past_the_graph6_short_form(self):
+        # 63 and 64 vertices have no short-form graph6; a record holds its graph
+        values = {}  # every deletion leaves paths: their sorted orders name it
+        for g in (path(63), path(64), cycle(64)):
+            base = leaky_number(g, 1).value
+            records = list(edge_deletion_scan([g], 1))
+            assert [r.edge for r in records] == list(g.edges())
+            for r in records:
+                assert r.graph == g and r.value_g == base
+                h = delete_edge(g, *r.edge)
+                key = tuple(sorted(len(c) for c in connected_components(h)))
+                if key not in values:
+                    values[key] = leaky_number(h, 1).value
+                assert r.value_g_minus_e == values[key]
+
     def test_summary_collects_increases(self):
         summary = ScanSummary()
         assert not summary.window_violations()  # no record, no violation
-        summary.add(ScanRecord("Bw", (0, 1), 3, 2))
-        summary.add(ScanRecord("A_", (0, 1), 2, 4))
+        summary.add(ScanRecord(complete(3), (0, 1), 3, 2))
+        summary.add(ScanRecord(complete(2), (0, 1), 2, 4))
         assert summary.min_diff == -2 and summary.max_diff == 1
-        assert summary.increases == [("Bw", (0, 1))]
+        assert summary.increases == [(complete(3), (0, 1))]
         assert not summary.window_violations()
-        summary.add(ScanRecord("A_", (0, 1), 5, 2))
+        # past 62 vertices a graph is named the way findings name it
+        summary.add(ScanRecord(path(64), (5, 6), 3, 2))
+        edges = ", ".join(f"[{v}, {v + 1}]" for v in range(63))
+        assert summary.to_lines()[2:] == [
+            "  Bw edge=(0,1)", f'  {{"n": 64, "edges": [{edges}]}} edge=(5,6)',
+        ]
+        summary.add(ScanRecord(complete(2), (0, 1), 5, 2))
         assert summary.window_violations()
 
 
