@@ -602,6 +602,9 @@ struct fort_search {
  *     most ell;
  *   - stop when inside holds a fort of a higher seed (only forts holding x
  *     can be new inside it); a minimal fort would properly contain it;
+ *   - stop when x has no neighbour inside, inside has another vertex, and the
+ *     vertices outside out that x reaches miss some of inside: a minimal fort
+ *     is connected and avoids out, so none holds inside;
  *   - few threats: record a connected inside; a disconnected one branches
  *     on the neighbours of the seed's component.  It is never a fort: its
  *     other components lie above the seed, and a component of a fort is a
@@ -624,6 +627,9 @@ static int grow_fort(struct fort_search *s, int x, uint64_t inside, uint64_t out
     for (t = 0; t < s->holding[x].len; t++)
         if ((s->holding[x].m[t] & ~inside) == 0)
             return 0;
+    if ((adj[x] & inside) == 0 && (inside & (inside - 1)) != 0
+        && (inside & ~component(adj, ~out, (uint64_t)1 << x, &boundary)) != 0)
+        return 0;
     if (POP(threats) <= s->ell) {
         comp = component(adj, inside, inside & (0 - inside), &boundary);
         if (comp == inside)

@@ -520,45 +520,65 @@ def minimal_fort_masks(n, adj, ell) -> list[int]:
     it; a live threat set of size ell + 1 - (permanent) holds one that M
     fixes, and the first such threat's first fix inside M is taken after
     only vertices outside M joined OUT.  No stop rule fires on a proper
-    subset of M, so the path reaches IN = M and records it.
+    subset of M (M is connected and avoids OUT, so the connectivity rule
+    below never fires on the path), so the path reaches IN = M and records
+    it.
 
-    Pruning.  A branch stops as soon as IN contains a fort recorded from a
-    higher seed (checked for the forts holding the vertex just added): a
-    minimal fort holding IN would properly contain that fort.  A fort
-    recorded earlier from the same seed holds a vertex that has since
-    joined OUT, so it is never inside IN.  Recorded sets are connected
-    forts; once a seed is done, those containing another fort of the same
-    seed (found later) are dropped, and the rest are minimal.
+    Pruning.  A branch stops as soon as IN contains a kept fort of a higher
+    seed: a minimal fort holding IN would properly contain that fort.  Only
+    a fort holding the vertex x just added can be new inside IN, so each
+    vertex u keeps the forts holding it in one integer ``packed[u]``, one
+    fort per 65-bit lane, and ``guard[u]`` sets bit 64 of every lane in use.
+    With g = guard[x], each lane of packed[x] & ~(IN * (g >> 64)) is f & ~IN
+    for its fort f, below 2**64, so g minus it borrows within each lane
+    only, and keeps a lane's guard bit exactly when f & ~IN is zero: one
+    expression tests every fort holding x.  A fort recorded earlier from the
+    same seed holds a vertex that has since joined OUT, so it is never
+    inside IN.  A branch also stops when x has no neighbor in IN, IN has
+    another vertex, and the vertices x reaches through vertices outside OUT
+    miss part of IN: every superset of IN that avoids OUT is then
+    disconnected, and a minimal fort is connected and avoids OUT.
+    Recorded sets are connected forts.  Once a seed is done they are taken
+    by size, and one is kept only if it holds no fort kept before from the
+    seed; containment is transitive, so the kept ones are minimal.
     """
     _check_graph(n, adj)
     _check_ell(ell)
     found: list[int] = []
-    holding: list[list[int]] = [[] for _ in range(n)]  # per vertex, forts of higher seeds
+    packed = [0] * n  # per vertex, the kept forts of higher seeds holding it, one per lane
+    guard = [0] * n  # per vertex, bit 64 of each lane in use
     for v in range(n - 1, -1, -1):
         bit = 1 << v
         seeded: list[int] = []
-        _grow_fort(adj, ell, v, bit, bit - 1, adj[v], 0, seeded, holding)
+        _grow_fort(adj, ell, v, bit, bit - 1, adj[v], 0, seeded, packed, guard)
         seeded.sort(key=int.bit_count)
-        for i, f in enumerate(seeded):
-            if any(m & f == m for m in seeded[:i]):
+        kept: list[int] = []
+        for f in seeded:
+            if any(m & f == m for m in kept):
                 continue
-            found.append(f)
+            kept.append(f)
             rest = f
             while rest:
                 low = rest & -rest
-                holding[low.bit_length() - 1].append(f)
+                u = low.bit_length() - 1
+                lane = guard[u].bit_length()  # 65 bits per lane in use
+                packed[u] |= f << lane
+                guard[u] |= 1 << (64 + lane)
                 rest ^= low
+        found += kept
     found.sort(key=_set_order)
     return found
 
 
-def _grow_fort(adj, ell, x, inside, out, once, twice, found, holding) -> None:
+def _grow_fort(adj, ell, x, inside, out, once, twice, found, packed, guard) -> None:
     """Record the minimal forts M with ``inside`` <= M and M & ``out`` empty,
     where ``x`` is the vertex that joined ``inside`` last (see
     minimal_fort_masks for the rules)."""
-    for f in holding[x]:
-        if not f & ~inside:
-            return
+    g = guard[x]
+    if g and (g - (packed[x] & ~(inside * (g >> 64)))) & g:
+        return
+    if not adj[x] & inside and inside & (inside - 1) and inside & ~_component(adj, ~out, 1 << x)[0]:
+        return
     threats = once & ~twice & ~inside
     if threats.bit_count() <= ell:
         comp, reach = _component(adj, inside, inside & -inside)
@@ -570,7 +590,7 @@ def _grow_fort(adj, ell, x, inside, out, once, twice, found, holding) -> None:
             low = grow & -grow
             y = low.bit_length() - 1
             nb = adj[y]
-            _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, found, holding)
+            _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, found, packed, guard)
             out |= low
             grow ^= low
         return
@@ -595,7 +615,7 @@ def _grow_fort(adj, ell, x, inside, out, once, twice, found, holding) -> None:
             low = fixes & -fixes
             y = low.bit_length() - 1
             nb = adj[y]
-            _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, found, holding)
+            _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, found, packed, guard)
             out |= low
             fixes ^= low
         out |= near

@@ -22,12 +22,13 @@ import pytest
 
 from forceps import Graph, Rule, VertexSet, _core, is_ell_leaky_forcing_set, leaky_number
 from forceps._core import _pykernel
-from forceps.families import complete, grid, hypercube, path
+from forceps.families import complete, cycle, grid, hypercube, path, tree_from_pruefer, wheel
 from forceps.solve import _pieces
 
 from corpus import atlas_graphs, interleaved_union, random_graph
 from oracles import (
-    async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_standard_fort, naive_possible_forces,
+    async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_standard_fort, naive_minimal_forts,
+    naive_possible_forces,
 )
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
@@ -403,6 +404,41 @@ def test_fort_kernels_agree(ck):
                 ck.minimal_fort_masks(g.n, g.adj, ell)
 
 
+def _masks(forts):
+    return sorted(sum(1 << v for v in f) for f in forts)
+
+
+def test_fort_search_with_many_forts_per_vertex(ck):
+    # a wheel's hub is the last vertex and lies in most of its minimal
+    # forts, so its packed lanes in _pykernel span many words
+    for rim, count, at_hub in ((12, 123, 111), (16, 568, 552)):
+        g = wheel(rim)
+        masks = _pykernel.minimal_fort_masks(g.n, g.adj, 1)
+        assert (len(masks), sum(m >> rim & 1 for m in masks)) == (count, at_hub)
+        assert at_hub > 64
+        assert ck.minimal_fort_masks(g.n, g.adj, 1) == masks
+        if rim == 12:
+            assert sorted(masks) == _masks(naive_minimal_forts(g, 1))
+
+
+def test_fort_search_on_sparse_graphs(ck):
+    # trees and paths are where a branch can lose its route back to the
+    # seed, which the connectivity prune cuts off
+    rng = random.Random(0x7EE)
+    for _ in range(24):
+        n = rng.randint(10, 16)
+        t = tree_from_pruefer(tuple(rng.randrange(n) for _ in range(n - 2)))
+        for ell in range(4):
+            masks = _pykernel.minimal_fort_masks(n, t.adj, ell)
+            assert ck.minimal_fort_masks(n, t.adj, ell) == masks
+            if n <= 12:
+                assert sorted(masks) == _masks(naive_minimal_forts(t, ell))
+    for n in range(2, 65):
+        p = path(n)
+        for k in (_pykernel, ck):
+            assert k.minimal_fort_masks(n, p.adj, 1) == [1, 1 << n - 1]
+
+
 def _random_family(rng, n, count, width):
     """``count`` nonempty masks over [0, n), each of at most ``width`` vertices."""
     return [sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(width, n)))) for _ in range(count)]
@@ -473,6 +509,12 @@ def test_full_word_capacity(ck):
             k.first_failing_leaks(q6.n, q6.adj, even, -1, False)
         with pytest.raises(ValueError):
             k.search_min_superset(q6.n, q6.adj, even, full, 40, -1, False)
+        # the ends of a path are its one-leak forts; on a cycle every vertex
+        # is a two-leak fort, and vertex 63 fills its lane up to the guard bit
+        p64 = path(64)
+        assert k.minimal_fort_masks(p64.n, p64.adj, 1) == [1, 1 << 63]
+        c64 = cycle(64)
+        assert k.minimal_fort_masks(c64.n, c64.adj, 2) == [1 << v for v in range(64)]
 
 
 def test_compiled_kernel_rejects_out_of_range_arguments(ck):
