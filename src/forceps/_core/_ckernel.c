@@ -76,12 +76,12 @@ static int get_vmask(PyObject *o, int n, uint64_t *out)
     return 0;
 }
 
-static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
-    if (nargs < lo || nargs > hi)
-        PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd positional arguments (%zd given)",
-                     name, lo, hi, nargs);
-    return nargs < lo || nargs > hi ? -1 : 0;
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments (%zd given)", name, want, nargs);
+    return -1;
 }
 
 /* Copy the first n neighbourhood masks of `adj` (a tuple for every Graph) into
@@ -372,7 +372,7 @@ static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t
     int n;
     uint64_t adj[64], inside, rest, comp, boundary;
     PyObject *found, *item;
-    if (check_nargs("components", nargs, 3, 3) < 0 || get_int(args[0], &n) < 0
+    if (check_nargs("components", nargs, 3) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &inside) < 0
         || (found = PyList_New(0)) == NULL)
         return NULL;
@@ -411,7 +411,7 @@ static PyObject *py_realizable_forcers(PyObject *self, PyObject *const *args, Py
     int n, v;
     uint64_t adj[64], blue, targets, full, want, newly, hit, bit, final, comp, s, unused = 0, forcers[64] = {0};
     PyObject *out, *item;
-    if (check_nargs("realizable_forcers", nargs, 4, 4) < 0 || get_int(args[0], &n) < 0
+    if (check_nargs("realizable_forcers", nargs, 4) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
         || get_vmask(args[3], n, &targets) < 0)
         return NULL;
@@ -448,7 +448,7 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
     uint64_t adj[64], blue, leaks, reach;
     long long closures = 0;
     struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
-    if (check_nargs("first_failing_leaks", nargs, 5, 5) < 0 || get_int(args[0], &sc.n) < 0
+    if (check_nargs("first_failing_leaks", nargs, 5) < 0 || get_int(args[0], &sc.n) < 0
         || load_adj(args[1], sc.n, adj) < 0 || get_vmask(args[2], sc.n, &blue) < 0
         || get_ell(args[3], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[4])) < 0)
         return NULL;
@@ -493,7 +493,7 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
     long long candidates = 0, closures = 0;
     PyObject *out = NULL;
     struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
-    if (check_nargs("search_min_superset", nargs, 7, 7) < 0 || get_int(args[0], &n) < 0
+    if (check_nargs("search_min_superset", nargs, 7) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &core) < 0
         || get_vmask(args[3], n, &free_mask) < 0 || get_int(args[4], &k) < 0
         || get_ell(args[5], &sc.ell, n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0)
@@ -685,7 +685,7 @@ static PyObject *py_minimal_fort_masks(PyObject *self, PyObject *const *args, Py
     PyObject *found = NULL, *item;
     memset(&s, 0, sizeof s);
     s.adj = adj;
-    if (check_nargs("minimal_fort_masks", nargs, 3, 3) < 0 || get_int(args[0], &n) < 0
+    if (check_nargs("minimal_fort_masks", nargs, 3) < 0 || get_int(args[0], &n) < 0
         || load_adj(args[1], n, adj) < 0 || get_ell(args[2], &s.ell, n) < 0)
         return NULL;
     for (v = n - 1; v >= 0; v--) {
@@ -781,7 +781,7 @@ static PyObject *py_min_hitting_set(PyObject *self, PyObject *const *args, Py_ss
     Py_ssize_t t, len;
     PyObject *seq, *out = NULL;
     struct hitting h = {{NULL, 0, 0}, 0, 0};
-    if (check_nargs("min_hitting_set", nargs, 2, 2) < 0 || get_int(args[0], &n) < 0)
+    if (check_nargs("min_hitting_set", nargs, 2) < 0 || get_int(args[0], &n) < 0)
         return NULL;
     if (n < 0 || n > 64) {
         fail(PyExc_ValueError, "vertex count outside [0, 64]");

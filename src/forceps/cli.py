@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except AuditFailure as exc:
         _print_finding(exc.finding)
         return 2
-    except (ForcepsError, Graph6Error, ValueError, OSError) as exc:
+    except (ForcepsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -128,8 +128,7 @@ def petersen_gp(n: int, k: int = 1) -> Graph:
 def tree_from_pruefer(seq: tuple[int, ...]) -> Graph:
     """Decode a Pruefer sequence into the labeled tree on len(seq)+2 vertices."""
     n = len(seq) + 2
-    if n > 64:
-        raise ValueError("tree order exceeds the 64-vertex capacity")
+    _check_order(n)
     if any(not 0 <= s < n for s in seq):
         raise ValueError(f"sequence entries must lie in [0, {n})")
     degree = [1] * n

@@ -29,6 +29,13 @@ class Rule(Enum):
     psd = "psd"
 
 
+def _standard(rule: Rule) -> bool:
+    """The kernel's ``standard`` flag for ``rule``, which must be a Rule member."""
+    if not isinstance(rule, Rule):
+        raise TypeError(f"rule must be a Rule member, got {rule!r}")
+    return rule is Rule.standard
+
+
 @dataclass(frozen=True)
 class Force:
     """A single force along the edge source -> target."""
@@ -69,14 +76,14 @@ class LeakyVerdict:
         return self.ok
 
 
-def _valid_forces(g: Graph, blue: int, leaks: int, rule: Rule) -> Iterator[tuple[int, int]]:
+def _valid_forces(g: Graph, blue: int, leaks: int, standard: bool) -> Iterator[tuple[int, int]]:
     """Every (source, target) pair valid in the state of masks ``blue`` and
     ``leaks``; within each part the sources come in ascending order."""
     sources = blue & ~leaks
     white = (1 << g.n) - 1 & ~blue
     # the standard rule is the psd rule with the white vertices as one part
     # whose boundary holds every source
-    parts = [(white, -1)] if rule is Rule.standard else _core.components(g.n, g.adj, white)
+    parts = [(white, -1)] if standard else _core.components(g.n, g.adj, white)
     for comp, boundary in parts:
         for u in _bits_ascending(sources & boundary):
             nb = g.adj[u] & comp
@@ -87,7 +94,7 @@ def _valid_forces(g: Graph, blue: int, leaks: int, rule: Rule) -> Iterator[tuple
 def force_candidates(g: Graph, state: ColoringState, rule: Rule) -> frozenset[Force]:
     """Every force valid in the given state (before any is applied)."""
     blue = _mask(g, state.blue)
-    return frozenset(Force(u, v) for u, v in _valid_forces(g, blue, state.leaks.mask, rule))
+    return frozenset(Force(u, v) for u, v in _valid_forces(g, blue, state.leaks.mask, _standard(rule)))
 
 
 def closure(
@@ -102,13 +109,14 @@ def closure(
     target appearing exactly once.
     """
     blue = _mask(g, state.blue)
+    standard = _standard(rule)
     steps: list[tuple[int, Force]] = []
     rnd = 0
     while True:
         # a target lies in one part, whose sources come in ascending order,
         # so the first pair per target has its smallest source
         per_target: dict[int, int] = {}
-        for u, v in _valid_forces(g, blue, state.leaks.mask, rule):
+        for u, v in _valid_forces(g, blue, state.leaks.mask, standard):
             per_target.setdefault(v, u)
         if not per_target:
             return VertexSet.from_mask(g.n, blue), tuple(steps)
@@ -121,7 +129,7 @@ def closure(
 def is_forcing_set(g: Graph, state: ColoringState, rule: Rule) -> bool:
     """Does the closure of this state color every vertex?"""
     blue = _mask(g, state.blue)
-    final = _core.closure_mask(g.n, g.adj, blue, state.leaks.mask, rule is Rule.standard)
+    final = _core.closure_mask(g.n, g.adj, blue, state.leaks.mask, _standard(rule))
     return final == (1 << g.n) - 1
 
 
@@ -146,7 +154,7 @@ def is_ell_leaky_forcing_set(
     (ValueError) and clamps one beyond the vertex count (extra leaks have
     nowhere new to land).
     """
-    fail, _ = _core.first_failing_leaks(g.n, g.adj, _mask(g, blue), ell, rule is Rule.standard)
+    fail, _ = _core.first_failing_leaks(g.n, g.adj, _mask(g, blue), ell, _standard(rule))
     if fail < 0:
         return LeakyVerdict(True, None)
     return LeakyVerdict(False, VertexSet.from_mask(g.n, fail))

@@ -38,8 +38,7 @@ class VertexSet:
     __slots__ = ("mask", "n")
 
     def __init__(self, n: int, vertices: Iterable[int] = ()) -> None:
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"universe size {n} outside [0, {MAX_VERTICES}]")
+        _check_order(n)
         mask = 0
         for v in vertices:
             if not 0 <= v < n:
@@ -50,8 +49,7 @@ class VertexSet:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "VertexSet":
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"universe size {n} outside [0, {MAX_VERTICES}]")
+        _check_order(n)
         if mask < 0 or mask >> n:
             raise ValueError(f"mask {mask:#x} has bits outside [0, {n})")
         self = cls.__new__(cls)
@@ -126,14 +124,15 @@ class VertexSet:
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph: vertex count plus one neighborhood mask
-    per vertex.  Construction validates symmetry and loop-freeness, so every
-    reachable instance is a valid graph.
+    per vertex.  Construction copies the adjacency into a tuple and validates
+    symmetry and loop-freeness, so every reachable instance is a valid graph.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "adj", tuple(self.adj))
         _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
@@ -153,13 +152,11 @@ class Graph:
         _check_order(n)
         adj = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) leaves [0, {n})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        return cls(n, adj)
 
     def vertex_set(self) -> VertexSet:
         return VertexSet.from_mask(self.n, (1 << self.n) - 1)
@@ -215,7 +212,7 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     adj = list(g.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
-    return Graph(g.n, tuple(adj))
+    return Graph(g.n, adj)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -224,8 +221,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (a,b) ~ (a',b') iff a = a' and b ~ b', or b = b' and a ~ a'.
     """
     n = g.n * h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"product order {n} exceeds {MAX_VERTICES}")
+    _check_order(n)
     adj = [0] * n
     for a in range(g.n):
         for b in range(h.n):
@@ -236,7 +232,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
             for a2 in _bits_ascending(g.adj[a]):
                 row |= 1 << (a2 * h.n + b)
             adj[x] = row
-    return Graph(n, tuple(adj))
+    return Graph(n, adj)
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
@@ -256,7 +252,7 @@ def induced_subgraph(g: Graph, vs: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     for i, v in enumerate(keep):
         for u in _bits_ascending(g.adj[v] & vs.mask):
             adj[i] |= 1 << index[u]
-    return Graph(len(keep), tuple(adj)), tuple(keep)
+    return Graph(len(keep), adj), tuple(keep)
 
 
 def relabel(g: Graph, perm: dict[int, int] | list[int]) -> Graph:

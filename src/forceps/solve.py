@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from . import _core
 from .errors import AuditFailure
 from .families import FamilySpec, generate
-from .forcing import Rule
+from .forcing import Rule, _standard
 from .graph6 import _finding_graph
 from .graphs import Graph, VertexSet, cartesian_product, delete_edge
 
@@ -157,7 +157,7 @@ def leaky_number(
     ell = min(ell, n)
     full = (1 << n) - 1
     core = _degree_core(g, ell)
-    standard = rule is Rule.standard
+    standard = _standard(rule)
     value = witness = nodes = closures = 0
     pool = None
     try:

@@ -528,6 +528,8 @@ def test_compiled_kernel_rejects_out_of_range_arguments(ck):
             ck.components(q6.n, q6.adj, mask)
     with pytest.raises(IndexError):
         ck.first_failing_leaks(3, (0, 0), 1, 0, False)
+    with pytest.raises(TypeError, match=r"^components\(\) takes 3 positional arguments \(2 given\)$"):
+        ck.components(q6.n, q6.adj)
 
 
 def test_twins_reject_out_of_range_masks_alike(ck):

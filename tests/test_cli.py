@@ -259,6 +259,9 @@ def test_empty_graph_number(capsys):
 def test_usage_error_is_exit_one(capsys):
     assert run(capsys, "number", "--family", "path:5")[0] == 1  # missing --ell
     assert run(capsys, "number", "--ell", "1")[0] == 1  # missing source
+    code, out, err = run(capsys, "check", "--family", "path:3", "--blue", "0,x", "--ell", "1")
+    assert code == 1 and out == ""
+    assert err.endswith("error: argument --blue: expected comma-separated integers, got '0,x'\n")
 
 
 def test_operational_error_is_exit_one(capsys):

@@ -148,9 +148,24 @@ _OVER = "vertex count 65 outside [0, 64]"
     ("grid:1:65", _OVER),
     ("petersen_gp:33:1", "vertex count 66 outside [0, 64]"),
     ("hypercube:7", "hypercube dimension 7 exceeds the 64-vertex capacity"),
-    ("tree_from_pruefer" + ":0" * 63, "tree order exceeds the 64-vertex capacity"),
+    ("tree_from_pruefer" + ":0" * 63, _OVER),
 ])
 def test_every_family_rejects_the_first_order_above_capacity(spec, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(FamilySpec.parse(spec))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("path:0", "path needs n >= 1"),
+    ("complete:0", "complete needs n >= 1"),
+    ("wheel:2", "wheel needs rim size n >= 3"),
+    ("complete_bipartite:0:3", "complete_bipartite needs m, n >= 1"),
+    ("hypercube:-1", "hypercube needs d >= 0"),
+    ("grid:0:3", "grid needs n, m >= 1"),
+    ("petersen_gp:5:2", "only petersen_gp(n, 1) (the prism) is supported"),
+    ("petersen_gp:2:1", "petersen_gp needs n >= 3"),
+])
+def test_every_family_rejects_parameters_outside_its_range(spec, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate(FamilySpec.parse(spec))
 

@@ -12,6 +12,7 @@ from forceps import (
     force_candidates,
     is_ell_leaky_forcing_set,
     is_forcing_set,
+    leaky_number,
     one_leaky_criterion,
     possible_forces,
 )
@@ -213,3 +214,16 @@ _FOREIGN = "vertex set on 4 vertices does not match a graph on 3"
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("rule", ["standard", "psd", None])
+@pytest.mark.parametrize("call", [
+    lambda rule: leaky_number(path(3), 0, rule),
+    lambda rule: closure(path(3), state(3, [0]), rule),
+    lambda rule: force_candidates(path(3), state(3, [0]), rule),
+    lambda rule: is_forcing_set(path(3), state(3, [0]), rule),
+    lambda rule: is_ell_leaky_forcing_set(path(3), vs(3, 0), 0, rule),
+], ids=["leaky-number", "closure", "force-candidates", "forcing-set", "leaky-test"])
+def test_a_rule_must_be_a_rule_member(call, rule):
+    with pytest.raises(TypeError, match=f"^{re.escape(f'rule must be a Rule member, got {rule!r}')}$"):
+        call(rule)

@@ -63,9 +63,9 @@ def test_graph_validation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: VertexSet(65), "universe size 65 outside [0, 64]"),
-    (lambda: VertexSet.from_mask(100, 0), "universe size 100 outside [0, 64]"),
-    (lambda: VertexSet.from_mask(-1, 0), "universe size -1 outside [0, 64]"),
+    (lambda: VertexSet(65), "vertex count 65 outside [0, 64]"),
+    (lambda: VertexSet.from_mask(100, 0), "vertex count 100 outside [0, 64]"),
+    (lambda: VertexSet.from_mask(-1, 0), "vertex count -1 outside [0, 64]"),
     (lambda: Graph(2, (0,)), "adjacency length does not match vertex count"),
     (lambda: Graph(2, (0b100, 0)), "neighborhood of 0 leaves [0, 2)"),
     (lambda: Graph.from_edges(2, [(1, 1)]), "loop at vertex 1"),
@@ -74,13 +74,22 @@ def test_graph_validation():
     (lambda: path(3).degree(-1), "vertex -1 outside [0, 3)"),
     (lambda: path(3).neighbors(-1), "vertex -1 outside [0, 3)"),
     (lambda: path(3).degree(3), "vertex 3 outside [0, 3)"),
+    (lambda: cartesian_product(path(9), path(8)), "vertex count 72 outside [0, 64]"),
 ], ids=["vertexset-universe", "from-mask-universe", "from-mask-negative-universe",
         "graph-short-adjacency", "graph-row-range", "from-edges-loop",
         "from-edges-huge-order", "from-edges-negative-order",
-        "degree-negative", "neighbors-negative", "degree-past-end"])
+        "degree-negative", "neighbors-negative", "degree-past-end", "product-order"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_graph_keeps_its_own_adjacency_tuple():
+    adj = [0b10, 0b01]
+    g = Graph(2, adj)
+    assert g == Graph(2, (0b10, 0b01)) and hash(g) == hash(Graph(2, (0b10, 0b01)))
+    adj[0] = 0b11  # a loop at 0, had the graph kept the caller's list
+    assert g.adj == (0b10, 0b01) and g.edges() == [(0, 1)]
 
 
 def test_graph_accessors():
