@@ -4,7 +4,7 @@
  * have no C twin.  setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 9
+#define KERNEL_VERSION 10
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -59,7 +59,7 @@ static int get_mask(PyObject *o, uint64_t *out)
     return *out == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* A vertex-set argument over [0, n), after load_adj has checked n: the same
+/* A vertex-set argument over [0, n), after check_count has passed n: the same
  * errors and messages as _pykernel._check_mask. */
 static int get_vmask(PyObject *o, int n, uint64_t *out)
 {
@@ -84,21 +84,25 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return -1;
 }
 
-/* Copy the first n neighbourhood masks of `adj` (a tuple for every Graph) into
- * `out`; the rest are zeroed, so mask bits at or above n read empty rows. */
-static int load_adj(PyObject *adj, int n, uint64_t *out)
+/* The one vertex-count check: a graph's row count, min_hitting_set's n. */
+static int check_count(Py_ssize_t n)
+{
+    return n < 0 || n > 64 ? fail(PyExc_ValueError, "vertex count outside [0, 64]") : 0;
+}
+
+/* Read a graph's rows, a sequence of at most 64 masks, into `out` and their
+ * count into *n; rows *n..63 are zeroed, so bits at or above *n read empty. */
+static int load_adj(PyObject *adj, int *n, uint64_t *out)
 {
     PyObject *seq;
-    int i, err = 0;
-    if (n < 0 || n > 64)
-        return fail(PyExc_ValueError, "vertex count outside [0, 64]");
+    int i, err;
     if ((seq = PySequence_Fast(adj, "adjacency must be a sequence")) == NULL)
         return -1;
-    if (PySequence_Fast_GET_SIZE(seq) < n)
-        err = fail(PyExc_IndexError, "adjacency shorter than the vertex count");
-    for (i = 0; i < n && !err; i++)
+    err = check_count(PySequence_Fast_GET_SIZE(seq));
+    *n = err ? 0 : (int)PySequence_Fast_GET_SIZE(seq);
+    for (i = 0; i < *n && !err; i++)
         err = get_mask(PySequence_Fast_GET_ITEM(seq, i), &out[i]);
-    memset(out + n, 0, (64 - n) * sizeof *out);
+    memset(out + *n, 0, (64 - *n) * sizeof *out);
     Py_DECREF(seq);
     return err;
 }
@@ -372,9 +376,8 @@ static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t
     int n;
     uint64_t adj[64], inside, rest, comp, boundary;
     PyObject *found, *item;
-    if (check_nargs("components", nargs, 3) < 0 || get_int(args[0], &n) < 0
-        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &inside) < 0
-        || (found = PyList_New(0)) == NULL)
+    if (check_nargs("components", nargs, 2) < 0 || load_adj(args[0], &n, adj) < 0
+        || get_vmask(args[1], n, &inside) < 0 || (found = PyList_New(0)) == NULL)
         return NULL;
     for (rest = inside; rest; rest &= ~comp) {
         comp = component(adj, rest, rest & (0 - rest), &boundary);
@@ -411,9 +414,8 @@ static PyObject *py_realizable_forcers(PyObject *self, PyObject *const *args, Py
     int n, v;
     uint64_t adj[64], blue, targets, full, want, newly, hit, bit, final, comp, s, unused = 0, forcers[64] = {0};
     PyObject *out, *item;
-    if (check_nargs("realizable_forcers", nargs, 4) < 0 || get_int(args[0], &n) < 0
-        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &blue) < 0
-        || get_vmask(args[3], n, &targets) < 0)
+    if (check_nargs("realizable_forcers", nargs, 3) < 0 || load_adj(args[0], &n, adj) < 0
+        || get_vmask(args[1], n, &blue) < 0 || get_vmask(args[2], n, &targets) < 0)
         return NULL;
     full = full_mask(n);
     for (want = targets & ~blue; want; want &= ~newly) {
@@ -448,9 +450,9 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
     uint64_t adj[64], blue, leaks, reach;
     long long closures = 0;
     struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
-    if (check_nargs("first_failing_leaks", nargs, 5) < 0 || get_int(args[0], &sc.n) < 0
-        || load_adj(args[1], sc.n, adj) < 0 || get_vmask(args[2], sc.n, &blue) < 0
-        || get_ell(args[3], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[4])) < 0)
+    if (check_nargs("first_failing_leaks", nargs, 4) < 0 || load_adj(args[0], &sc.n, adj) < 0
+        || get_vmask(args[1], sc.n, &blue) < 0 || get_ell(args[2], &sc.ell, sc.n) < 0
+        || (sc.standard = PyObject_IsTrue(args[3])) < 0)
         return NULL;
     sc.vs = full_mask(sc.n);
     found = failing_leaks(&sc, blue, &leaks, &reach, &closures);
@@ -488,18 +490,17 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
  * _pykernel.search_min_superset, which gives the proofs. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, k, j, i, ncuts = 0, head = 0;
+    int k, j, i, ncuts = 0, head = 0;
     uint64_t adj[64], core, free_mask, full, leaks, reach, p, need, rest, hits, low, cand, unused, cuts[CUTS];
     long long candidates = 0, closures = 0;
     PyObject *out = NULL;
     struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
-    if (check_nargs("search_min_superset", nargs, 7) < 0 || get_int(args[0], &n) < 0
-        || load_adj(args[1], n, adj) < 0 || get_vmask(args[2], n, &core) < 0
-        || get_vmask(args[3], n, &free_mask) < 0 || get_int(args[4], &k) < 0
-        || get_ell(args[5], &sc.ell, n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0)
+    if (check_nargs("search_min_superset", nargs, 6) < 0 || load_adj(args[0], &sc.n, adj) < 0
+        || get_vmask(args[1], sc.n, &core) < 0 || get_vmask(args[2], sc.n, &free_mask) < 0
+        || get_int(args[3], &k) < 0 || get_ell(args[4], &sc.ell, sc.n) < 0
+        || (sc.standard = PyObject_IsTrue(args[5])) < 0)
         return NULL;
-    sc.n = n;
-    full = full_mask(n);
+    full = full_mask(sc.n);
     free_mask &= ~core;
     j = k - POP(core);
     if (j < 0 || j > POP(free_mask))
@@ -685,8 +686,8 @@ static PyObject *py_minimal_fort_masks(PyObject *self, PyObject *const *args, Py
     PyObject *found = NULL, *item;
     memset(&s, 0, sizeof s);
     s.adj = adj;
-    if (check_nargs("minimal_fort_masks", nargs, 3) < 0 || get_int(args[0], &n) < 0
-        || load_adj(args[1], n, adj) < 0 || get_ell(args[2], &s.ell, n) < 0)
+    if (check_nargs("minimal_fort_masks", nargs, 2) < 0 || load_adj(args[0], &n, adj) < 0
+        || get_ell(args[1], &s.ell, n) < 0)
         return NULL;
     for (v = n - 1; v >= 0; v--) {
         s.seeded.len = 0;
@@ -781,13 +782,8 @@ static PyObject *py_min_hitting_set(PyObject *self, PyObject *const *args, Py_ss
     Py_ssize_t t, len;
     PyObject *seq, *out = NULL;
     struct hitting h = {{NULL, 0, 0}, 0, 0};
-    if (check_nargs("min_hitting_set", nargs, 2) < 0 || get_int(args[0], &n) < 0)
-        return NULL;
-    if (n < 0 || n > 64) {
-        fail(PyExc_ValueError, "vertex count outside [0, 64]");
-        return NULL;
-    }
-    if ((seq = PySequence_Fast(args[1], "masks must be a sequence")) == NULL)
+    if (check_nargs("min_hitting_set", nargs, 2) < 0 || get_int(args[0], &n) < 0 || check_count(n) < 0
+        || (seq = PySequence_Fast(args[1], "masks must be a sequence")) == NULL)
         return NULL;
     len = PySequence_Fast_GET_SIZE(seq);
     if (reserve(&h.unhit, len) < 0)

@@ -4,9 +4,9 @@ This module is the reference twin of the C kernel: its functions have the
 same argument conventions, results and error types, bit for bit.  It holds
 every kernel function; the C twin has all but ``closure_mask`` and
 ``is_fort_mask``, which no timed caller uses.
-Graphs arrive as a vertex count ``n`` in ``[0, 64]`` (else ValueError)
-plus a sequence of at least ``n`` neighborhood masks (else IndexError);
-vertex sets are plain ints over ``0 .. n-1``.  A mask argument outside
+A graph arrives as a sequence of at most 64 neighborhood masks, one per
+vertex (else ValueError); its length is the vertex count ``n``, and vertex
+sets are plain ints over ``0 .. n-1``.  A mask argument outside
 ``[0, 2**64)`` raises OverflowError, one naming a vertex at or above ``n``
 raises ValueError, and so does a negative leak budget.  Arguments are
 checked in order: graph, masks, leak budget.
@@ -23,18 +23,17 @@ from collections import deque
 from itertools import combinations
 
 BACKEND = "python"
-# Bumped whenever results or work counters change; _core refuses a compiled
-# twin whose version differs.
-KERNEL_VERSION = 9
+# Bumped whenever results, work counters or signatures change; _core refuses
+# a compiled twin whose version differs.
+KERNEL_VERSION = 10
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
 
-def _check_graph(n, adj) -> None:
+def _check_count(n) -> int:
     if not 0 <= n <= 64:
         raise ValueError("vertex count outside [0, 64]")
-    if len(adj) < n:
-        raise IndexError("adjacency shorter than the vertex count")
+    return n
 
 
 def _check_ell(ell) -> None:
@@ -49,16 +48,14 @@ def _check_mask(n, mask) -> None:
         raise ValueError(f"mask has a vertex outside [0, {n})")
 
 
-def components(n, adj, inside) -> list[tuple[int, int]]:
+def components(adj, inside) -> list[tuple[int, int]]:
     """Connected components of the subgraph induced on ``inside``.
 
     Returns (component_mask, boundary_mask) pairs in ascending order of
     minimum vertex.  The boundary of a component is the set of its
-    neighbors outside ``inside``.  ``n`` is the vertex count: ``inside``
-    must lie in ``[0, n)``.
+    neighbors outside ``inside``, which must lie in ``[0, len(adj))``.
     """
-    _check_graph(n, adj)
-    _check_mask(n, inside)
+    _check_mask(_check_count(len(adj)), inside)
     return _components(adj, inside)
 
 
@@ -133,9 +130,9 @@ def _round(adj, blue, leaks, standard, white, barred) -> tuple[int, int]:
     return hit & ~barred, forcers
 
 
-def closure_mask(n, adj, blue, leaks, standard) -> int:
+def closure_mask(adj, blue, leaks, standard) -> int:
     """Fixed point of round-simultaneous forcing."""
-    _check_graph(n, adj)
+    n = _check_count(len(adj))
     for mask in (blue, leaks):
         _check_mask(n, mask)
     return _closure(n, adj, blue, leaks, standard)[0]
@@ -156,7 +153,7 @@ def _closure(n, adj, blue, leaks, standard, barred=0) -> tuple[int, int]:
         forcers |= f
 
 
-def realizable_forcers(n, adj, blue, targets) -> tuple[int, ...]:
+def realizable_forcers(adj, blue, targets) -> tuple[int, ...]:
     """Per vertex v, the vertices that force v in some valid leak-free psd
     sequence of forces from ``blue``, as a mask: a tuple of ``n`` masks,
     where entry v is 0 unless v is in ``targets`` and outside ``blue``.
@@ -182,7 +179,7 @@ def realizable_forcers(n, adj, blue, targets) -> tuple[int, ...]:
       comes from one search from v.
     The rounds stop once every target is colored or the closure stalls.
     """
-    _check_graph(n, adj)
+    n = _check_count(len(adj))
     _check_mask(n, blue)
     _check_mask(n, targets)
     full = (1 << n) - 1
@@ -356,7 +353,7 @@ def _small_fort(adj, cut, ell, standard) -> int:
     return fort
 
 
-def first_failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int]:
+def first_failing_leaks(adj, blue, ell, standard) -> tuple[int, int]:
     """Lexicographically first size-``ell`` leak placement whose closure
     misses a vertex, or -1 if none exists.  Second item counts closures run.
 
@@ -366,14 +363,14 @@ def first_failing_leaks(n, adj, blue, ell, standard) -> tuple[int, int]:
     closure of their own (see _scan); the answer is the one an exhaustive
     scan of all C(n, ell) placements gives.
     """
-    _check_graph(n, adj)
+    n = _check_count(len(adj))
     _check_mask(n, blue)
     _check_ell(ell)
     leaks, _, closures = _scan(n, adj, blue, (1 << n) - 1, min(ell, n), standard)
     return leaks, closures
 
 
-def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int, int]:
+def search_min_superset(adj, core, free, k, ell, standard) -> tuple[int, int, int]:
     """Scan the sets of ``core`` plus ``k - |core|`` vertices of ``free`` in
     lexicographic order and return the first that forces the graph under
     every ``ell``-leak placement, or -1.  Returns (mask, candidates_tested,
@@ -418,7 +415,7 @@ def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int,
     bit, and each new cut is ANDed in.  A skipped candidate still counts as
     tested.
     """
-    _check_graph(n, adj)
+    n = _check_count(len(adj))
     _check_mask(n, core)
     _check_mask(n, free)
     _check_ell(ell)
@@ -456,11 +453,10 @@ def search_min_superset(n, adj, core, free, k, ell, standard) -> tuple[int, int,
     return -1, candidates, closures
 
 
-def is_fort_mask(n, adj, fort, ell) -> bool:
+def is_fort_mask(adj, fort, ell) -> bool:
     """Fort test: within each component of the induced subgraph on ``fort``,
     at most ``ell`` outside vertices may have exactly one neighbor inside."""
-    _check_graph(n, adj)
-    _check_mask(n, fort)
+    _check_mask(_check_count(len(adj)), fort)
     _check_ell(ell)
     for comp, boundary in _components(adj, fort):
         cnt = 0
@@ -482,7 +478,7 @@ def _set_order(mask) -> tuple[int, int]:
     return mask.bit_count(), -int(f"{mask:064b}"[::-1], 2)
 
 
-def minimal_fort_masks(n, adj, ell) -> list[int]:
+def minimal_fort_masks(adj, ell) -> list[int]:
     """All inclusion-minimal fort masks, by size and then by ascending
     vertex list.
 
@@ -542,7 +538,7 @@ def minimal_fort_masks(n, adj, ell) -> list[int]:
     by size, and one is kept only if it holds no fort kept before from the
     seed; containment is transitive, so the kept ones are minimal.
     """
-    _check_graph(n, adj)
+    n = _check_count(len(adj))
     _check_ell(ell)
     found: list[int] = []
     packed = [0] * n  # per vertex, the kept forts of higher seeds holding it, one per lane
@@ -637,8 +633,7 @@ def min_hitting_set(n, masks) -> tuple[int, int]:
     found; equal sizes are kept, so every optimum is seen and the
     lexicographically first one is returned.
     """
-    if not 0 <= n <= 64:
-        raise ValueError("vertex count outside [0, 64]")
+    _check_count(n)
     for m in masks:
         _check_mask(n, m)
         if not m:

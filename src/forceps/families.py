@@ -34,6 +34,7 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "params", tuple(self.params))
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown family {self.kind!r}")
         arity = _FAMILIES[self.kind][1]

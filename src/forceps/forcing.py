@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import _core
-from .graphs import Graph, VertexSet, _bits_ascending, _mask
+from .graphs import Graph, VertexSet, _bits_ascending, _check_budget, _mask
 
 
 class Rule(Enum):
@@ -83,7 +83,7 @@ def _valid_forces(g: Graph, blue: int, leaks: int, standard: bool) -> Iterator[t
     white = (1 << g.n) - 1 & ~blue
     # the standard rule is the psd rule with the white vertices as one part
     # whose boundary holds every source
-    parts = [(white, -1)] if standard else _core.components(g.n, g.adj, white)
+    parts = [(white, -1)] if standard else _core.components(g.adj, white)
     for comp, boundary in parts:
         for u in _bits_ascending(sources & boundary):
             nb = g.adj[u] & comp
@@ -129,7 +129,7 @@ def closure(
 def is_forcing_set(g: Graph, state: ColoringState, rule: Rule) -> bool:
     """Does the closure of this state color every vertex?"""
     blue = _mask(g, state.blue)
-    final = _core.closure_mask(g.n, g.adj, blue, state.leaks.mask, _standard(rule))
+    final = _core.closure_mask(g.adj, blue, state.leaks.mask, _standard(rule))
     return final == (1 << g.n) - 1
 
 
@@ -150,11 +150,11 @@ def is_ell_leaky_forcing_set(
     L forces the graph too.  The kernel certifies most placements this way,
     running a closure only for the chain of sets S it walks up to each
     placement, and gives the same verdict and witness as running one
-    closure per placement.  The kernel rejects a negative ``ell``
-    (ValueError) and clamps one beyond the vertex count (extra leaks have
-    nowhere new to land).
+    closure per placement.  A bool or non-int ``ell`` raises TypeError, a
+    negative one ValueError; one beyond the vertex count is clamped.
     """
-    fail, _ = _core.first_failing_leaks(g.n, g.adj, _mask(g, blue), ell, _standard(rule))
+    _check_budget(ell)
+    fail, _ = _core.first_failing_leaks(g.adj, _mask(g, blue), ell, _standard(rule))
     if fail < 0:
         return LeakyVerdict(True, None)
     return LeakyVerdict(False, VertexSet.from_mask(g.n, fail))
@@ -171,7 +171,7 @@ def possible_forces(g: Graph, blue: VertexSet) -> frozenset[Force]:
     takes every barred closure from one chronological closure.
     """
     mask = _mask(g, blue)
-    masks = _core.realizable_forcers(g.n, g.adj, mask, (1 << g.n) - 1 & ~mask)
+    masks = _core.realizable_forcers(g.adj, mask, (1 << g.n) - 1 & ~mask)
     return frozenset(Force(u, v) for v, row in enumerate(masks) for u in _bits_ascending(row))
 
 
@@ -181,7 +181,7 @@ def distinct_forcers(g: Graph, blue: VertexSet, v: int) -> int:
     g._check_vertex(v)
     if v in blue:
         raise ValueError(f"vertex {v} is already blue; it has no forcers")
-    return _core.realizable_forcers(g.n, g.adj, mask, 1 << v)[v].bit_count()
+    return _core.realizable_forcers(g.adj, mask, 1 << v)[v].bit_count()
 
 
 def one_leaky_criterion(g: Graph, blue: VertexSet) -> bool:
@@ -197,5 +197,5 @@ def one_leaky_criterion(g: Graph, blue: VertexSet) -> bool:
     """
     mask = _mask(g, blue)
     white = (1 << g.n) - 1 & ~mask
-    masks = _core.realizable_forcers(g.n, g.adj, mask, white)
+    masks = _core.realizable_forcers(g.adj, mask, white)
     return all(masks[v].bit_count() >= 2 for v in _bits_ascending(white))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import _core
 from .errors import AuditFailure, GuardError
 from .graph6 import _finding_graph
-from .graphs import Graph, VertexSet, _bits_ascending, _mask
+from .graphs import Graph, VertexSet, _bits_ascending, _check_budget, _mask
 
 ENUMERATION_GUARD = 20  # fort families grow exponentially with the order
 
@@ -28,18 +28,18 @@ def is_leaky_psd_fort(g: Graph, vertices: VertexSet, ell: int) -> bool:
     alternative "every outside vertex has zero or at least two neighbors
     inside": under that alternative the count is 0 <= ell, and conversely
     any vertex violating it is exactly one the count charges.  At a budget
-    of zero this is the classical psd fort.  The kernel rejects a negative
-    ``ell`` (ValueError).
+    of zero this is the classical psd fort.  A bool or non-int ``ell``
+    raises TypeError, a negative one ValueError.
     """
+    _check_budget(ell)
     mask = _mask(g, vertices)
     if not mask:
         raise ValueError("a fort must be nonempty")
-    return _core.is_fort_mask(g.n, g.adj, mask, ell)
+    return _core.is_fort_mask(g.adj, mask, ell)
 
 
 def _check_guard(g: Graph, ell: int, max_vertices: int) -> None:
-    if ell < 0:
-        raise ValueError("leak budget must be non-negative")
+    _check_budget(ell)
     if g.n > max_vertices:
         raise GuardError(
             f"fort enumeration on {g.n} vertices exceeds the guard "
@@ -60,7 +60,7 @@ def minimal_forts(
     grow exponentially with the order.
     """
     _check_guard(g, ell, max_vertices)
-    masks = sorted(_core.minimal_fort_masks(g.n, g.adj, ell), key=lambda m: list(_bits_ascending(m)))
+    masks = sorted(_core.minimal_fort_masks(g.adj, ell), key=lambda m: list(_bits_ascending(m)))
     return tuple(VertexSet.from_mask(g.n, m) for m in masks)
 
 
@@ -73,12 +73,12 @@ def fort_from_failure(g: Graph, blue: VertexSet, leaks: VertexSet) -> VertexSet:
     is raised as an AuditFailure rather than ignored.
     """
     full = (1 << g.n) - 1
-    final = _core.closure_mask(g.n, g.adj, _mask(g, blue), _mask(g, leaks), False)
+    final = _core.closure_mask(g.adj, _mask(g, blue), _mask(g, leaks), False)
     if final == full:
         raise ValueError("closure colors every vertex; there is no fort to extract")
     remainder = VertexSet.from_mask(g.n, full & ~final)
     ell = len(leaks)
-    if not _core.is_fort_mask(g.n, g.adj, remainder.mask, ell):
+    if not _core.is_fort_mask(g.adj, remainder.mask, ell):
         raise AuditFailure(
             "stalled closure remainder is not a fort",
             {
@@ -105,7 +105,7 @@ def hitting_number(
     the lexicographically first optimal witness.
     """
     _check_guard(g, ell, max_vertices)
-    masks = _core.minimal_fort_masks(g.n, g.adj, ell)
+    masks = _core.minimal_fort_masks(g.adj, ell)
     size, witness = _core.min_hitting_set(g.n, masks)
     return size, VertexSet.from_mask(g.n, witness)
 
@@ -117,4 +117,4 @@ def is_connected_fort_standard(g: Graph, fort: VertexSet) -> bool:
     the same budget, since there is only one component for outside vertices
     to threaten.
     """
-    return len(_core.components(g.n, g.adj, _mask(g, fort))) <= 1
+    return len(_core.components(g.adj, _mask(g, fort))) <= 1

@@ -22,6 +22,14 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
 
+def _check_budget(ell: int) -> None:
+    """Reject a leak budget that is not a non-negative int, a bool included."""
+    if isinstance(ell, bool) or not isinstance(ell, int):
+        raise TypeError(f"leak budget must be an int, got {ell!r}")
+    if ell < 0:
+        raise ValueError("leak budget must be non-negative")
+
+
 def _bits_ascending(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -237,8 +245,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def connected_components(g: Graph) -> list[VertexSet]:
     """Maximal connected vertex sets, ordered by their minimum vertex."""
-    full = (1 << g.n) - 1
-    return [VertexSet.from_mask(g.n, comp) for comp, _ in _core.components(g.n, g.adj, full)]
+    return [VertexSet.from_mask(g.n, comp) for comp, _ in _core.components(g.adj, (1 << g.n) - 1)]
 
 
 def induced_subgraph(g: Graph, vs: VertexSet) -> tuple[Graph, tuple[int, ...]]:

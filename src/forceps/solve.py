@@ -33,7 +33,7 @@ from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule, _standard
 from .graph6 import _finding_graph
-from .graphs import Graph, VertexSet, cartesian_product, delete_edge
+from .graphs import Graph, VertexSet, _check_budget, cartesian_product, delete_edge
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -114,7 +114,7 @@ def _search_pieces(
     """Search one size class as consecutive pieces of at most ``size``
     candidates in ``pool``; the first piece with a hit holds its witness."""
     futures = [
-        pool.submit(_core.search_min_superset, g.n, g.adj, c, f, k, ell, standard)
+        pool.submit(_core.search_min_superset, g.adj, c, f, k, ell, standard)
         for c, f in _pieces(core, free, k - core.bit_count(), size)
     ]
     nodes = 0
@@ -142,17 +142,17 @@ def leaky_number(
 
     The value comes from the exact search alone: the search starts at the
     degree core and takes no bound from the caller, so a value at one
-    budget can check the value at another.  ``ell`` beyond the vertex
-    count is clamped.  Each connected component is searched inside ``g``
-    with every other vertex blue, and the values are summed.  With
-    ``workers > 1`` a size class of at least ``2**14`` candidates is split
-    into consecutive pieces searched in a process pool, which the first
-    such class opens and every later one reuses; the value, witness and
-    ``stats.nodes`` are the serial search's, while ``stats.leak_checks``
-    can differ, since each piece starts with no fort cuts.
+    budget can check the value at another.  A bool ``ell`` raises
+    TypeError, and one beyond the vertex count is clamped.  Each connected
+    component is searched inside ``g`` with every other vertex blue, and
+    the values are summed.  With ``workers > 1`` a size class of at least
+    ``2**14`` candidates is split into consecutive pieces searched in a
+    process pool, which the first such class opens and every later one
+    reuses; the value, witness and ``stats.nodes`` are the serial search's,
+    while ``stats.leak_checks`` can differ, since each piece starts with no
+    fort cuts.
     """
-    if ell < 0:
-        raise ValueError("leak budget must be non-negative")
+    _check_budget(ell)
     n = g.n
     ell = min(ell, n)
     full = (1 << n) - 1
@@ -161,7 +161,7 @@ def leaky_number(
     value = witness = nodes = closures = 0
     pool = None
     try:
-        for comp, _ in _core.components(n, g.adj, full):
+        for comp, _ in _core.components(g.adj, full):
             free = comp & ~core
             outside = n - comp.bit_count()
             if not free:  # every vertex of the component can be stranded
@@ -182,7 +182,7 @@ def leaky_number(
                         pool, g, blue, free, k, ell, standard, -(-total // (4 * workers))
                     )
                 else:
-                    found, cand, clos = _core.search_min_superset(n, g.adj, blue, free, k, ell, standard)
+                    found, cand, clos = _core.search_min_superset(g.adj, blue, free, k, ell, standard)
                 nodes += cand
                 closures += clos
                 if found >= 0:

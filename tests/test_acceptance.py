@@ -177,7 +177,7 @@ def test_c6a_closure_uniqueness_under_reordering():
         for blue in range(1 << g.n):
             for leaks in range(1 << g.n):
                 for std in (False, True):
-                    want = _core.closure_mask(g.n, g.adj, blue, leaks, std)
+                    want = _core.closure_mask(g.adj, blue, leaks, std)
                     got = async_closure_mask(g, blue, leaks, std, cases * 2 + std)
                     assert got == want, (to_graph6(g), blue, leaks, std)
                 cases += 1
@@ -190,15 +190,15 @@ def test_c6b_blue_monotone_and_leak_antitone():
         for blue in range(1 << g.n):
             for leaks in range(1 << g.n):
                 for std in (False, True):
-                    base = _core.closure_mask(g.n, g.adj, blue, leaks, std)
+                    base = _core.closure_mask(g.adj, blue, leaks, std)
                     # single additions/removals generate the full orders
                     for v in range(g.n):
                         bit = 1 << v
                         if not blue & bit:
-                            grown = _core.closure_mask(g.n, g.adj, blue | bit, leaks, std)
+                            grown = _core.closure_mask(g.adj, blue | bit, leaks, std)
                             assert base & ~grown == 0
                         if leaks & bit:
-                            eased = _core.closure_mask(g.n, g.adj, blue, leaks & ~bit, std)
+                            eased = _core.closure_mask(g.adj, blue, leaks & ~bit, std)
                             assert base & ~eased == 0
                     assert base & ~full == 0
     _pass("C6b closure monotone in blue, antitone in leaks (order <= 5)")
@@ -208,8 +208,8 @@ def test_c6c_standard_closure_within_psd_closure():
     for g in atlas_graphs(5, connected=False):
         for blue in range(1 << g.n):
             for leaks in range(1 << g.n):
-                std = _core.closure_mask(g.n, g.adj, blue, leaks, True)
-                psd = _core.closure_mask(g.n, g.adj, blue, leaks, False)
+                std = _core.closure_mask(g.adj, blue, leaks, True)
+                psd = _core.closure_mask(g.adj, blue, leaks, False)
                 assert std & ~psd == 0
     _pass("C6c rule dominance (order <= 5)")
 
@@ -282,7 +282,7 @@ def test_c6h_every_stalled_closure_leaves_a_fort():
             for size in (0, 1, 2):
                 for combo in combinations(range(g.n), size):
                     leaks = VertexSet(g.n, combo)
-                    final = _core.closure_mask(g.n, g.adj, blue.mask, leaks.mask, False)
+                    final = _core.closure_mask(g.adj, blue.mask, leaks.mask, False)
                     cases += 1
                     if final == everything:
                         continue
@@ -311,7 +311,7 @@ def test_c6j_minimal_fort_families_are_sound_and_hit_by_all_sets():
         for ell in (0, 1, 2):
             family = [f.mask for f in minimal_forts(g, ell)]
             for mask in range(1, 1 << g.n):
-                if _core.is_fort_mask(g.n, g.adj, mask, ell):
+                if _core.is_fort_mask(g.adj, mask, ell):
                     assert any(m & mask == m for m in family), "fort missing a minimal core"
             for mask in range(1 << g.n):
                 blue = VertexSet.from_mask(g.n, mask)
@@ -324,8 +324,8 @@ def test_c6k_fort_predicate_relaxes_with_budget():
     for g in atlas_graphs(5, connected=False):
         for mask in range(1, 1 << g.n):
             for ell in (0, 1):
-                if _core.is_fort_mask(g.n, g.adj, mask, ell):
-                    assert _core.is_fort_mask(g.n, g.adj, mask, ell + 1)
+                if _core.is_fort_mask(g.adj, mask, ell):
+                    assert _core.is_fort_mask(g.adj, mask, ell + 1)
     _pass("C6k fort predicate monotone in the leak budget (order <= 5)")
 
 

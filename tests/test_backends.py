@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -102,7 +103,7 @@ def test_async_closures_agree_and_match_canonical():
         seed = rng.getrandbits(64)
         for std in (False, True):
             assert async_closure_mask(g, blue, leaks, std, seed) == \
-                _pykernel.closure_mask(g.n, g.adj, blue, leaks, std)
+                _pykernel.closure_mask(g.adj, blue, leaks, std)
 
 
 def test_realizable_forcers_agree(ck):
@@ -114,25 +115,25 @@ def test_realizable_forcers_agree(ck):
         for _ in range(4):
             blue = rng.getrandbits(g.n)
             for targets in (full, rng.getrandbits(g.n)):
-                assert _pykernel.realizable_forcers(g.n, g.adj, blue, targets) == \
-                    ck.realizable_forcers(g.n, g.adj, blue, targets)
+                assert _pykernel.realizable_forcers(g.adj, blue, targets) == \
+                    ck.realizable_forcers(g.adj, blue, targets)
     # the word boundary: vertex 63 forces in the leak-free closure, so it is
     # a realizable forcer
     for g, blue, rng in _top_forcer_instances(12):
-        masks = _pykernel.realizable_forcers(64, g.adj, blue, (1 << 64) - 1)
-        assert masks == ck.realizable_forcers(64, g.adj, blue, (1 << 64) - 1)
+        masks = _pykernel.realizable_forcers(g.adj, blue, (1 << 64) - 1)
+        assert masks == ck.realizable_forcers(g.adj, blue, (1 << 64) - 1)
         assert any(m >> 63 & 1 for m in masks)
         targets = rng.getrandbits(64)
-        assert _pykernel.realizable_forcers(64, g.adj, blue, targets) == \
-            ck.realizable_forcers(64, g.adj, blue, targets)
+        assert _pykernel.realizable_forcers(g.adj, blue, targets) == \
+            ck.realizable_forcers(g.adj, blue, targets)
     # and vertex 63 white, as a target
     rng = random.Random(0x63)
     for _ in range(40):
         g = random_graph(rng, 64, rng.choice([0.05, 0.1, 0.2]))
         blue = rng.getrandbits(64) & rng.getrandbits(64) & ~(1 << 63)
         for targets in ((1 << 64) - 1, 1 << 63, rng.getrandbits(64) | 1 << 63):
-            assert _pykernel.realizable_forcers(64, g.adj, blue, targets) == \
-                ck.realizable_forcers(64, g.adj, blue, targets)
+            assert _pykernel.realizable_forcers(g.adj, blue, targets) == \
+                ck.realizable_forcers(g.adj, blue, targets)
 
 
 def test_realizable_forcers_match_the_oracle(ck):
@@ -147,9 +148,9 @@ def test_realizable_forcers_match_the_oracle(ck):
             for u, v in naive_possible_forces(g, frozenset(v for v in range(g.n) if blue >> v & 1)):
                 want[v] |= 1 << u
             for k in (_pykernel, ck):
-                assert k.realizable_forcers(g.n, g.adj, blue, full) == tuple(want)
+                assert k.realizable_forcers(g.adj, blue, full) == tuple(want)
                 for v in range(g.n):
-                    masks = k.realizable_forcers(g.n, g.adj, blue, 1 << v)
+                    masks = k.realizable_forcers(g.adj, blue, 1 << v)
                     assert masks == tuple(want[v] if u == v else 0 for u in range(g.n))
 
 
@@ -157,14 +158,14 @@ def test_leak_scans_agree(ck):
     for g, blue, _, rng in _instances(250, max_n=7):
         ell = rng.randint(0, 3)
         for std in (False, True):
-            assert _pykernel.first_failing_leaks(g.n, g.adj, blue, ell, std) == \
-                ck.first_failing_leaks(g.n, g.adj, blue, ell, std)
+            assert _pykernel.first_failing_leaks(g.adj, blue, ell, std) == \
+                ck.first_failing_leaks(g.adj, blue, ell, std)
     # the word boundary: vertex 63 forces, so chains and placements use bit 63
     for g, blue, _ in _top_forcer_instances(12):
         for ell in range(4):
             for std in (False, True):
-                assert _pykernel.first_failing_leaks(64, g.adj, blue, ell, std) == \
-                    ck.first_failing_leaks(64, g.adj, blue, ell, std)
+                assert _pykernel.first_failing_leaks(g.adj, blue, ell, std) == \
+                    ck.first_failing_leaks(g.adj, blue, ell, std)
 
 
 def test_leak_scans_match_the_oracle(ck):
@@ -181,7 +182,7 @@ def test_leak_scans_match_the_oracle(ck):
                     ok, combo = naive_is_ell_leaky(g, blue_set, ell, rule)
                     want = -1 if ok else sum(1 << v for v in combo)
                     for k in (_pykernel, ck):
-                        assert k.first_failing_leaks(g.n, g.adj, blue, ell, rule is Rule.standard)[0] == want
+                        assert k.first_failing_leaks(g.adj, blue, ell, rule is Rule.standard)[0] == want
 
 
 def test_certified_scan_skips_closures(ck):
@@ -190,7 +191,7 @@ def test_certified_scan_skips_closures(ck):
     q3 = hypercube(3)
     even = sum(1 << v for v in range(8) if bin(v).count("1") % 2 == 0)
     for k in (_pykernel, ck):
-        leaks, closures = k.first_failing_leaks(q3.n, q3.adj, even, 2, False)
+        leaks, closures = k.first_failing_leaks(q3.adj, even, 2, False)
         assert leaks == -1
         assert closures < 1 + comb(q3.n, 2)
 
@@ -205,8 +206,8 @@ def test_searches_agree(ck, monkeypatch):
         k = rng.randint(core.bit_count(), g.n)
         ell = rng.randint(0, 2)
         for std in (False, True):
-            assert _pykernel.search_min_superset(g.n, g.adj, core, free, k, ell, std) == \
-                ck.search_min_superset(g.n, g.adj, core, free, k, ell, std)
+            assert _pykernel.search_min_superset(g.adj, core, free, k, ell, std) == \
+                ck.search_min_superset(g.adj, core, free, k, ell, std)
     # 64 vertices with vertex 63 forcing; the core drops a few blue vertices
     for g, blue, rng in _top_forcer_instances(8):
         core = blue & ~sum(1 << v for v in rng.sample(range(63), 3))
@@ -214,8 +215,8 @@ def test_searches_agree(ck, monkeypatch):
             k = core.bit_count() + rng.randint(0, 2)
             free = rng.choice([(1 << 64) - 1, rng.getrandbits(64) | 1 << 63])
             for std in (False, True):
-                assert _pykernel.search_min_superset(64, g.adj, core, free, k, ell, std) == \
-                    ck.search_min_superset(64, g.adj, core, free, k, ell, std)
+                assert _pykernel.search_min_superset(g.adj, core, free, k, ell, std) == \
+                    ck.search_min_superset(g.adj, core, free, k, ell, std)
     # disjoint unions whose core covers one part: leaks go only on the
     # components with a vertex outside the core, and the budget may exceed them
     rng = random.Random(0xDEAD)
@@ -229,8 +230,8 @@ def test_searches_agree(ck, monkeypatch):
         k = rng.randint(core.bit_count(), g.n)
         for ell in (2, 3):
             for std in (False, True):
-                assert _pykernel.search_min_superset(g.n, g.adj, core, free, k, ell, std) == \
-                    ck.search_min_superset(g.n, g.adj, core, free, k, ell, std)
+                assert _pykernel.search_min_superset(g.adj, core, free, k, ell, std) == \
+                    ck.search_min_superset(g.adj, core, free, k, ell, std)
     # 64 vertices in two groups with no edge between them, the dead one
     # inside the core; vertex 63 lies in the dead group, then in the live one
     for top_live in (False, True):
@@ -245,11 +246,11 @@ def test_searches_agree(ck, monkeypatch):
             for ell in range(4):
                 k = core.bit_count() + rng.randint(0, 2)
                 for std in (False, True):
-                    found = _pykernel.search_min_superset(64, g.adj, core, live, k, ell, std)
-                    assert found == ck.search_min_superset(64, g.adj, core, live, k, ell, std)
+                    found = _pykernel.search_min_superset(g.adj, core, live, k, ell, std)
+                    assert found == ck.search_min_superset(g.adj, core, live, k, ell, std)
                     # a hit forces the graph under placements over every vertex
                     if found[0] >= 0:
-                        assert ck.first_failing_leaks(64, g.adj, found[0], ell, std)[0] == -1
+                        assert ck.first_failing_leaks(g.adj, found[0], ell, std)[0] == -1
     # graphs of 10 to 16 vertices, searched class by class from the degree
     # core up to the first hit, as a solve does; most failed candidates'
     # cuts shrink to a smaller fort there
@@ -270,8 +271,8 @@ def test_searches_agree(ck, monkeypatch):
             core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
             for std in (False, True):
                 for k in range(core.bit_count(), n + 1):
-                    found = _pykernel.search_min_superset(n, g.adj, core, (1 << n) - 1, k, ell, std)
-                    assert found == ck.search_min_superset(n, g.adj, core, (1 << n) - 1, k, ell, std)
+                    found = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, k, ell, std)
+                    assert found == ck.search_min_superset(g.adj, core, (1 << n) - 1, k, ell, std)
                     if found[0] >= 0:
                         break
     assert 2 * sum(shrunk) > len(shrunk)
@@ -289,11 +290,11 @@ def test_sharded_search_agrees_with_full_scan(ck):
         for kern in (_pykernel, ck):
             for ell in (0, 1, 2):
                 for std in (False, True):
-                    full = kern.search_min_superset(8, g.adj, core, free, 4, ell, std)
+                    full = kern.search_min_superset(g.adj, core, free, 4, ell, std)
                     for size in (1, 5, 20):
                         found, candidates = -1, 0
                         for c, f in _pieces(core, free, 3, size):
-                            piece, cand, _ = kern.search_min_superset(8, g.adj, c, f, 4, ell, std)
+                            piece, cand, _ = kern.search_min_superset(g.adj, c, f, 4, ell, std)
                             candidates += cand
                             if piece >= 0:
                                 found = piece
@@ -316,7 +317,7 @@ def test_small_forts_lie_in_their_cuts_and_are_forts_of_the_rule():
             blue = rng.getrandbits(n)
             leaks = sum(1 << v for v in rng.sample(range(n), min(ell, n)))
             for std in (False, True):
-                cut = full & ~_pykernel.closure_mask(n, g.adj, blue, leaks, std)
+                cut = full & ~_pykernel.closure_mask(g.adj, blue, leaks, std)
                 if not cut:
                     continue
                 fort = _pykernel._small_fort(g.adj, cut, ell, std)
@@ -325,8 +326,8 @@ def test_small_forts_lie_in_their_cuts_and_are_forts_of_the_rule():
                 if std:
                     assert naive_is_standard_fort(g, {v for v in range(n) if fort >> v & 1}, ell)
                 else:
-                    assert _pykernel.is_fort_mask(n, g.adj, fort, ell)
-                    assert len(_pykernel.components(n, g.adj, fort)) == 1
+                    assert _pykernel.is_fort_mask(g.adj, fort, ell)
+                    assert len(_pykernel.components(g.adj, fort)) == 1
     assert shrunk > 0
 
 
@@ -385,23 +386,23 @@ def test_search_returns_the_first_superset_the_oracle_accepts(ck):
                     expected, count = core | sum(1 << v for v in combo), i
                     break
             for kern in (_pykernel, ck):
-                found = kern.search_min_superset(n, g.adj, core, free_mask, k, ell, rule is Rule.standard)
+                found = kern.search_min_superset(g.adj, core, free_mask, k, ell, rule is Rule.standard)
                 assert found[:2] == (expected, count)
 
 
 def test_fort_kernels_agree(ck):
     for g, _, _, rng in _instances(250, max_n=8):
         ell = rng.randint(0, 2)
-        assert _pykernel.minimal_fort_masks(g.n, g.adj, ell) == \
-            ck.minimal_fort_masks(g.n, g.adj, ell)
+        assert _pykernel.minimal_fort_masks(g.adj, ell) == \
+            ck.minimal_fort_masks(g.adj, ell)
     # every graph on at most 7 vertices, disconnected ones included, and
     # random graphs past the instances' 8 vertices
     rng = random.Random(0xF0F)
     larger = [random_graph(rng, rng.randint(9, 12), rng.choice([0.2, 0.3, 0.5])) for _ in range(60)]
     for g in atlas_graphs(7, connected=False) + tuple(larger):
         for ell in range(4):
-            assert _pykernel.minimal_fort_masks(g.n, g.adj, ell) == \
-                ck.minimal_fort_masks(g.n, g.adj, ell)
+            assert _pykernel.minimal_fort_masks(g.adj, ell) == \
+                ck.minimal_fort_masks(g.adj, ell)
 
 
 def _masks(forts):
@@ -413,10 +414,10 @@ def test_fort_search_with_many_forts_per_vertex(ck):
     # forts, so its packed lanes in _pykernel span many words
     for rim, count, at_hub in ((12, 123, 111), (16, 568, 552)):
         g = wheel(rim)
-        masks = _pykernel.minimal_fort_masks(g.n, g.adj, 1)
+        masks = _pykernel.minimal_fort_masks(g.adj, 1)
         assert (len(masks), sum(m >> rim & 1 for m in masks)) == (count, at_hub)
         assert at_hub > 64
-        assert ck.minimal_fort_masks(g.n, g.adj, 1) == masks
+        assert ck.minimal_fort_masks(g.adj, 1) == masks
         if rim == 12:
             assert sorted(masks) == _masks(naive_minimal_forts(g, 1))
 
@@ -429,14 +430,14 @@ def test_fort_search_on_sparse_graphs(ck):
         n = rng.randint(10, 16)
         t = tree_from_pruefer(tuple(rng.randrange(n) for _ in range(n - 2)))
         for ell in range(4):
-            masks = _pykernel.minimal_fort_masks(n, t.adj, ell)
-            assert ck.minimal_fort_masks(n, t.adj, ell) == masks
+            masks = _pykernel.minimal_fort_masks(t.adj, ell)
+            assert ck.minimal_fort_masks(t.adj, ell) == masks
             if n <= 12:
                 assert sorted(masks) == _masks(naive_minimal_forts(t, ell))
     for n in range(2, 65):
         p = path(n)
         for k in (_pykernel, ck):
-            assert k.minimal_fort_masks(n, p.adj, 1) == [1, 1 << n - 1]
+            assert k.minimal_fort_masks(p.adj, 1) == [1, 1 << n - 1]
 
 
 def _random_family(rng, n, count, width):
@@ -458,39 +459,40 @@ def test_hitting_sets_agree_with_the_oracle(ck):
 
 
 def test_twins_check_graph_and_budget_arguments_alike(ck):
-    # every entry checks the vertex count, the adjacency length and a
-    # negative leak budget with the same error and message in both twins
+    # every entry checks the vertex count (the adjacency's length, or the n
+    # of min_hitting_set) and a negative leak budget with the same error and
+    # message in both twins
     p3 = path(3)
-    # (entry, takes an adjacency, takes a leak budget)
+    # (entry, takes a leak budget)
     entries = (
-        (lambda k, n, adj, ell: k.components(n, adj, 0), True, False),
-        (lambda k, n, adj, ell: k.search_min_superset(n, adj, 1, 6, 2, ell, True), True, True),
-        (lambda k, n, adj, ell: k.realizable_forcers(n, adj, 0, 0), True, False),
-        (lambda k, n, adj, ell: k.first_failing_leaks(n, adj, 0, ell, False), True, True),
-        (lambda k, n, adj, ell: k.search_min_superset(n, adj, 0, 1, 1, ell, False), True, True),
-        (lambda k, n, adj, ell: k.first_failing_leaks(n, adj, 1, ell, True), True, True),
-        (lambda k, n, adj, ell: k.minimal_fort_masks(n, adj, ell), True, True),
-        (lambda k, n, adj, ell: k.min_hitting_set(n, [1]), False, False),
+        (lambda k, adj, ell: k.components(adj, 0), False),
+        (lambda k, adj, ell: k.search_min_superset(adj, 1, 6, 2, ell, True), True),
+        (lambda k, adj, ell: k.realizable_forcers(adj, 0, 0), False),
+        (lambda k, adj, ell: k.first_failing_leaks(adj, 0, ell, False), True),
+        (lambda k, adj, ell: k.search_min_superset(adj, 0, 1, 1, ell, False), True),
+        (lambda k, adj, ell: k.first_failing_leaks(adj, 1, ell, True), True),
+        (lambda k, adj, ell: k.minimal_fort_masks(adj, ell), True),
+        (lambda k, adj, ell: k.min_hitting_set(len(adj), [1]), False),
     )
-    cases = (((65, (0,) * 65), ValueError), ((-1, ()), ValueError), ((5, p3.adj), IndexError))
-    for call, takes_adj, takes_ell in entries:
-        for (n, adj), exc in cases:
-            if exc is IndexError and not takes_adj:
-                continue
-            messages = []
-            for k in (_pykernel, ck):
-                with pytest.raises(exc) as info:
-                    call(k, n, adj, 0)
-                messages.append(str(info.value))
-            assert messages[0] == messages[1]
+    for call, takes_ell in entries:
+        messages = []
+        for k in (_pykernel, ck):
+            with pytest.raises(ValueError) as info:
+                call(k, (0,) * 65, 0)
+            messages.append(str(info.value))
+        assert messages == ["vertex count outside [0, 64]"] * 2
         if takes_ell:
             messages = []
             for k in (_pykernel, ck):
                 with pytest.raises(ValueError) as info:
-                    call(k, 3, p3.adj, -1)
+                    call(k, p3.adj, -1)
                 messages.append(str(info.value))
             assert messages == ["leak budget must be non-negative"] * 2
-        assert call(_pykernel, 3, p3.adj, 1) == call(ck, 3, p3.adj, 1)
+        assert call(_pykernel, p3.adj, 1) == call(ck, p3.adj, 1)
+    # min_hitting_set's count is the one a caller can still make negative
+    for k in (_pykernel, ck):
+        with pytest.raises(ValueError, match=r"^vertex count outside \[0, 64\]$"):
+            k.min_hitting_set(-1, [])
 
 
 def test_full_word_capacity(ck):
@@ -499,51 +501,49 @@ def test_full_word_capacity(ck):
     even = sum(1 << v for v in range(64) if bin(v).count("1") % 2 == 0)
     full = (1 << 64) - 1
     for k in (_pykernel, ck):
-        assert k.components(q6.n, q6.adj, full) == [(full, 0)]
-        assert k.first_failing_leaks(q6.n, q6.adj, even, 0, False) == (-1, 1)
-        assert k.first_failing_leaks(q6.n, q6.adj, 0, 0, False) == (0, 1)
+        assert k.components(q6.adj, full) == [(full, 0)]
+        assert k.first_failing_leaks(q6.adj, even, 0, False) == (-1, 1)
+        assert k.first_failing_leaks(q6.adj, 0, 0, False) == (0, 1)
         # standard rule stalls: every blue vertex has six white neighbors
-        assert k.first_failing_leaks(q6.n, q6.adj, even, 0, True) == (0, 1)
-        assert k.search_min_superset(q6.n, q6.adj, even, 0, 32, 0, False) == (even, 1, 1)
+        assert k.first_failing_leaks(q6.adj, even, 0, True) == (0, 1)
+        assert k.search_min_superset(q6.adj, even, 0, 32, 0, False) == (even, 1, 1)
         with pytest.raises(ValueError):
-            k.first_failing_leaks(q6.n, q6.adj, even, -1, False)
+            k.first_failing_leaks(q6.adj, even, -1, False)
         with pytest.raises(ValueError):
-            k.search_min_superset(q6.n, q6.adj, even, full, 40, -1, False)
+            k.search_min_superset(q6.adj, even, full, 40, -1, False)
         # the ends of a path are its one-leak forts; on a cycle every vertex
         # is a two-leak fort, and vertex 63 fills its lane up to the guard bit
         p64 = path(64)
-        assert k.minimal_fort_masks(p64.n, p64.adj, 1) == [1, 1 << 63]
+        assert k.minimal_fort_masks(p64.adj, 1) == [1, 1 << 63]
         c64 = cycle(64)
-        assert k.minimal_fort_masks(c64.n, c64.adj, 2) == [1 << v for v in range(64)]
+        assert k.minimal_fort_masks(c64.adj, 2) == [1 << v for v in range(64)]
 
 
 def test_compiled_kernel_rejects_out_of_range_arguments(ck):
     q6 = hypercube(6)
     with pytest.raises(ValueError):
-        ck.first_failing_leaks(65, tuple([0] * 65), 0, 0, False)
+        ck.first_failing_leaks(tuple([0] * 65), 0, 0, False)
     for mask in (-1, 1 << 64):
         with pytest.raises(OverflowError):
-            ck.first_failing_leaks(q6.n, q6.adj, mask, 0, False)
+            ck.first_failing_leaks(q6.adj, mask, 0, False)
         with pytest.raises(OverflowError):
-            ck.components(q6.n, q6.adj, mask)
-    with pytest.raises(IndexError):
-        ck.first_failing_leaks(3, (0, 0), 1, 0, False)
-    with pytest.raises(TypeError, match=r"^components\(\) takes 3 positional arguments \(2 given\)$"):
-        ck.components(q6.n, q6.adj)
+            ck.components(q6.adj, mask)
+    with pytest.raises(TypeError, match=r"^components\(\) takes 2 positional arguments \(1 given\)$"):
+        ck.components(q6.adj)
 
 
 def test_twins_reject_out_of_range_masks_alike(ck):
     p3 = path(3)
     calls = (
-        lambda k, mask: k.components(3, p3.adj, mask),
-        lambda k, mask: k.first_failing_leaks(3, p3.adj, mask, 1, True),
-        lambda k, mask: k.search_min_superset(3, p3.adj, mask, 7, 3, 0, True),
+        lambda k, mask: k.components(p3.adj, mask),
+        lambda k, mask: k.first_failing_leaks(p3.adj, mask, 1, True),
+        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 0, True),
         lambda k, mask: k.min_hitting_set(3, [mask]),
-        lambda k, mask: k.realizable_forcers(3, p3.adj, mask, 7),
-        lambda k, mask: k.realizable_forcers(3, p3.adj, 1, mask),
-        lambda k, mask: k.first_failing_leaks(3, p3.adj, mask, 1, False),
-        lambda k, mask: k.search_min_superset(3, p3.adj, mask, 7, 3, 0, False),
-        lambda k, mask: k.search_min_superset(3, p3.adj, 0, mask, 1, 0, False),
+        lambda k, mask: k.realizable_forcers(p3.adj, mask, 7),
+        lambda k, mask: k.realizable_forcers(p3.adj, 1, mask),
+        lambda k, mask: k.first_failing_leaks(p3.adj, mask, 1, False),
+        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 0, False),
+        lambda k, mask: k.search_min_superset(p3.adj, 0, mask, 1, 0, False),
         lambda k, mask: k.min_hitting_set(3, [1, mask]),
     )
     cases = ((0b1001, ValueError), (1 << 63, ValueError), (-1, OverflowError), (1 << 64, OverflowError))
@@ -569,9 +569,9 @@ def test_fort_enumeration_beyond_initial_buffer(ck):
     # complete graph on 12 vertices has 66 minimal pair forts, which crosses
     # the C kernel's first buffer growth
     g = complete(12)
-    masks = ck.minimal_fort_masks(g.n, g.adj, 0)
+    masks = ck.minimal_fort_masks(g.adj, 0)
     assert len(masks) == 66
-    assert masks == _pykernel.minimal_fort_masks(g.n, g.adj, 0)
+    assert masks == _pykernel.minimal_fort_masks(g.adj, 0)
     assert all(m.bit_count() == 2 for m in masks)
 
 
@@ -593,13 +593,13 @@ def test_twins_expose_the_same_functions(ck):
 def test_components_agree(ck):
     for g, inside, _, _ in _instances(400):
         for mask in (inside, (1 << g.n) - 1):
-            assert _pykernel.components(g.n, g.adj, mask) == ck.components(g.n, g.adj, mask)
+            assert _pykernel.components(g.adj, mask) == ck.components(g.adj, mask)
 
 
 def test_components_partition_inside(ck):
     for g, inside, _, _ in _instances(400):
         for k in (_pykernel, ck):
-            comps = k.components(g.n, g.adj, inside)
+            comps = k.components(g.adj, inside)
             union = 0
             for comp, boundary in comps:
                 assert comp and comp & union == 0
@@ -642,6 +642,13 @@ def _import_with_fake_extension(tmp_path, version_line):
         [sys.executable, "-c", "from forceps import _core; print(_core.BACKEND)"],
         env=env, capture_output=True, text=True,
     )
+
+
+def test_c_source_declares_the_python_twins_version():
+    # the ck fixture compares the built module's version, but skips without a
+    # compiler; the source's #define is checked on every machine
+    found = re.findall(r"^#define KERNEL_VERSION (\d+)$", SOURCE.read_text(), re.MULTILINE)
+    assert found == [str(_pykernel.KERNEL_VERSION)]
 
 
 def test_stale_extension_is_refused(tmp_path):

@@ -33,6 +33,14 @@ def test_spec_parse_and_str():
         FamilySpec.parse("grid:4:x")
 
 
+def test_spec_keeps_its_own_parameter_tuple():
+    params = [3]
+    spec = FamilySpec("path", params)
+    assert spec == FamilySpec("path", (3,)) and hash(spec) == hash(FamilySpec("path", (3,)))
+    params[0] = 5
+    assert str(spec) == "path:3" and generate(spec) == path(3)
+
+
 def test_path_cycle_complete():
     assert path(3).edges() == [(0, 1), (1, 2)]
     assert path(1).n == 1

@@ -10,9 +10,12 @@ from forceps import (
     closure,
     distinct_forcers,
     force_candidates,
+    hitting_number,
     is_ell_leaky_forcing_set,
     is_forcing_set,
+    is_leaky_psd_fort,
     leaky_number,
+    minimal_forts,
     one_leaky_criterion,
     possible_forces,
 )
@@ -82,7 +85,7 @@ class TestClosureAgainstKernel:
             )
             for rule, std in ((Rule.psd, False), (Rule.standard, True)):
                 final, chron = closure(g, st, rule)
-                assert final.mask == _core.closure_mask(g.n, g.adj, blue, leaks, std)
+                assert final.mask == _core.closure_mask(g.adj, blue, leaks, std)
                 # each target exactly once, never initially blue
                 targets = [f.target for _, f in chron]
                 assert len(targets) == len(set(targets))
@@ -227,3 +230,20 @@ def test_argument_checks(call, message):
 def test_a_rule_must_be_a_rule_member(call, rule):
     with pytest.raises(TypeError, match=f"^{re.escape(f'rule must be a Rule member, got {rule!r}')}$"):
         call(rule)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ell: leaky_number(path(3), ell),
+    lambda ell: is_ell_leaky_forcing_set(path(3), vs(3, 0), ell),
+    lambda ell: is_leaky_psd_fort(path(3), vs(3, 0), ell),
+    lambda ell: minimal_forts(path(3), ell),
+    lambda ell: hitting_number(path(3), ell),
+], ids=["leaky-number", "leaky-test", "fort-test", "minimal-forts", "hitting-number"])
+def test_a_leak_budget_must_be_a_non_negative_int(call):
+    # a bool is not read as 0 or 1, so no result can report ell=True
+    for ell in (True, False, 1.0, "1"):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'leak budget must be an int, got {ell!r}')}$"):
+            call(ell)
+    with pytest.raises(ValueError, match="^leak budget must be non-negative$"):
+        call(-1)
+    call(1)

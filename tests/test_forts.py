@@ -103,7 +103,7 @@ class TestFortFromFailure:
     def test_remainder_failing_the_predicate_is_reported(self, monkeypatch):
         import forceps._core as core
 
-        monkeypatch.setattr(core, "is_fort_mask", lambda n, adj, mask, ell: False)
+        monkeypatch.setattr(core, "is_fort_mask", lambda adj, mask, ell: False)
         with pytest.raises(AuditFailure) as info:
             fort_from_failure(path(3), vs(3, 0, 1), vs(3, 1))
         assert info.value.finding == {

@@ -162,7 +162,7 @@ class TestParallelSearch:
                 super().__init__(*args, **kwargs)
 
             def submit(self, fn, /, *args, **kwargs):
-                RecordingPool.frees.append(args[3])  # the piece's free mask
+                RecordingPool.frees.append(args[2])  # the piece's free mask
                 return super().submit(fn, *args, **kwargs)
 
             def shutdown(self, wait=True, *, cancel_futures=False):
