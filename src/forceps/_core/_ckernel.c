@@ -4,7 +4,7 @@
  * have no C twin.  setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 10
+#define KERNEL_VERSION 11
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -37,6 +37,18 @@ static int get_int(PyObject *o, int *out)
     if (v < INT_MIN || v > INT_MAX)
         return fail(PyExc_OverflowError, "value too large to convert to int");
     *out = (int)v;
+    return 0;
+}
+
+/* A size-class bound: any int, saturated to the range of int, since the
+ * class range is clipped to 0..64 anyway. */
+static int get_bound(PyObject *o, int *out)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = overflow > 0 || v > INT_MAX ? INT_MAX : overflow < 0 || v < INT_MIN ? INT_MIN : (int)v;
     return 0;
 }
 
@@ -464,81 +476,95 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
     return Py_BuildValue("(KL)", (unsigned long long)leaks, closures);
 }
 
-/* Scan the sets of core plus k - |core| vertices of `free` (core vertices
- * inside it are ignored) in lexicographic order; solve._pieces splits a size
- * class into such pieces.  Leaks go only on `live`, the components with a
- * vertex outside core, with ell clamped to its size: a component inside core
- * is blue with only blue neighbours in every candidate, so a leak on it is
- * wasted, and a candidate's scan runs at most 1 + C(|live|, ell) closures.
- * For ell <= 1 the last leak is a leak-free forcer, already live, so live is
- * computed only for ell >= 2.  A failing candidate's scan gives the
- * closure of a failing chain node S inside the failing placement L, a fixed
- * point under S, so the vertices W outside it are a fort whose threats lie in
- * S.  The cut kept is small_fort's F inside W: at most ell (as clamped)
- * outside vertices with exactly one neighbour in F, and F connected under the
- * psd rule.  A set missing F fails once F's threats leak: while F is white, a
+/* Scan the size classes lo..hi in order, clipped to |core|..|core| + |free|
+ * (an empty range gives (-1, 0, 0)); class k is the sets of core plus
+ * k - |core| vertices of `free` (core vertices inside it are ignored) in
+ * lexicographic order, and solve._pieces splits a class into such pieces.
+ * Leaks go only on `live`, the components with a vertex outside core, with
+ * ell clamped to its size: a component inside core is blue with only blue
+ * neighbours in every candidate, so a leak on it is wasted, and a
+ * candidate's scan runs at most 1 + C(|live|, ell) closures.  For ell <= 1
+ * the last leak is a leak-free forcer, already live, so live is computed
+ * only for ell >= 2.  A failing candidate's scan gives the closure of a
+ * failing chain node S inside the failing placement L, a fixed point under
+ * S, so the vertices W outside it are a fort whose threats lie in S.  The
+ * cut kept is small_fort's F inside W: at most ell (as clamped) outside
+ * vertices with exactly one neighbour in F, and F connected under the psd
+ * rule.  A set missing F fails once F's threats leak: while F is white, a
  * non-leaked blue vertex has no neighbour in F or at least two, so under the
  * standard rule it forces nothing in F, and under the psd rule its
  * neighbours in F share one white component, the one holding F, so it forces
- * no vertex of F either.  Only failing candidates are skipped, so the witness
- * and the candidate count do not depend on the cuts.  The last CUTS (64,
- * fixed) cuts stay in a ring, starting with none.  Candidates are walked
+ * no vertex of F either.  Only failing candidates are skipped, so the
+ * witness and the candidate count do not depend on the cuts.  That argument
+ * never uses the size of the set, so the last CUTS (64, fixed) cuts stay in
+ * one ring for every class of the call, starting with none.  The class of
+ * core alone is one candidate and keeps no cut.  The other classes are walked
  * prefix by prefix, as failing_leaks walks placements; the cuts a prefix
  * misses are ANDed into `need`, and a closure runs only for a last vertex in
  * rest & need, taken by lowest bit.  A skipped candidate still counts as
- * tested.  Same steps and counts as
- * _pykernel.search_min_superset, which gives the proofs. */
+ * tested.  Same steps and counts as _pykernel.search_min_superset, which
+ * gives the proofs. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int k, j, i, ncuts = 0, head = 0;
+    int lo, hi, base, j, i, ncuts = 0, head = 0;
     uint64_t adj[64], core, free_mask, full, leaks, reach, p, need, rest, hits, low, cand, unused, cuts[CUTS];
     long long candidates = 0, closures = 0;
     PyObject *out = NULL;
     struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
-    if (check_nargs("search_min_superset", nargs, 6) < 0 || load_adj(args[0], &sc.n, adj) < 0
+    if (check_nargs("search_min_superset", nargs, 7) < 0 || load_adj(args[0], &sc.n, adj) < 0
         || get_vmask(args[1], sc.n, &core) < 0 || get_vmask(args[2], sc.n, &free_mask) < 0
-        || get_int(args[3], &k) < 0 || get_ell(args[4], &sc.ell, sc.n) < 0
-        || (sc.standard = PyObject_IsTrue(args[5])) < 0)
+        || get_bound(args[3], &lo) < 0 || get_bound(args[4], &hi) < 0
+        || get_ell(args[5], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0)
         return NULL;
     full = full_mask(sc.n);
     free_mask &= ~core;
-    j = k - POP(core);
-    if (j < 0 || j > POP(free_mask))
+    base = POP(core);
+    if (lo < base)
+        lo = base;
+    if (hi > base + POP(free_mask))
+        hi = base + POP(free_mask);
+    if (lo > hi)
         return Py_BuildValue("(iii)", -1, 0, 0);
     sc.vs = sc.ell >= 2 ? component(adj, full, full & ~core, &unused) : full;
     if (sc.ell > POP(sc.vs))
         sc.ell = POP(sc.vs);
-    if (j == 0) {
-        if (failing_leaks(&sc, core, &leaks, &reach, &closures) >= 0)
-            out = reach == full ? Py_BuildValue("(KiL)", (unsigned long long)core, 1, closures)
-                                : Py_BuildValue("(iiL)", -1, 1, closures);
-        goto done;
-    }
-    p = lowest(free_mask & ~HIGH(free_mask), j - 1);
-    do {
-        need = ~(uint64_t)0;
-        for (i = 0; i < ncuts; i++)
-            if (((core | p) & cuts[i]) == 0)
-                need &= cuts[i];
-        for (rest = ABOVE(free_mask, p); (hits = rest & need) != 0;) {
-            low = hits & (0 - hits);
-            candidates += POP(rest & (low - 1)) + 1;
-            rest &= 0 - (low << 1);  /* 0 once low is vertex 63 */
-            cand = core | p | low;
-            if (failing_leaks(&sc, cand, &leaks, &reach, &closures) < 0)
+    for (j = lo - base; j <= hi - base; j++) {
+        if (j == 0) {
+            candidates++;
+            if (failing_leaks(&sc, core, &leaks, &reach, &closures) < 0)
                 goto done;
             if (reach == full) {
-                out = Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
+                out = Py_BuildValue("(KLL)", (unsigned long long)core, candidates, closures);
                 goto done;
             }
-            /* the ring drops its oldest cut once full */
-            cuts[head] = small_fort(adj, full & ~reach, sc.ell, sc.standard);
-            need &= cuts[head];
-            head = (head + 1) % CUTS;
-            ncuts += ncuts < CUTS;
+            continue;
         }
-        candidates += POP(rest);
-    } while ((p = next_prefix(free_mask, p)) != 0);
+        p = lowest(free_mask & ~HIGH(free_mask), j - 1);
+        do {
+            need = ~(uint64_t)0;
+            for (i = 0; i < ncuts; i++)
+                if (((core | p) & cuts[i]) == 0)
+                    need &= cuts[i];
+            for (rest = ABOVE(free_mask, p); (hits = rest & need) != 0;) {
+                low = hits & (0 - hits);
+                candidates += POP(rest & (low - 1)) + 1;
+                rest &= 0 - (low << 1);  /* 0 once low is vertex 63 */
+                cand = core | p | low;
+                if (failing_leaks(&sc, cand, &leaks, &reach, &closures) < 0)
+                    goto done;
+                if (reach == full) {
+                    out = Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
+                    goto done;
+                }
+                /* the ring drops its oldest cut once full */
+                cuts[head] = small_fort(adj, full & ~reach, sc.ell, sc.standard);
+                need &= cuts[head];
+                head = (head + 1) % CUTS;
+                ncuts += ncuts < CUTS;
+            }
+            candidates += POP(rest);
+        } while ((p = next_prefix(free_mask, p)) != 0);
+    }
     out = Py_BuildValue("(iLL)", -1, candidates, closures);
 done:
     PyMem_Free(sc.memo.keys);

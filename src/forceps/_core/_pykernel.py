@@ -25,7 +25,7 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results, work counters or signatures change; _core refuses
 # a compiled twin whose version differs.
-KERNEL_VERSION = 10
+KERNEL_VERSION = 11
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
@@ -370,13 +370,16 @@ def first_failing_leaks(adj, blue, ell, standard) -> tuple[int, int]:
     return leaks, closures
 
 
-def search_min_superset(adj, core, free, k, ell, standard) -> tuple[int, int, int]:
-    """Scan the sets of ``core`` plus ``k - |core|`` vertices of ``free`` in
-    lexicographic order and return the first that forces the graph under
-    every ``ell``-leak placement, or -1.  Returns (mask, candidates_tested,
-    closures_run).  Core vertices inside ``free`` are ignored, so
-    ``full & ~core`` scans every size-``k`` superset of ``core``; a smaller
-    ``free`` scans one piece of that range (see ``solve._pieces``).
+def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, int, int]:
+    """Scan the size classes ``lo`` .. ``hi`` in order, each class k being
+    the sets of ``core`` plus ``k - |core|`` vertices of ``free`` in
+    lexicographic order, and return the first set that forces the graph
+    under every ``ell``-leak placement, or -1.  Returns (mask,
+    candidates_tested, closures_run).  Core vertices inside ``free`` are
+    ignored, so ``full & ~core`` scans every size-k superset of ``core``; a
+    smaller ``free`` scans one piece of that range (see ``solve._pieces``).
+    The range is clipped to |core| .. |core| + |free|, and an empty one
+    returns (-1, 0, 0).
 
     Live vertices.  A component wholly inside ``core`` is blue with only
     blue neighbors in every candidate, so it never forces and a leak on it
@@ -406,14 +409,18 @@ def search_min_superset(adj, core, free, k, ell, standard) -> tuple[int, int, in
     forces no vertex of F either.  So F is never colored, and it is a cut
     that every surviving candidate hits; one that misses W misses F too.
     Only failing candidates are skipped, so the witness and the candidate
-    count do not depend on the cuts, while the closures run do.  One call
-    keeps its last 64 cuts (a fixed number), newest first, and starts with
-    none, so a piece's counts depend only on its own candidates.  The
-    candidates are walked as the leak scan walks placements (see
-    _prefixes): the cuts a prefix P misses are ANDed into ``need``; a
-    closure runs only for a last vertex in ``rest & need``, taken by lowest
-    bit, and each new cut is ANDed in.  A skipped candidate still counts as
-    tested.
+    count do not depend on the cuts, while the closures run do.
+
+    Cuts across classes.  That argument never uses the size of the set
+    missing F, so a cut found in one class binds every later class too.
+    One call keeps its last 64 cuts (a fixed number), newest first, across
+    all of its classes, and starts with none, so a piece's counts depend
+    only on its own candidates.  The class of ``core`` alone is one
+    candidate and keeps no cut.  The other classes are walked as the leak
+    scan walks placements (see _prefixes): the cuts a prefix P misses are
+    ANDed into ``need``; a closure runs only for a last vertex in
+    ``rest & need``, taken by lowest bit, and each new cut is ANDed in.  A
+    skipped candidate still counts as tested.
     """
     n = _check_count(len(adj))
     _check_mask(n, core)
@@ -421,35 +428,42 @@ def search_min_superset(adj, core, free, k, ell, standard) -> tuple[int, int, in
     _check_ell(ell)
     full = (1 << n) - 1
     free &= ~core
-    j = k - core.bit_count()
-    if j < 0 or j > free.bit_count():
+    base = core.bit_count()
+    lo = max(lo, base) - base
+    hi = min(hi, base + free.bit_count()) - base
+    if lo > hi:
         return -1, 0, 0
     live = _component(adj, full, full & ~core)[0] if ell >= 2 else full
     ell = min(ell, live.bit_count())
-    if j == 0:
-        _, reach, closures = _scan(n, adj, core, live, ell, standard)
-        return (core if reach == full else -1), 1, closures
     cuts: deque[int] = deque(maxlen=_CUTS)
     candidates = 0
     closures = 0
-    for pmask, rest in _prefixes(free, j - 1, core):
-        need = full
-        for cut in cuts:
-            if not pmask & cut:
-                need &= cut
-        while hits := rest & need:
-            low = hits & -hits
-            candidates += (rest & low - 1).bit_count() + 1
-            rest &= -(low << 1)
-            cand = pmask | low
-            _, reach, c = _scan(n, adj, cand, live, ell, standard)
+    for j in range(lo, hi + 1):
+        if j == 0:
+            candidates += 1
+            _, reach, c = _scan(n, adj, core, live, ell, standard)
             closures += c
             if reach == full:
-                return cand, candidates, closures
-            cut = _small_fort(adj, full & ~reach, ell, standard)
-            need &= cut
-            cuts.appendleft(cut)
-        candidates += rest.bit_count()
+                return core, candidates, closures
+            continue
+        for pmask, rest in _prefixes(free, j - 1, core):
+            need = full
+            for cut in cuts:
+                if not pmask & cut:
+                    need &= cut
+            while hits := rest & need:
+                low = hits & -hits
+                candidates += (rest & low - 1).bit_count() + 1
+                rest &= -(low << 1)
+                cand = pmask | low
+                _, reach, c = _scan(n, adj, cand, live, ell, standard)
+                closures += c
+                if reach == full:
+                    return cand, candidates, closures
+                cut = _small_fort(adj, full & ~reach, ell, standard)
+                need &= cut
+                cuts.appendleft(cut)
+            candidates += rest.bit_count()
     return -1, candidates, closures
 
 

@@ -1,18 +1,23 @@
 """Exact leak-robust forcing numbers and the audits built on them.
 
-The solver is exhaustive and certified: it seeds the candidate core with
-every vertex of degree at most ell (any of those can be stranded by
-leaking its whole neighborhood, so they belong to every valid set), then
-per connected component scans k-supersets of the core in lexicographic
-order, from the core size up, until one survives every leak placement.
-The degree core is the only bound that skips size classes; it is sound by
-construction, and no caller can pass another.  Within one size class the
-kernel keeps, per failed candidate, a small fort among the vertices its
-stalled closure left white, and runs no closure for a candidate that
-misses one (see
-``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts every
-enumerated candidate, skipped or not.  A component is searched inside the
-whole graph with every other vertex blue: those have no white neighbor,
+The solver is exhaustive and certified: per connected component it scans
+the supersets of a core in lexicographic order, size class by size class,
+until one survives every leak placement.  Two facts, both sound by
+construction, decide where the scan starts; no caller can pass another
+bound.  The core is every vertex of degree at most ell: any of those can be
+stranded by leaking its whole neighborhood, so it belongs to every valid
+set.  And a set with at most ell vertices in a component, short of the
+whole component, fails: once all of them leak, no blue vertex can force
+into the component, since its own blue vertices are leaked and no other
+vertex has a neighbor in it.  A component with a vertex outside the core holds a vertex of
+degree above ell, so it has at least ell + 2 vertices, and its scan starts
+at ell + 1 of them (or at its core, if that is larger).  Each component is
+one kernel call over all of its classes, which keeps, per failed
+candidate, a small fort among the vertices its stalled closure left white
+and runs no closure for a later candidate, of any size, that misses one
+(see ``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts
+every enumerated candidate, skipped or not.  A component is searched inside
+the whole graph with every other vertex blue: those have no white neighbor,
 so they never force, and the kernel places no leak on them.  So each
 component is solved at the full leak budget (the adversary may
 concentrate all leaks in one component), the answers and the counters
@@ -93,6 +98,12 @@ def _degree_core(g: Graph, ell: int) -> int:
     return core
 
 
+def _sharded(workers: int, free: int, j: int) -> bool:
+    """Whether a pool of ``workers`` processes splits the class of the sets
+    with ``j`` vertices of ``free`` into pieces."""
+    return workers > 1 and comb(free.bit_count(), j) >= _PARALLEL_MIN_CANDIDATES
+
+
 def _pieces(core: int, free: int, j: int, size: int) -> Iterator[tuple[int, int]]:
     """Split the candidates ``core`` plus ``j`` vertices of ``free`` into
     pieces ``(core', free')`` of at most ``size`` candidates each (``size``
@@ -114,7 +125,7 @@ def _search_pieces(
     """Search one size class as consecutive pieces of at most ``size``
     candidates in ``pool``; the first piece with a hit holds its witness."""
     futures = [
-        pool.submit(_core.search_min_superset, g.adj, c, f, k, ell, standard)
+        pool.submit(_core.search_min_superset, g.adj, c, f, k, k, ell, standard)
         for c, f in _pieces(core, free, k - core.bit_count(), size)
     ]
     nodes = 0
@@ -141,16 +152,18 @@ def leaky_number(
     ``ell`` leaks, with the lexicographically first optimal witness.
 
     The value comes from the exact search alone: the search starts at the
-    degree core and takes no bound from the caller, so a value at one
+    degree core and at ell + 1 vertices per component (see the module
+    docstring), and takes no bound from the caller, so a value at one
     budget can check the value at another.  A bool ``ell`` raises
     TypeError, and one beyond the vertex count is clamped.  Each connected
-    component is searched inside ``g`` with every other vertex blue, and
-    the values are summed.  With ``workers > 1`` a size class of at least
-    ``2**14`` candidates is split into consecutive pieces searched in a
-    process pool, which the first such class opens and every later one
-    reuses; the value, witness and ``stats.nodes`` are the serial search's,
-    while ``stats.leak_checks`` can differ, since each piece starts with no
-    fort cuts.
+    component is searched inside ``g`` with every other vertex blue, in one
+    kernel call over its size classes, and the values are summed.  With
+    ``workers > 1`` a size class of at least ``2**14`` candidates is split
+    into consecutive pieces searched in a process pool, which the first
+    such class opens and every later one reuses, and each run of smaller
+    classes between them is one kernel call.  The value, witness and
+    ``stats.nodes`` are the serial search's, while ``stats.leak_checks``
+    can differ, since each piece and each run starts with no fort cuts.
     """
     _check_budget(ell)
     n = g.n
@@ -171,24 +184,29 @@ def leaky_number(
             # the vertices outside comp are blue with no white neighbor: they
             # never force, and a leak placed on one is wasted
             blue = core | full & ~comp
-            for k in range(max(blue.bit_count(), outside + 1), n + 1):
-                total = comb(free.bit_count(), k - blue.bit_count())
-                if workers > 1 and total >= _PARALLEL_MIN_CANDIDATES:
+            base = blue.bit_count()
+            k = max(base, outside + ell + 1)
+            found = -1
+            while found < 0:
+                hi = k
+                if _sharded(workers, free, k - base):
                     if pool is None:
                         import concurrent.futures  # only pool paths pay its import
 
                         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-                    found, cand, clos = _search_pieces(
-                        pool, g, blue, free, k, ell, standard, -(-total // (4 * workers))
-                    )
+                    size = -(-comb(free.bit_count(), k - base) // (4 * workers))
+                    found, cand, clos = _search_pieces(pool, g, blue, free, k, ell, standard, size)
                 else:
-                    found, cand, clos = _core.search_min_superset(g.adj, blue, free, k, ell, standard)
+                    # the classes up to the next one the pool splits, or to
+                    # the whole graph, which always forces: one kernel call
+                    while hi < n and not _sharded(workers, free, hi + 1 - base):
+                        hi += 1
+                    found, cand, clos = _core.search_min_superset(g.adj, blue, free, k, hi, ell, standard)
                 nodes += cand
                 closures += clos
-                if found >= 0:
-                    value += k - outside
-                    witness |= found & comp
-                    break
+                k = hi + 1
+            value += found.bit_count() - outside
+            witness |= found & comp
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -212,7 +230,8 @@ def monotonicity_audit(g: Graph, max_ell: int) -> list[int]:
     above the standard-rule value at the same budget, and equal to the
     order exactly when no vertex has degree above the budget.  Every value
     is solved on its own, so a wrong one raises AuditFailure instead of
-    being masked by its neighbor's."""
+    being masked by its neighbor's.  A bool ``max_ell`` raises TypeError."""
+    _check_budget(max_ell)
     if not 0 <= max_ell <= g.n:
         raise ValueError(f"max_ell must lie in [0, {g.n}]")
     psd_vals: list[int] = []

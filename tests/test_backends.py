@@ -203,20 +203,24 @@ def test_searches_agree(ck, monkeypatch):
         core = blue & rng.getrandbits(g.n)
         # free may hold core vertices, which the search ignores
         free = rng.choice([(1 << g.n) - 1 & ~core, rng.getrandbits(g.n)])
-        k = rng.randint(core.bit_count(), g.n)
+        # a range may start below |core|, end past |core| + |free|, even
+        # past the range of a C int, or be empty
+        lo = rng.choice([-1 << 70, rng.randint(-1, g.n)])
+        hi = rng.choice([lo - 1, rng.randint(max(lo, -1), g.n + 2), 1 << 70])
         ell = rng.randint(0, 2)
         for std in (False, True):
-            assert _pykernel.search_min_superset(g.adj, core, free, k, ell, std) == \
-                ck.search_min_superset(g.adj, core, free, k, ell, std)
+            assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
+                ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
     # 64 vertices with vertex 63 forcing; the core drops a few blue vertices
     for g, blue, rng in _top_forcer_instances(8):
         core = blue & ~sum(1 << v for v in rng.sample(range(63), 3))
+        hi = core.bit_count() + 2
         for ell in range(4):
-            k = core.bit_count() + rng.randint(0, 2)
+            lo = hi - rng.randint(0, 2)
             free = rng.choice([(1 << 64) - 1, rng.getrandbits(64) | 1 << 63])
             for std in (False, True):
-                assert _pykernel.search_min_superset(g.adj, core, free, k, ell, std) == \
-                    ck.search_min_superset(g.adj, core, free, k, ell, std)
+                assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
+                    ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
     # disjoint unions whose core covers one part: leaks go only on the
     # components with a vertex outside the core, and the budget may exceed them
     rng = random.Random(0xDEAD)
@@ -227,11 +231,12 @@ def test_searches_agree(ck, monkeypatch):
         part = sum(1 << v for v in a_to)
         core = part | rng.getrandbits(g.n) & ~part & rng.getrandbits(g.n)
         free = rng.choice([(1 << g.n) - 1, rng.getrandbits(g.n)])
-        k = rng.randint(core.bit_count(), g.n)
+        lo = rng.randint(core.bit_count(), g.n)
+        hi = rng.randint(lo, g.n)
         for ell in (2, 3):
             for std in (False, True):
-                assert _pykernel.search_min_superset(g.adj, core, free, k, ell, std) == \
-                    ck.search_min_superset(g.adj, core, free, k, ell, std)
+                assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
+                    ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
     # 64 vertices in two groups with no edge between them, the dead one
     # inside the core; vertex 63 lies in the dead group, then in the live one
     for top_live in (False, True):
@@ -244,16 +249,17 @@ def test_searches_agree(ck, monkeypatch):
                                       if inside[u] == inside[v] and rng.random() < 0.4])
             core = (1 << 64) - 1 & ~live | rng.getrandbits(64) & live & rng.getrandbits(64)
             for ell in range(4):
-                k = core.bit_count() + rng.randint(0, 2)
+                lo = core.bit_count() + rng.randint(0, 2)
+                hi = core.bit_count() + 2
                 for std in (False, True):
-                    found = _pykernel.search_min_superset(g.adj, core, live, k, ell, std)
-                    assert found == ck.search_min_superset(g.adj, core, live, k, ell, std)
+                    found = _pykernel.search_min_superset(g.adj, core, live, lo, hi, ell, std)
+                    assert found == ck.search_min_superset(g.adj, core, live, lo, hi, ell, std)
                     # a hit forces the graph under placements over every vertex
                     if found[0] >= 0:
                         assert ck.first_failing_leaks(g.adj, found[0], ell, std)[0] == -1
-    # graphs of 10 to 16 vertices, searched class by class from the degree
-    # core up to the first hit, as a solve does; most failed candidates'
-    # cuts shrink to a smaller fort there
+    # graphs of 10 to 16 vertices, searched in one call from the degree
+    # core, or from ell + 1 vertices, up, as a solve does; most failed
+    # candidates' cuts shrink to a smaller fort there
     small_fort = _pykernel._small_fort
     shrunk = []
 
@@ -269,12 +275,11 @@ def test_searches_agree(ck, monkeypatch):
         g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.4]))
         for ell in (1, 2, 3):
             core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
+            lo = max(core.bit_count(), ell + 1)
             for std in (False, True):
-                for k in range(core.bit_count(), n + 1):
-                    found = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, k, ell, std)
-                    assert found == ck.search_min_superset(g.adj, core, (1 << n) - 1, k, ell, std)
-                    if found[0] >= 0:
-                        break
+                found = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std)
+                assert found[0] >= 0
+                assert found == ck.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std)
     assert 2 * sum(shrunk) > len(shrunk)
 
 
@@ -290,16 +295,46 @@ def test_sharded_search_agrees_with_full_scan(ck):
         for kern in (_pykernel, ck):
             for ell in (0, 1, 2):
                 for std in (False, True):
-                    full = kern.search_min_superset(g.adj, core, free, 4, ell, std)
+                    full = kern.search_min_superset(g.adj, core, free, 4, 4, ell, std)
                     for size in (1, 5, 20):
                         found, candidates = -1, 0
                         for c, f in _pieces(core, free, 3, size):
-                            piece, cand, _ = kern.search_min_superset(g.adj, c, f, 4, ell, std)
+                            piece, cand, _ = kern.search_min_superset(g.adj, c, f, 4, 4, ell, std)
                             candidates += cand
                             if piece >= 0:
                                 found = piece
                                 break
                         assert (found, candidates) == full[:2]
+
+
+def test_a_range_call_chains_its_classes(ck):
+    # one call over the classes lo..hi finds what single-class calls find,
+    # class by class up to the first hit: the same set after the same
+    # candidates, since only the closures depend on the cuts a call keeps.
+    # The call keeps its cuts across its classes, so it runs fewer closures
+    rng = random.Random(0xC1A55)
+    chained_closures = whole_closures = 0
+    for _ in range(40):
+        n = rng.randint(6, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.5]))
+        ell = rng.randint(0, 3)
+        core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
+        free = rng.choice([(1 << n) - 1, rng.getrandbits(n)])
+        lo = rng.randint(0, n)
+        hi = rng.randint(lo, n)
+        for std in (False, True):
+            for kern in (_pykernel, ck):
+                found, candidates = -1, 0
+                for k in range(lo, hi + 1):
+                    found, cand, clos = kern.search_min_superset(g.adj, core, free, k, k, ell, std)
+                    candidates += cand
+                    chained_closures += clos
+                    if found >= 0:
+                        break
+                whole = kern.search_min_superset(g.adj, core, free, lo, hi, ell, std)
+                assert whole[:2] == (found, candidates)
+                whole_closures += whole[2]
+    assert whole_closures < chained_closures
 
 
 def test_small_forts_lie_in_their_cuts_and_are_forts_of_the_rule():
@@ -355,8 +390,8 @@ def test_sets_missing_a_kept_cut_fail():
 def test_anchor_leak_checks_are_pinned(ck, monkeypatch):
     # perfbench's solve anchors: weaker cuts would run more closures
     pinned = {
-        (hypercube(4), 2): {Rule.psd: 2967, Rule.standard: 230},
-        (grid(4, 4), 1): {Rule.psd: 187, Rule.standard: 74},
+        (hypercube(4), 2): {Rule.psd: 2940, Rule.standard: 169},
+        (grid(4, 4), 1): {Rule.psd: 171, Rule.standard: 60},
     }
     for kern in (_pykernel, ck):
         monkeypatch.setattr(_core, "search_min_superset", kern.search_min_superset)
@@ -386,7 +421,7 @@ def test_search_returns_the_first_superset_the_oracle_accepts(ck):
                     expected, count = core | sum(1 << v for v in combo), i
                     break
             for kern in (_pykernel, ck):
-                found = kern.search_min_superset(g.adj, core, free_mask, k, ell, rule is Rule.standard)
+                found = kern.search_min_superset(g.adj, core, free_mask, k, k, ell, rule is Rule.standard)
                 assert found[:2] == (expected, count)
 
 
@@ -466,10 +501,10 @@ def test_twins_check_graph_and_budget_arguments_alike(ck):
     # (entry, takes a leak budget)
     entries = (
         (lambda k, adj, ell: k.components(adj, 0), False),
-        (lambda k, adj, ell: k.search_min_superset(adj, 1, 6, 2, ell, True), True),
+        (lambda k, adj, ell: k.search_min_superset(adj, 1, 6, 2, 2, ell, True), True),
         (lambda k, adj, ell: k.realizable_forcers(adj, 0, 0), False),
         (lambda k, adj, ell: k.first_failing_leaks(adj, 0, ell, False), True),
-        (lambda k, adj, ell: k.search_min_superset(adj, 0, 1, 1, ell, False), True),
+        (lambda k, adj, ell: k.search_min_superset(adj, 0, 1, 1, 1, ell, False), True),
         (lambda k, adj, ell: k.first_failing_leaks(adj, 1, ell, True), True),
         (lambda k, adj, ell: k.minimal_fort_masks(adj, ell), True),
         (lambda k, adj, ell: k.min_hitting_set(len(adj), [1]), False),
@@ -506,11 +541,11 @@ def test_full_word_capacity(ck):
         assert k.first_failing_leaks(q6.adj, 0, 0, False) == (0, 1)
         # standard rule stalls: every blue vertex has six white neighbors
         assert k.first_failing_leaks(q6.adj, even, 0, True) == (0, 1)
-        assert k.search_min_superset(q6.adj, even, 0, 32, 0, False) == (even, 1, 1)
+        assert k.search_min_superset(q6.adj, even, 0, 32, 32, 0, False) == (even, 1, 1)
         with pytest.raises(ValueError):
             k.first_failing_leaks(q6.adj, even, -1, False)
         with pytest.raises(ValueError):
-            k.search_min_superset(q6.adj, even, full, 40, -1, False)
+            k.search_min_superset(q6.adj, even, full, 40, 40, -1, False)
         # the ends of a path are its one-leak forts; on a cycle every vertex
         # is a two-leak fort, and vertex 63 fills its lane up to the guard bit
         p64 = path(64)
@@ -537,13 +572,13 @@ def test_twins_reject_out_of_range_masks_alike(ck):
     calls = (
         lambda k, mask: k.components(p3.adj, mask),
         lambda k, mask: k.first_failing_leaks(p3.adj, mask, 1, True),
-        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 0, True),
+        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, True),
         lambda k, mask: k.min_hitting_set(3, [mask]),
         lambda k, mask: k.realizable_forcers(p3.adj, mask, 7),
         lambda k, mask: k.realizable_forcers(p3.adj, 1, mask),
         lambda k, mask: k.first_failing_leaks(p3.adj, mask, 1, False),
-        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 0, False),
-        lambda k, mask: k.search_min_superset(p3.adj, 0, mask, 1, 0, False),
+        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, False),
+        lambda k, mask: k.search_min_superset(p3.adj, 0, mask, 1, 1, 0, False),
         lambda k, mask: k.min_hitting_set(3, [1, mask]),
     )
     cases = ((0b1001, ValueError), (1 << 63, ValueError), (-1, OverflowError), (1 << 64, OverflowError))

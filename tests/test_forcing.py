@@ -16,6 +16,7 @@ from forceps import (
     is_leaky_psd_fort,
     leaky_number,
     minimal_forts,
+    monotonicity_audit,
     one_leaky_criterion,
     possible_forces,
 )
@@ -238,7 +239,8 @@ def test_a_rule_must_be_a_rule_member(call, rule):
     lambda ell: is_leaky_psd_fort(path(3), vs(3, 0), ell),
     lambda ell: minimal_forts(path(3), ell),
     lambda ell: hitting_number(path(3), ell),
-], ids=["leaky-number", "leaky-test", "fort-test", "minimal-forts", "hitting-number"])
+    lambda ell: monotonicity_audit(path(3), ell),
+], ids=["leaky-number", "leaky-test", "fort-test", "minimal-forts", "hitting-number", "monotonicity-audit"])
 def test_a_leak_budget_must_be_a_non_negative_int(call):
     # a bool is not read as 0 or 1, so no result can report ell=True
     for ell in (True, False, 1.0, "1"):

@@ -14,6 +14,8 @@ from forceps import (
 )
 from forceps.families import complete, cycle, path
 
+from corpus import atlas_graphs
+
 
 masks = st.integers(min_value=0, max_value=(1 << 10) - 1)
 
@@ -109,6 +111,21 @@ def test_delete_edge():
     assert k3_minus.degrees() == (1, 1, 2)
     with pytest.raises(ValueError):
         delete_edge(path(3), 0, 2)
+
+
+def test_deleting_an_edge_gives_the_graph_of_the_other_edges():
+    # delete_edge skips the constructor's checks: dropping both arcs of an
+    # edge leaves valid rows, so its result equals and hashes like the
+    # checked build of the remaining edges
+    for g in atlas_graphs(6):
+        edges = g.edges()
+        for u, v in edges:
+            want = Graph.from_edges(g.n, [e for e in edges if e != (u, v)])
+            for got in (delete_edge(g, u, v), delete_edge(g, v, u)):
+                assert got == want and hash(got) == hash(want)
+                assert type(got.adj) is tuple
+    with pytest.raises(ValueError, match=r"^asymmetric edge \(0,1\)$"):
+        Graph(2, (0b10, 0b00))
 
 
 def test_connected_components_order():

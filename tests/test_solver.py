@@ -41,7 +41,7 @@ from forceps.families import (
 )
 from forceps.solve import ScanSummary, _pieces, _search_pieces
 
-from corpus import interleaved_union, random_graph
+from corpus import atlas_graphs, interleaved_union, random_graph
 from oracles import naive_leaky_number
 
 
@@ -138,11 +138,37 @@ class TestAgainstBruteForce:
     def test_leak_checks_add_over_components(self):
         # K1 interleaved with Db[ at two leaks: the scans of the 5-vertex
         # component place no leak on the isolated vertex, so the union runs
-        # the 11 closures the component runs alone
+        # the 10 closures the component runs alone
         both, _, _ = interleaved_union(from_graph6("@"), from_graph6("Db["))
         for rule in (Rule.psd, Rule.standard):
             res = leaky_number(both, 2, rule)
-            assert (res.value, res.stats.leak_checks) == (5, 11)
+            assert (res.value, res.stats.leak_checks) == (5, 10)
+
+
+class TestClassStart:
+    """Each component's scan starts at ell + 1 of its vertices."""
+
+    def test_sets_of_at_most_ell_vertices_fail(self):
+        # once every vertex of such a set leaks, no vertex can force, so a
+        # set short of the whole graph stalls
+        for g in atlas_graphs(6):
+            for ell in (1, 2, 3):
+                for size in range(min(ell, g.n - 1) + 1):
+                    for combo in combinations(range(g.n), size):
+                        for rule in (Rule.psd, Rule.standard):
+                            assert not is_ell_leaky_forcing_set(g, VertexSet(g.n, combo), ell, rule).ok
+
+    @pytest.mark.parametrize("rule, nodes", [(Rule.psd, 50), (Rule.standard, 71)])
+    def test_nodes_count_the_classes_from_ell_plus_one(self, rule, nodes):
+        # wheel(6) at two leaks has an empty degree core: the search counts
+        # every set of 3 to value - 1 vertices, then the sets of its value's
+        # class up to the witness, and no set of 1 or 2 vertices
+        g = wheel(6)
+        res = leaky_number(g, 2, rule)
+        assert not res.forced_core
+        below = sum(comb(g.n, k) for k in range(3, res.value))
+        in_class = list(combinations(range(g.n), res.value)).index(tuple(res.witness)) + 1
+        assert res.stats.nodes == below + in_class == nodes
 
 
 class TestParallelSearch:
@@ -270,8 +296,8 @@ class TestMonotonicityAudit:
         assert monotonicity_audit(complete(4), 3) == [3, 3, 3, 4]
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            monotonicity_audit(path(3), 5)
+        with pytest.raises(ValueError, match=r"^max_ell must lie in \[0, 3\]$"):
+            monotonicity_audit(path(3), 4)
 
     # path(4) has psd values 1, 2, 4 and standard values 1, 2, 4 at budgets
     # 0..2; lowering one value by 2 breaks exactly one identity
