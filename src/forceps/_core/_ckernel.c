@@ -345,8 +345,8 @@ static int failing_leaks(struct scan *sc, uint64_t blue, uint64_t *leaks, uint64
 /* A small fort of the rule inside `cut`, a stalled closure's white remainder:
  * at most ell threats (outside vertices with exactly one neighbour in it),
  * and connected under the psd rule.  one, two and three are bit-sliced counts
- * of neighbours in the fort.  Same steps as _pykernel._small_fort, which
- * explains them. */
+ * of neighbours in the fort.  Same drops as _pykernel._small_fort, which
+ * explains them; its connectivity test stops early with the same verdict. */
 static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int standard)
 {
     uint64_t low = cut & (0 - cut), fort = 0, one = 0, two = 0, three = 0;
@@ -502,8 +502,10 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
  * prefix by prefix, as failing_leaks walks placements; the cuts a prefix
  * misses are ANDed into `need`, and a closure runs only for a last vertex in
  * rest & need, taken by lowest bit.  A skipped candidate still counts as
- * tested.  Same steps and counts as _pykernel.search_min_superset, which
- * gives the proofs. */
+ * tested.  _pykernel.search_min_superset keeps the same ring and tests the
+ * same candidates, so the twins share candidates and closures; it also ends
+ * a prefix's ring scan once nothing is left and skips a prefix a remembered
+ * cut empties, which changes neither.  Its docstring gives the proofs. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int lo, hi, base, j, i, ncuts = 0, head = 0;

@@ -93,38 +93,39 @@ def _round(adj, blue, leaks, standard, white, barred) -> tuple[int, int]:
     """One simultaneous round: (targets, forcers).  The targets are the
     vertices outside ``barred`` that some non-leaked blue vertex forces; the
     forcers hold, per target, the smallest source forcing it, the source
-    forcing.closure keeps in its chronology."""
+    forcing.closure keeps in its chronology.
+
+    A source forces within a white part exactly when it has one neighbor
+    there.  So while a part grows, ``once`` and ``twice`` count its
+    neighbors in two bit-slices: the vertices with at least one, and at
+    least two, neighbors in the part.  Only the sources in ``once & ~twice``
+    are visited, in ascending order, and a target already hit keeps its
+    first, so smallest, forcer.  The standard rule is the psd rule with all
+    of ``white`` as one part; a psd part is the white component of the
+    lowest vertex left, grown here as _component grows it."""
     hit = barred
     forcers = 0
     sources = blue & ~leaks
     rest = white
     while rest:
-        # the standard rule is the psd rule with the white vertices as one
-        # part whose boundary holds every source; a psd part is the white
-        # component of the lowest vertex left, grown here (see _component)
-        if standard:
-            comp = rest
-            s = sources
-        else:
-            comp = 0
-            reach = 0
-            frontier = rest & -rest
+        comp = once = twice = 0
+        frontier = rest if standard else rest & -rest
+        while frontier:
+            comp |= frontier
             while frontier:
-                comp |= frontier
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grow |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                reach |= grow
-                frontier = grow & rest & ~comp
-            s = sources & reach
+                low = frontier & -frontier
+                frontier ^= low
+                nb = adj[low.bit_length() - 1]
+                twice |= once & nb
+                once |= nb
+            frontier = once & rest & ~comp
         rest &= ~comp
+        s = sources & once & ~twice
         while s:
             low = s & -s
             s ^= low
             nb = adj[low.bit_length() - 1] & comp
-            if nb and nb & (nb - 1) == 0 and not nb & hit:
+            if not nb & hit:
                 hit |= nb
                 forcers |= low
     return hit & ~barred, forcers
@@ -311,8 +312,12 @@ def _small_fort(adj, cut, ell, standard) -> int:
     neighbors in F, so the threats of F - v are the vertices outside it
     with one neighbor in F and none in v, or two in F and one in v: each
     drop is tested without a search.  Under the psd rule a drop that passes
-    then grows one component to test that F - v is connected, unless v has
-    a single neighbor in F - v."""
+    must also leave F - v connected.  F is connected, so a path inside F
+    from any vertex of F - v to v enters v from a neighbor of v in F - v,
+    and every component of F - v holds such a neighbor: F - v is connected
+    exactly when v's neighbors in F - v are joined inside it.  So the test
+    grows from one of them and stops as soon as all are reached, and it is
+    skipped when v has a single neighbor in F - v."""
     low = cut & -cut
     fort = one = two = three = 0
     frontier = cut if standard else low
@@ -339,8 +344,19 @@ def _small_fort(adj, cut, ell, standard) -> int:
             continue
         if not standard:
             x = nb & smaller
-            if x & (x - 1) and _component(adj, smaller, low)[0] != smaller:
-                continue
+            if x & (x - 1):
+                # grow inside F - v from one neighbor of v until all are met
+                reached = frontier = x & -x
+                while frontier and x & ~reached:
+                    grow = 0
+                    while frontier:
+                        b = frontier & -frontier
+                        frontier ^= b
+                        grow |= adj[b.bit_length() - 1]
+                    frontier = grow & smaller & ~reached
+                    reached |= frontier
+                if x & ~reached:
+                    continue
         fort = smaller
         one &= two | ~nb
         two &= three | ~nb
@@ -417,10 +433,22 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     all of its classes, and starts with none, so a piece's counts depend
     only on its own candidates.  The class of ``core`` alone is one
     candidate and keeps no cut.  The other classes are walked as the leak
-    scan walks placements (see _prefixes): the cuts a prefix P misses are
-    ANDed into ``need``; a closure runs only for a last vertex in
-    ``rest & need``, taken by lowest bit, and each new cut is ANDed in.  A
-    skipped candidate still counts as tested.
+    scan walks placements (see _prefixes): ``hits`` starts as ``rest`` and
+    the cuts a prefix P misses are ANDed into it; a closure runs only for a
+    last vertex in ``hits``, taken by lowest bit, and each new cut is ANDed
+    in.  A skipped candidate still counts as tested.
+
+    Dead prefixes.  The ring scan stops once ``hits`` is empty: more cuts
+    cannot refill it.  A cut that misses both P and ``rest`` empties
+    ``hits`` on its own; the last one found so is remembered as ``killer``,
+    and a later prefix that misses it in P and in its ``rest`` is skipped
+    without a scan.  The remembered cut is forgotten when the ring drops
+    it, so it prunes only what the ring itself would.  The ring's cuts are
+    distinct, since each new one is missed by a candidate that meets every
+    cut kept, so the dropped cut is known by its value.  Neither shortcut
+    tests a candidate the full scan skips or skips one it tests, and the
+    ring's contents stay the same, so the candidates and closures are those
+    of the full scan, and of the C twin.
     """
     n = _check_count(len(adj))
     _check_mask(n, core)
@@ -436,6 +464,7 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     live = _component(adj, full, full & ~core)[0] if ell >= 2 else full
     ell = min(ell, live.bit_count())
     cuts: deque[int] = deque(maxlen=_CUTS)
+    killer = full  # none yet: full meets every prefix, as ``rest`` is never empty
     candidates = 0
     closures = 0
     for j in range(lo, hi + 1):
@@ -447,23 +476,30 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
                 return core, candidates, closures
             continue
         for pmask, rest in _prefixes(free, j - 1, core):
-            need = full
+            candidates += rest.bit_count()
+            if not (pmask | rest) & killer:
+                continue
+            hits = rest
             for cut in cuts:
                 if not pmask & cut:
-                    need &= cut
-            while hits := rest & need:
+                    hits &= cut
+                    if not hits:
+                        if not rest & cut:
+                            killer = cut
+                        break
+            while hits:
                 low = hits & -hits
-                candidates += (rest & low - 1).bit_count() + 1
                 rest &= -(low << 1)
                 cand = pmask | low
                 _, reach, c = _scan(n, adj, cand, live, ell, standard)
                 closures += c
                 if reach == full:
-                    return cand, candidates, closures
+                    return cand, candidates - rest.bit_count(), closures
                 cut = _small_fort(adj, full & ~reach, ell, standard)
-                need &= cut
+                hits &= rest & cut
+                if len(cuts) == _CUTS and cuts[-1] == killer:
+                    killer = full  # the ring drops it
                 cuts.appendleft(cut)
-            candidates += rest.bit_count()
     return -1, candidates, closures
 
 

@@ -30,6 +30,14 @@ def _check_budget(ell: int) -> None:
         raise ValueError("leak budget must be non-negative")
 
 
+def _check_workers(workers: int) -> None:
+    """Reject a worker count that is not an int of at least 1, a bool included."""
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise TypeError(f"workers must be an int, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def _bits_ascending(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

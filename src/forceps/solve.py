@@ -38,7 +38,7 @@ from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule, _standard
 from .graph6 import _finding_graph
-from .graphs import Graph, VertexSet, _check_budget, cartesian_product, delete_edge
+from .graphs import Graph, VertexSet, _check_budget, _check_workers, cartesian_product, delete_edge
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -155,9 +155,10 @@ def leaky_number(
     degree core and at ell + 1 vertices per component (see the module
     docstring), and takes no bound from the caller, so a value at one
     budget can check the value at another.  A bool ``ell`` raises
-    TypeError, and one beyond the vertex count is clamped.  Each connected
-    component is searched inside ``g`` with every other vertex blue, in one
-    kernel call over its size classes, and the values are summed.  With
+    TypeError, and one beyond the vertex count is clamped; ``workers``
+    must be an int of at least 1.  Each connected component is searched
+    inside ``g`` with every other vertex blue, in one kernel call over its
+    size classes, and the values are summed.  With
     ``workers > 1`` a size class of at least ``2**14`` candidates is split
     into consecutive pieces searched in a process pool, which the first
     such class opens and every later one reuses, and each run of smaller
@@ -166,6 +167,7 @@ def leaky_number(
     can differ, since each piece and each run starts with no fort cuts.
     """
     _check_budget(ell)
+    _check_workers(workers)
     n = g.n
     ell = min(ell, n)
     full = (1 << n) - 1
@@ -283,10 +285,12 @@ def edge_deletion_scan(
     that edge.  Output order follows the input stream at any worker count.
     With ``workers > 1`` the stream is read in batches of ``8 * workers``
     graphs, so at most one batch is held at a time (``Executor.map`` would
-    read the whole stream before yielding anything).
+    read the whole stream before yielding anything).  A ``workers`` that
+    is not an int of at least 1 raises when the first record is asked for.
     """
+    _check_workers(workers)
     tasks = ((g, ell) for g in graphs)
-    if workers <= 1:
+    if workers == 1:
         for task in tasks:
             yield from _scan_one(task)
         return

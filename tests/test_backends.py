@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from forceps import Graph, Rule, VertexSet, _core, is_ell_leaky_forcing_set, leaky_number
+from forceps import Graph, Rule, VertexSet, _core, from_graph6, is_ell_leaky_forcing_set, leaky_number
 from forceps._core import _pykernel
 from forceps.families import complete, cycle, grid, hypercube, path, tree_from_pruefer, wheel
 from forceps.solve import _pieces
@@ -104,6 +104,44 @@ def test_async_closures_agree_and_match_canonical():
         for std in (False, True):
             assert async_closure_mask(g, blue, leaks, std, seed) == \
                 _pykernel.closure_mask(g.adj, blue, leaks, std)
+
+
+def _naive_round(g, blue, leaks, standard, barred):
+    """(targets, forcers) of one round, source by source: a non-leaked blue
+    vertex forces a white vertex that is its only white neighbor (standard)
+    or its only one in that vertex's white component (psd); each target
+    outside ``barred`` keeps its smallest forcer."""
+    white = {v for v in range(g.n) if not blue >> v & 1}
+
+    def part(v):
+        if standard:
+            return white
+        seen, stack = {v}, [v]
+        while stack:
+            for w in set(g.neighbors(stack.pop())) & white - seen:
+                seen.add(w)
+                stack.append(w)
+        return seen
+
+    first = {}
+    for u in range(g.n):
+        if blue >> u & 1 and not leaks >> u & 1:
+            for v in set(g.neighbors(u)) & white:
+                if not barred >> v & 1 and part(v) & set(g.neighbors(u)) == {v}:
+                    first.setdefault(v, u)
+    return sum(1 << v for v in first), sum(1 << u for u in set(first.values()))
+
+
+def test_round_matches_a_per_source_check():
+    rng = random.Random(0x20D)
+    for g in atlas_graphs(6, connected=False):
+        full = (1 << g.n) - 1
+        for _ in range(6):
+            blue, leaks = rng.getrandbits(g.n), rng.getrandbits(g.n)
+            barred = full & ~blue & rng.getrandbits(g.n) & rng.getrandbits(g.n)
+            for std in (False, True):
+                assert _pykernel._round(g.adj, blue, leaks, std, full & ~blue, barred) == \
+                    _naive_round(g, blue, leaks, std, barred)
 
 
 def test_realizable_forcers_agree(ck):
@@ -387,17 +425,57 @@ def test_sets_missing_a_kept_cut_fail():
                     assert not is_ell_leaky_forcing_set(g, rest, ell, rule).ok
 
 
-def test_anchor_leak_checks_are_pinned(ck, monkeypatch):
-    # perfbench's solve anchors: weaker cuts would run more closures
-    pinned = {
-        (hypercube(4), 2): {Rule.psd: 2940, Rule.standard: 169},
-        (grid(4, 4), 1): {Rule.psd: 171, Rule.standard: 60},
-    }
-    for kern in (_pykernel, ck):
-        monkeypatch.setattr(_core, "search_min_superset", kern.search_min_superset)
-        for (g, ell), counts in pinned.items():
-            for rule, leak_checks in counts.items():
-                assert leaky_number(g, ell, rule).stats.leak_checks == leak_checks
+# perfbench's solve anchors: weaker cuts would run more closures
+ANCHOR_LEAK_CHECKS = {
+    (hypercube(4), 2): {Rule.psd: 2940, Rule.standard: 169},
+    (grid(4, 4), 1): {Rule.psd: 171, Rule.standard: 60},
+}
+
+# psd searches from the degree core up that keep more than 64 cuts, so the
+# ring drops cuts: (graph, ell) -> (witness, candidates, closures).  The
+# second graph is from perfbench's solve pool; a search that still prunes
+# with a cut the ring has dropped runs 245 closures on it
+EVICTING_SEARCHES = {
+    (hypercube(4), 2): (255, 26197, 2940),
+    (from_graph6("LL{`AuBc_gEZAL"), 2): (253, 1784, 250),
+}
+
+
+def _search_from_the_degree_core(kern, g, ell):
+    core = sum(1 << v for v in range(g.n) if g.adj[v].bit_count() <= ell)
+    lo = max(core.bit_count(), ell + 1)
+    return kern.search_min_superset(g.adj, core, (1 << g.n) - 1, lo, g.n, ell, False)
+
+
+def _check_pins(kern, monkeypatch):
+    monkeypatch.setattr(_core, "search_min_superset", kern.search_min_superset)
+    for (g, ell), counts in ANCHOR_LEAK_CHECKS.items():
+        for rule, leak_checks in counts.items():
+            assert leaky_number(g, ell, rule).stats.leak_checks == leak_checks
+    for (g, ell), pinned in EVICTING_SEARCHES.items():
+        assert _search_from_the_degree_core(kern, g, ell) == pinned
+
+
+def test_anchor_leak_checks_are_pinned(monkeypatch):
+    # the Python twin's pins need no compiler
+    _check_pins(_pykernel, monkeypatch)
+    kept = 0
+    small_fort = _pykernel._small_fort
+
+    def counting(adj, cut, ell, standard):
+        nonlocal kept
+        kept += 1
+        return small_fort(adj, cut, ell, standard)
+
+    monkeypatch.setattr(_pykernel, "_small_fort", counting)
+    for g, ell in EVICTING_SEARCHES:
+        kept = 0
+        _search_from_the_degree_core(_pykernel, g, ell)
+        assert kept > _pykernel._CUTS
+
+
+def test_compiled_anchor_leak_checks_are_pinned(ck, monkeypatch):
+    _check_pins(ck, monkeypatch)
 
 
 def test_search_returns_the_first_superset_the_oracle_accepts(ck):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -432,3 +433,20 @@ class TestFamilyTable:
         rows = family_table([FamilySpec("grid", (5, 4))], [1])
         assert rows[0].expected is None and rows[0].match
         assert rows[0].computed == 4  # brute force settles the contested value
+
+
+@pytest.mark.parametrize("call", [
+    lambda workers: leaky_number(path(3), 1, workers=workers),
+    lambda workers: list(edge_deletion_scan([path(3)], 1, workers)),
+    lambda workers: family_table([FamilySpec("path", (3,))], [1], workers=workers),
+], ids=["leaky-number", "edge-deletion-scan", "family-table"])
+def test_workers_must_be_a_positive_int(call):
+    # a bool, a float or a string is not read as a count, and no count
+    # below 1 falls back to a serial run
+    for workers in (True, False, 2.5, "2"):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'workers must be an int, got {workers!r}')}$"):
+            call(workers)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+            call(workers)
+    call(1)
