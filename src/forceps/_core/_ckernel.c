@@ -622,6 +622,21 @@ struct fort_search {
     struct masks seeded;       /* connected forts recorded from the current seed */
 };
 
+/* The open neighbours (outside inside and out) of the component of inside
+ * with the fewest, comp (with neighbours reach) first and then by lowest
+ * vertex; 0 once some component has none. */
+static uint64_t narrowest(const uint64_t *adj, uint64_t inside, uint64_t out, uint64_t comp, uint64_t reach)
+{
+    uint64_t best = reach & ~inside & ~out, rest, near;
+    for (rest = inside & ~comp; rest && best; rest &= ~comp) {
+        comp = component(adj, rest, rest & (0 - rest), &reach);
+        near = reach & ~inside & ~out;
+        if (POP(near) < POP(best))
+            best = near;
+    }
+    return best;
+}
+
 /* Record the minimal forts M with inside <= M and M & out empty; x joined
  * inside last, once and twice hold the vertices with at least one and at
  * least two neighbours inside.  The rules and the completeness argument are
@@ -634,73 +649,82 @@ struct fort_search {
  *   - stop when x has no neighbour inside, inside has another vertex, and the
  *     vertices outside out that x reaches miss some of inside: a minimal fort
  *     is connected and avoids out, so none holds inside;
- *   - few threats: record a connected inside; a disconnected one branches
- *     on the neighbours of the seed's component.  It is never a fort: its
- *     other components lie above the seed, and a component of a fort is a
- *     fort holding a minimal fort of a higher seed, which the rule above
- *     caught when its last vertex joined inside;
+ *   - few threats: record a connected inside; a disconnected one takes the
+ *     component branch, over the open neighbours of the component with the
+ *     fewest (see narrowest), since a minimal fort holds an open neighbour
+ *     of every component; none ends the branch;
  *   - many threats: a threat with no fix ({u} | N(u) minus inside and out)
  *     is permanent; more than ell of them end the branch; else branch on
  *     ell + 1 - permanent live threats, fewest fixes first, over each one's
  *     fixes (each fix joins out after its branch), making each threat
  *     permanent (out gains u and its neighbours outside inside) before the
- *     next.  A minimal fort M keeps inside within M and out outside M along
- *     the branches that add its first fixing vertex, so it is reached. */
+ *     next.  A disconnected inside takes the component branch instead when
+ *     it is smaller than those threats' fix counts summed.
+ * A minimal fort M keeps inside within M and out outside M along the
+ * branches that add its first branch vertex, so it is reached. */
 static int grow_fort(struct fort_search *s, int x, uint64_t inside, uint64_t out,
                      uint64_t once, uint64_t twice)
 {
     const uint64_t *adj = s->adj;
-    uint64_t threats = once & ~twice & ~inside, boundary, comp, rest, near, fixes, low;
-    int live[64], nfix[64], nlive = 0, permanent = 0, i, j, u, y, count;
+    uint64_t threats = once & ~twice & ~inside, reach, comp, rest, near, fixes, low, branch;
+    int live[64], nfix[64], nlive = 0, permanent = 0, i, j, u, y, count, sum = 0;
     Py_ssize_t t;
     for (t = 0; t < s->holding[x].len; t++)
         if ((s->holding[x].m[t] & ~inside) == 0)
             return 0;
     if ((adj[x] & inside) == 0 && (inside & (inside - 1)) != 0
-        && (inside & ~component(adj, ~out, (uint64_t)1 << x, &boundary)) != 0)
+        && (inside & ~component(adj, ~out, (uint64_t)1 << x, &reach)) != 0)
         return 0;
+    comp = component(adj, inside, inside & (0 - inside), &reach);
     if (POP(threats) <= s->ell) {
-        comp = component(adj, inside, inside & (0 - inside), &boundary);
         if (comp == inside)
             return push(&s->seeded, inside);
-        for (rest = boundary & ~inside & ~out; rest; rest &= rest - 1) {
-            y = CTZ(rest);
-            low = (uint64_t)1 << y;
-            if (grow_fort(s, y, inside | low, out, once | adj[y], twice | (once & adj[y])) < 0)
-                return -1;
-            out |= low;
+        branch = narrowest(adj, inside, out, comp, reach);
+    } else {
+        for (rest = threats; rest; rest &= rest - 1) {
+            u = CTZ(rest);
+            fixes = (((uint64_t)1 << u) | adj[u]) & ~inside & ~out;
+            if (fixes == 0) {
+                permanent++;
+                continue;
+            }
+            /* insertion by fix count; equal counts keep ascending u */
+            count = POP(fixes);
+            for (j = nlive++; j > 0 && nfix[j - 1] > count; j--) {
+                live[j] = live[j - 1];
+                nfix[j] = nfix[j - 1];
+            }
+            live[j] = u;
+            nfix[j] = count;
         }
-        return 0;
+        if (permanent > s->ell)
+            return 0;
+        if (nlive > s->ell + 1 - permanent)
+            nlive = s->ell + 1 - permanent;
+        for (i = 0; i < nlive; i++)
+            sum += nfix[i];
+        if (comp == inside || POP(branch = narrowest(adj, inside, out, comp, reach)) >= sum) {
+            for (i = 0; i < nlive; i++) {
+                u = live[i];
+                near = (((uint64_t)1 << u) | adj[u]) & ~inside;
+                for (fixes = near & ~out; fixes; fixes &= fixes - 1) {
+                    y = CTZ(fixes);
+                    low = (uint64_t)1 << y;
+                    if (grow_fort(s, y, inside | low, out, once | adj[y], twice | (once & adj[y])) < 0)
+                        return -1;
+                    out |= low;
+                }
+                out |= near;
+            }
+            return 0;
+        }
     }
-    for (rest = threats; rest; rest &= rest - 1) {
-        u = CTZ(rest);
-        fixes = (((uint64_t)1 << u) | adj[u]) & ~inside & ~out;
-        if (fixes == 0) {
-            permanent++;
-            continue;
-        }
-        /* insertion by fix count; equal counts keep ascending u */
-        count = POP(fixes);
-        for (j = nlive++; j > 0 && nfix[j - 1] > count; j--) {
-            live[j] = live[j - 1];
-            nfix[j] = nfix[j - 1];
-        }
-        live[j] = u;
-        nfix[j] = count;
-    }
-    if (permanent > s->ell)
-        return 0;
-    for (i = 0; i < nlive && i < s->ell + 1 - permanent; i++) {
-        u = live[i];
-        near = (((uint64_t)1 << u) | adj[u]) & ~inside;
-        for (fixes = near & ~out; fixes; fixes &= fixes - 1) {
-            y = CTZ(fixes);
-            low = (uint64_t)1 << y;
-            if (grow_fort(s, y, inside | low, out, once | adj[y], twice | (once & adj[y])) < 0)
-                return -1;
-            out |= low;
-        }
-        out |= near;
+    for (; branch; branch &= branch - 1) {
+        y = CTZ(branch);
+        low = (uint64_t)1 << y;
+        if (grow_fort(s, y, inside | low, out, once | adj[y], twice | (once & adj[y])) < 0)
+            return -1;
+        out |= low;
     }
     return 0;
 }

@@ -539,35 +539,41 @@ def minimal_fort_masks(adj, ell) -> list[int]:
 
     Search.  Each vertex v, in descending order, seeds a branching search
     over (IN, OUT) with IN = {v} and OUT = {0, ..., v-1}; it finds the
-    minimal forts whose lowest vertex is v.  ``once`` and ``twice`` (the
-    vertices with at least one, and at least two, neighbors in IN) are kept
-    incrementally, so T(IN) = once & ~twice & ~IN.
+    minimal forts whose lowest vertex is v.  Kept incrementally: ``once``
+    and ``twice``, the vertices with at least one and at least two
+    neighbors in IN, so T(IN) = once & ~twice & ~IN; ``comp``, the
+    component of IN holding v, and ``reach``, its vertices' neighbors, so
+    IN is connected iff comp == IN.  A vertex is open if it lies outside IN
+    and OUT.  A branch over a set adds its vertices to IN one at a time,
+    ascending, each joining OUT after its own branch.
 
     - |T(IN)| <= ell and IN connected: IN is a fort; it is recorded and
       nothing larger is searched.
-    - |T(IN)| <= ell and IN disconnected: branch on each neighbor of v's
-      component outside IN and OUT, adding it to OUT after its branch.
-      IN is never a fort here.  Its other components lie above v, and each
-      component of a fort is a fort, which holds a minimal fort of a higher
-      seed; the pruning rule below stopped the branch when that fort's last
-      vertex joined IN.
+    - IN disconnected: a minimal fort holding IN is connected and avoids
+      OUT, so it holds an open neighbor of every component of IN.  The
+      component branch takes the component with the fewest open neighbors
+      (on a tie the one with the lower lowest vertex, so v's first) and
+      branches over them; if it has none, the branch ends.  With
+      |T(IN)| <= ell this branch is taken.
     - |T(IN)| > ell: a threat u stays a threat of any superset that
       contains neither u nor another neighbor of u, so its fixes are
       ({u} | N(u)) minus IN and OUT.  A threat without fixes is permanent;
       more than ``ell`` of those end the branch.  Otherwise some one of any
       ell + 1 - (permanent) live threats must be fixed; those threats,
-      fewest fixes first, are branched in turn over their fixes (each fix
-      joins OUT after its branch), and each threat is then made permanent
-      (OUT gains u and its neighbors outside IN) before the next.
+      fewest fixes first, are branched in turn over their fixes, and each
+      threat is then made permanent (OUT gains u and its neighbors outside
+      IN) before the next.  A disconnected IN takes the component branch
+      instead when it has fewer vertices than those threats have fixes in
+      sum.
 
-    Completeness.  For a minimal fort M with lowest vertex v, some branch
-    path keeps IN within M and OUT disjoint from M while each step adds a
-    vertex of M: a connected M reaches v's component through a neighbor of
-    it; a live threat set of size ell + 1 - (permanent) holds one that M
-    fixes, and the first such threat's first fix inside M is taken after
-    only vertices outside M joined OUT.  No stop rule fires on a proper
-    subset of M (M is connected and avoids OUT, so the connectivity rule
-    below never fires on the path), so the path reaches IN = M and records
+    Completeness.  The branches of a node split its sets by the first
+    branch vertex each holds, so nothing is recorded twice.  For a minimal
+    fort M with lowest vertex v, follow the branch of the first branch
+    vertex in M.  It exists: M holds an open neighbor of each component of
+    a disconnected IN, and fixes one of any ell + 1 - (permanent) live
+    threats.  Only vertices outside M joined OUT before it, so IN stays
+    within M and OUT outside M.  No stop rule fires on a proper subset of M
+    (M is connected and avoids OUT), so the path reaches IN = M and records
     it.
 
     Pruning.  A branch stops as soon as IN contains a kept fort of a higher
@@ -586,23 +592,24 @@ def minimal_fort_masks(adj, ell) -> list[int]:
     disconnected, and a minimal fort is connected and avoids OUT.
     Recorded sets are connected forts.  Once a seed is done they are taken
     by size, and one is kept only if it holds no fort kept before from the
-    seed; containment is transitive, so the kept ones are minimal.
+    seed (all of which hold v, so the same expression on packed[v] tests
+    them); containment is transitive, so the kept ones are minimal.
     """
     n = _check_count(len(adj))
     _check_ell(ell)
     found: list[int] = []
-    packed = [0] * n  # per vertex, the kept forts of higher seeds holding it, one per lane
+    packed = [0] * n  # per vertex, the kept forts holding it, one per lane
     guard = [0] * n  # per vertex, bit 64 of each lane in use
     for v in range(n - 1, -1, -1):
         bit = 1 << v
         seeded: list[int] = []
-        _grow_fort(adj, ell, v, bit, bit - 1, adj[v], 0, seeded, packed, guard)
+        _grow_fort(adj, ell, v, bit, bit - 1, adj[v], 0, bit, adj[v], seeded, packed, guard)
         seeded.sort(key=int.bit_count)
-        kept: list[int] = []
         for f in seeded:
-            if any(m & f == m for m in kept):
+            g = guard[v]
+            if g and (g - (packed[v] & ~(f * (g >> 64)))) & g:
                 continue
-            kept.append(f)
+            found.append(f)
             rest = f
             while rest:
                 low = rest & -rest
@@ -611,60 +618,88 @@ def minimal_fort_masks(adj, ell) -> list[int]:
                 packed[u] |= f << lane
                 guard[u] |= 1 << (64 + lane)
                 rest ^= low
-        found += kept
     found.sort(key=_set_order)
     return found
 
 
-def _grow_fort(adj, ell, x, inside, out, once, twice, found, packed, guard) -> None:
+def _narrowest(adj, inside, out, comp, reach) -> int:
+    """The open neighbors of the component of ``inside`` with the fewest,
+    ``comp`` (with neighbors ``reach``) first and then by lowest vertex;
+    zero once some component has none."""
+    best = reach & ~inside & ~out
+    size = best.bit_count()
+    rest = inside & ~comp
+    while rest and size:
+        comp, reach = _component(adj, rest, rest & -rest)
+        rest &= ~comp
+        near = reach & ~inside & ~out
+        if near.bit_count() < size:
+            best = near
+            size = near.bit_count()
+    return best
+
+
+def _grow_fort(adj, ell, x, inside, out, once, twice, comp, reach, found, packed, guard) -> None:
     """Record the minimal forts M with ``inside`` <= M and M & ``out`` empty,
-    where ``x`` is the vertex that joined ``inside`` last (see
-    minimal_fort_masks for the rules)."""
+    where ``x`` is the vertex that joined ``inside`` last and ``comp`` and
+    ``reach`` are the parent's (see minimal_fort_masks for the rules)."""
     g = guard[x]
     if g and (g - (packed[x] & ~(inside * (g >> 64)))) & g:
         return
-    if not adj[x] & inside and inside & (inside - 1) and inside & ~_component(adj, ~out, 1 << x)[0]:
+    nb = adj[x]
+    if nb & comp:
+        if nb & inside & ~comp:
+            comp, reach = _component(adj, inside, comp | 1 << x)
+        else:
+            comp |= 1 << x
+            reach |= nb
+    elif not nb & inside and inside & (inside - 1) and inside & ~_component(adj, ~out, 1 << x)[0]:
         return
     threats = once & ~twice & ~inside
     if threats.bit_count() <= ell:
-        comp, reach = _component(adj, inside, inside & -inside)
         if comp == inside:
             found.append(inside)
             return
-        grow = reach & ~inside & ~out
-        while grow:
-            low = grow & -grow
-            y = low.bit_length() - 1
-            nb = adj[y]
-            _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, found, packed, guard)
-            out |= low
-            grow ^= low
-        return
-    permanent = 0
-    live = []
-    while threats:
-        low = threats & -threats
-        threats ^= low
-        u = low.bit_length() - 1
-        fixes = (low | adj[u]) & ~inside & ~out
-        if fixes:
-            live.append((fixes.bit_count(), u))
-        else:
-            permanent += 1
-    if permanent > ell:
-        return
-    live.sort()
-    for _, u in live[:ell + 1 - permanent]:
-        near = (1 << u | adj[u]) & ~inside
-        fixes = near & ~out
-        while fixes:
-            low = fixes & -fixes
-            y = low.bit_length() - 1
-            nb = adj[y]
-            _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, found, packed, guard)
-            out |= low
-            fixes ^= low
-        out |= near
+        branch = _narrowest(adj, inside, out, comp, reach)
+    else:
+        permanent = 0
+        live = []
+        while threats:
+            low = threats & -threats
+            threats ^= low
+            u = low.bit_length() - 1
+            fixes = (low | adj[u]) & ~inside & ~out
+            if fixes:
+                live.append((fixes.bit_count(), u))
+            else:
+                permanent += 1
+        if permanent > ell:
+            return
+        live.sort()
+        live = live[:ell + 1 - permanent]
+        if comp == inside or \
+                (branch := _narrowest(adj, inside, out, comp, reach)).bit_count() >= sum(c for c, _ in live):
+            for _, u in live:
+                near = (1 << u | adj[u]) & ~inside
+                fixes = near & ~out
+                while fixes:
+                    low = fixes & -fixes
+                    y = low.bit_length() - 1
+                    nb = adj[y]
+                    _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, comp, reach,
+                               found, packed, guard)
+                    out |= low
+                    fixes ^= low
+                out |= near
+            return
+    while branch:
+        low = branch & -branch
+        y = low.bit_length() - 1
+        nb = adj[y]
+        _grow_fort(adj, ell, y, inside | low, out, once | nb, twice | once & nb, comp, reach,
+                   found, packed, guard)
+        out |= low
+        branch ^= low
 
 
 def min_hitting_set(n, masks) -> tuple[int, int]:

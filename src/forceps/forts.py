@@ -39,7 +39,13 @@ def is_leaky_psd_fort(g: Graph, vertices: VertexSet, ell: int) -> bool:
 
 
 def _check_guard(g: Graph, ell: int, max_vertices: int) -> None:
+    """Reject a bad budget, then a guard that is not a non-negative int (a
+    bool included), then a graph above the guard."""
     _check_budget(ell)
+    if isinstance(max_vertices, bool) or not isinstance(max_vertices, int):
+        raise TypeError(f"max_vertices must be an int, got {max_vertices!r}")
+    if max_vertices < 0:
+        raise ValueError(f"max_vertices must be non-negative, got {max_vertices}")
     if g.n > max_vertices:
         raise GuardError(
             f"fort enumeration on {g.n} vertices exceeds the guard "
@@ -55,9 +61,10 @@ def minimal_forts(
 
     Minimal forts are connected, and a connected set is a fort iff at most
     ``ell`` outside vertices have exactly one neighbor in it; the kernel
-    grows connected candidates by branching on those threatening vertices
-    (see ``_pykernel.minimal_fort_masks``).  Guarded, because a family can
-    grow exponentially with the order.
+    grows candidates by branching on those threatening vertices, or on the
+    neighbors of a candidate's component that has the fewest (see
+    ``_pykernel.minimal_fort_masks``).  Guarded, because a family can grow
+    exponentially with the order.
     """
     _check_guard(g, ell, max_vertices)
     masks = sorted(_core.minimal_fort_masks(g.adj, ell), key=lambda m: list(_bits_ascending(m)))

@@ -23,7 +23,7 @@ import pytest
 
 from forceps import Graph, Rule, VertexSet, _core, from_graph6, is_ell_leaky_forcing_set, leaky_number
 from forceps._core import _pykernel
-from forceps.families import complete, cycle, grid, hypercube, path, tree_from_pruefer, wheel
+from forceps.families import complete, cycle, grid, hypercube, path, petersen_gp, tree_from_pruefer, wheel
 from forceps.solve import _pieces
 
 from corpus import atlas_graphs, interleaved_union, random_graph
@@ -516,6 +516,10 @@ def test_fort_kernels_agree(ck):
         for ell in range(4):
             assert _pykernel.minimal_fort_masks(g.adj, ell) == \
                 ck.minimal_fort_masks(g.adj, ell)
+    # prisms at two leaks (tests/test_forts.py counts their 4n forts)
+    for n in range(8, 17):
+        adj = petersen_gp(n).adj
+        assert _pykernel.minimal_fort_masks(adj, 2) == ck.minimal_fort_masks(adj, 2)
 
 
 def _masks(forts):
@@ -551,6 +555,21 @@ def test_fort_search_on_sparse_graphs(ck):
         p = path(n)
         for k in (_pykernel, ck):
             assert k.minimal_fort_masks(p.adj, 1) == [1, 1 << n - 1]
+
+
+def test_python_fort_search_matches_the_oracle():
+    # needs no compiler: random graphs of order 8 to 11, the sparse ones
+    # mostly disconnected, and trees, where the component branch and the
+    # prunes decide most nodes
+    rng = random.Random(0xF02)
+    graphs = [random_graph(rng, rng.randint(8, 11), rng.choice([0.15, 0.25, 0.4])) for _ in range(24)]
+    for _ in range(10):
+        n = rng.randint(8, 12)
+        graphs.append(tree_from_pruefer(tuple(rng.randrange(n) for _ in range(n - 2))))
+    assert sum(len(_pykernel.components(g.adj, (1 << g.n) - 1)) > 1 for g in graphs) >= 8
+    for g in graphs:
+        for ell in range(4):
+            assert sorted(_pykernel.minimal_fort_masks(g.adj, ell)) == _masks(naive_minimal_forts(g, ell))
 
 
 def _random_family(rng, n, count, width):

@@ -13,7 +13,7 @@ from forceps import (
     leaky_number,
     minimal_forts,
 )
-from forceps.families import complete, cycle, path
+from forceps.families import complete, cycle, path, petersen_gp
 
 from oracles import naive_is_fort, naive_minimal_forts
 
@@ -139,6 +139,18 @@ class TestHittingNumber:
                 assert (got_value, tuple(got_witness)) == want
 
 
+class TestPrisms:
+    # petersen_gp(n) with step 1 is the prism on 2n vertices
+
+    def test_two_leak_prisms_have_4n_minimal_forts(self):
+        for n in range(8, 17):
+            assert len(minimal_forts(petersen_gp(n), 2, max_vertices=2 * n)) == 4 * n
+
+    def test_two_leak_hitting_numbers(self):
+        for n in range(8, 13):
+            assert hitting_number(petersen_gp(n), 2, max_vertices=2 * n)[0] == max(4, -(-2 * n // 3))
+
+
 class TestConnectedForts:
     def test_singleton_connected(self):
         assert is_connected_fort_standard(path(3), vs(3, 0))
@@ -165,3 +177,20 @@ _FOREIGN = "vertex set on 4 vertices does not match a graph on 3"
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda guard: minimal_forts(path(3), 1, max_vertices=guard),
+    lambda guard: hitting_number(path(3), 1, max_vertices=guard),
+], ids=["minimal-forts", "hitting-number"])
+def test_guard_must_be_a_non_negative_int(call):
+    # a bool is not read as 0 or 1, nor a float or None compared with n
+    for guard in (True, False, 2.5, "3", None):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'max_vertices must be an int, got {guard!r}')}$"):
+            call(guard)
+    for guard in (-1, -3):
+        with pytest.raises(ValueError, match=f"^max_vertices must be non-negative, got {guard}$"):
+            call(guard)
+    with pytest.raises(GuardError):
+        call(2)
+    call(3)
