@@ -53,7 +53,6 @@ from .solve import (
     family_table,
     leaky_number,
     monotonicity_audit,
-    product_bound_check,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +100,6 @@ __all__ = [
     "monotonicity_audit",
     "one_leaky_criterion",
     "possible_forces",
-    "product_bound_check",
     "relabel",
     "to_graph6",
 ]

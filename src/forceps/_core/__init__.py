@@ -7,7 +7,8 @@ when the extension is absent, or FORCEPS_PURE_PYTHON is set to a value other
 than empty or ``0``, the pure Python twin is used.  The C twin has the six
 functions the workloads time, with identical results; ``closure_mask`` and
 ``is_fort_mask`` exist only in Python.  A graph enters as its adjacency
-tuple alone, whose length is the vertex count.  A stale compiled extension,
+tuple alone, whose length is the vertex count, and a hitting-set instance as
+its masks alone.  A stale compiled extension,
 whose ``KERNEL_VERSION`` differs from the Python twin's, raises ImportError
 at import instead of returning other counts.
 """

@@ -4,7 +4,7 @@
  * have no C twin.  setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 11
+#define KERNEL_VERSION 12
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -29,19 +29,8 @@ static int fail(PyObject *exc, const char *msg)
     return -1;
 }
 
-static int get_int(PyObject *o, int *out)
-{
-    long v = PyLong_AsLong(o);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (v < INT_MIN || v > INT_MAX)
-        return fail(PyExc_OverflowError, "value too large to convert to int");
-    *out = (int)v;
-    return 0;
-}
-
-/* A size-class bound: any int, saturated to the range of int, since the
- * class range is clipped to 0..64 anyway. */
+/* Any int, saturated to the range of int: a size-class bound, since the class
+ * range is clipped to 0..64 anyway, or a leak budget, which get_ell clamps. */
 static int get_bound(PyObject *o, int *out)
 {
     int overflow;
@@ -52,10 +41,11 @@ static int get_bound(PyObject *o, int *out)
     return 0;
 }
 
-/* ValueError for a negative leak budget; a budget above n is clamped to n. */
+/* ValueError for a negative leak budget; a budget above n, of any size, is
+ * clamped to n. */
 static int get_ell(PyObject *o, int *out, int n)
 {
-    if (get_int(o, out) < 0)
+    if (get_bound(o, out) < 0)
         return -1;
     if (*out < 0)
         return fail(PyExc_ValueError, "leak budget must be non-negative");
@@ -71,8 +61,8 @@ static int get_mask(PyObject *o, uint64_t *out)
     return *out == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* A vertex-set argument over [0, n), after check_count has passed n: the same
- * errors and messages as _pykernel._check_mask. */
+/* A vertex-set argument over [0, n) for n in 0..64: the same errors and
+ * messages as _pykernel._check_mask. */
 static int get_vmask(PyObject *o, int n, uint64_t *out)
 {
     if (get_mask(o, out) < 0) {
@@ -96,7 +86,7 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return -1;
 }
 
-/* The one vertex-count check: a graph's row count, min_hitting_set's n. */
+/* The one vertex-count check: a graph's row count. */
 static int check_count(Py_ssize_t n)
 {
     return n < 0 || n > 64 ? fail(PyExc_ValueError, "vertex count outside [0, 64]") : 0;
@@ -830,25 +820,24 @@ static int hit(struct hitting *h, Py_ssize_t lo, Py_ssize_t hi, uint64_t chosen,
 
 static PyObject *py_min_hitting_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n;
     Py_ssize_t t, len;
     PyObject *seq, *out = NULL;
     struct hitting h = {{NULL, 0, 0}, 0, 0};
-    if (check_nargs("min_hitting_set", nargs, 2) < 0 || get_int(args[0], &n) < 0 || check_count(n) < 0
-        || (seq = PySequence_Fast(args[1], "masks must be a sequence")) == NULL)
+    if (check_nargs("min_hitting_set", nargs, 1) < 0
+        || (seq = PySequence_Fast(args[0], "masks must be a sequence")) == NULL)
         return NULL;
     len = PySequence_Fast_GET_SIZE(seq);
     if (reserve(&h.unhit, len) < 0)
         goto done;
     for (t = 0; t < len; t++) {
-        if (get_vmask(PySequence_Fast_GET_ITEM(seq, t), n, &h.unhit.m[t]) < 0)
+        if (get_vmask(PySequence_Fast_GET_ITEM(seq, t), 64, &h.unhit.m[t]) < 0)
             goto done;
         if (h.unhit.m[t] == 0) {
             fail(PyExc_ValueError, "a set to hit must be nonempty");
             goto done;
         }
     }
-    h.best_size = n + 1;
+    h.best_size = 65;  /* above any bound: size plus packing stays within the union */
     if (hit(&h, 0, len, 0, 0) == 0)
         out = Py_BuildValue("(iK)", h.best_size, (unsigned long long)h.best);
 done:

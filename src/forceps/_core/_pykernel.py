@@ -8,8 +8,10 @@ A graph arrives as a sequence of at most 64 neighborhood masks, one per
 vertex (else ValueError); its length is the vertex count ``n``, and vertex
 sets are plain ints over ``0 .. n-1``.  A mask argument outside
 ``[0, 2**64)`` raises OverflowError, one naming a vertex at or above ``n``
-raises ValueError, and so does a negative leak budget.  Arguments are
-checked in order: graph, masks, leak budget.
+raises ValueError, and so does a negative leak budget; a budget above ``n``,
+of any size, is clamped to ``n``.  Arguments are checked in order: graph,
+masks, leak budget.  ``min_hitting_set`` takes masks alone, with no graph:
+they are their own universe, any vertex below 64.
 
 Rules: ``standard=True`` lets a non-leaked blue vertex force its unique
 non-blue neighbor; ``standard=False`` (positive semidefinite) lets it force
@@ -25,7 +27,7 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results, work counters or signatures change; _core refuses
 # a compiled twin whose version differs.
-KERNEL_VERSION = 11
+KERNEL_VERSION = 12
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
@@ -702,10 +704,12 @@ def _grow_fort(adj, ell, x, inside, out, once, twice, comp, reach, found, packed
         branch ^= low
 
 
-def min_hitting_set(n, masks) -> tuple[int, int]:
-    """(size, mask) of a smallest vertex set meeting every nonempty mask in
+def min_hitting_set(masks) -> tuple[int, int]:
+    """(size, mask) of a smallest vertex set meeting every mask in
     ``masks``; among the smallest, the one whose ascending vertex list is
-    lexicographically first.  An empty family gives (0, 0).
+    lexicographically first.  An empty family gives (0, 0).  The masks are
+    their own universe: each must be nonempty (else ValueError) and inside
+    ``[0, 2**64)`` (else OverflowError).
 
     Branch and bound: branch on the first unhit mask in the given order
     (callers pass the smallest first), one branch per vertex of it, and ban
@@ -716,14 +720,14 @@ def min_hitting_set(n, masks) -> tuple[int, int]:
     vertices left, or when its size plus a greedy packing of pairwise
     disjoint unhit masks (banned vertices removed) exceeds the best size
     found; equal sizes are kept, so every optimum is seen and the
-    lexicographically first one is returned.
+    lexicographically first one is returned.  The first best size, 65,
+    exceeds any such bound, which is at most the size of the masks' union.
     """
-    _check_count(n)
     for m in masks:
-        _check_mask(n, m)
+        _check_mask(64, m)
         if not m:
             raise ValueError("a set to hit must be nonempty")
-    best = [n + 1, 0]
+    best = [65, 0]
     _hit(list(masks), 0, 0, best)
     return best[0], best[1]
 

@@ -48,7 +48,7 @@ class FamilySpec:
         """Parse the colon-joined CLI form, e.g. 'grid:4:4'."""
         parts = text.split(":")
         try:
-            params = tuple(int(p) for p in parts[1:] if p != "")
+            params = tuple(int(p) for p in parts[1:])
         except ValueError as exc:
             raise ValueError(f"bad family parameters in {text!r}: {exc}") from None
         return cls(parts[0], params)

@@ -113,7 +113,7 @@ def hitting_number(
     """
     _check_guard(g, ell, max_vertices)
     masks = _core.minimal_fort_masks(g.adj, ell)
-    size, witness = _core.min_hitting_set(g.n, masks)
+    size, witness = _core.min_hitting_set(masks)
     return size, VertexSet.from_mask(g.n, witness)
 
 

@@ -64,7 +64,7 @@ def from_graph6(text: str) -> Graph:
             if bits >> pos & 1:
                 adj[row] |= 1 << col
                 adj[col] |= 1 << row
-    return Graph(n, adj)
+    return Graph(adj)
 
 
 def to_graph6(g: Graph) -> str:

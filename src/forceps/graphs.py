@@ -8,7 +8,7 @@ what makes every witness produced by the solvers reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import _core
@@ -139,19 +139,19 @@ class VertexSet:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph: vertex count plus one neighborhood mask
-    per vertex.  Construction copies the adjacency into a tuple and validates
-    symmetry and loop-freeness, so every reachable instance is a valid graph.
+    """A simple undirected graph: one neighborhood mask per vertex, so the
+    row count is the vertex count ``n``.  Construction copies the adjacency
+    into a tuple and validates symmetry and loop-freeness, so every reachable
+    instance is a valid graph.
     """
 
-    n: int
     adj: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "adj", tuple(self.adj))
+        object.__setattr__(self, "n", len(self.adj))
         _check_order(self.n)
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
             if row & ~full:
@@ -165,6 +165,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on ``n`` vertices, isolated ones included, with ``edges``."""
         _check_order(n)
         adj = [0] * n
         for u, v in edges:
@@ -172,16 +173,16 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) leaves [0, {n})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, adj)
+        return cls(adj)
 
     @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A graph from ``n`` rows already known to be valid, built without
-        the checks of ``__post_init__``; only callers that derive the rows
-        from a valid graph may use it."""
+    def _trusted(cls, adj: tuple[int, ...]) -> "Graph":
+        """A graph from rows already known to be valid, built without the
+        checks of ``__post_init__``; only callers that derive the rows from a
+        valid graph may use it."""
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "n", len(adj))
         return self
 
     def vertex_set(self) -> VertexSet:
@@ -240,7 +241,7 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     adj = list(g.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
-    return Graph._trusted(g.n, tuple(adj))
+    return Graph._trusted(tuple(adj))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -260,7 +261,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
             for a2 in _bits_ascending(g.adj[a]):
                 row |= 1 << (a2 * h.n + b)
             adj[x] = row
-    return Graph(n, adj)
+    return Graph(adj)
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
@@ -279,7 +280,7 @@ def induced_subgraph(g: Graph, vs: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     for i, v in enumerate(keep):
         for u in _bits_ascending(g.adj[v] & vs.mask):
             adj[i] |= 1 << index[u]
-    return Graph(len(keep), adj), tuple(keep)
+    return Graph(adj), tuple(keep)
 
 
 def relabel(g: Graph, perm: dict[int, int] | list[int]) -> Graph:

@@ -38,7 +38,7 @@ from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule, _standard
 from .graph6 import _finding_graph
-from .graphs import Graph, VertexSet, _check_budget, _check_workers, cartesian_product, delete_edge
+from .graphs import Graph, VertexSet, _check_budget, _check_workers, delete_edge
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -216,15 +216,6 @@ def leaky_number(
         value, VertexSet.from_mask(n, witness), VertexSet.from_mask(n, core), rule, ell,
         SolveStats(nodes, closures),
     )
-
-
-def product_bound_check(g: Graph, h: Graph, ell: int) -> tuple[int, int, bool]:
-    """Compare the product's value against the smaller of the two factor
-    bounds |V(h)| * value(g) and |V(g)| * value(h)."""
-    p = cartesian_product(g, h)
-    lhs = leaky_number(p, ell).value
-    rhs = min(h.n * leaky_number(g, ell).value, g.n * leaky_number(h, ell).value)
-    return lhs, rhs, lhs <= rhs
 
 
 def monotonicity_audit(g: Graph, max_ell: int) -> list[int]:

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from forceps import to_graph6
+from forceps import _core, to_graph6
+from forceps._core import _pykernel
 from forceps.cli import main
 from forceps.families import cycle, path
 
@@ -34,6 +35,18 @@ def test_number_jsonl(capsys):
 def test_check_clamps_budget(capsys):
     code, out, _ = run(capsys, "check", "--graph6", "A_", "--blue", "0,1", "--ell", "5")
     assert code == 0 and out == "true\n"
+
+
+def test_budget_past_a_machine_word_is_clamped(capsys, monkeypatch):
+    # any int budget reads as the order, with the same lines on either twin
+    huge = "99999999999999999999999"
+    for kernel in (_pykernel, _core.kernel):
+        for name in ("components", "first_failing_leaks", "minimal_fort_masks"):
+            monkeypatch.setattr(_core, name, getattr(kernel, name))
+        code, out, _ = run(capsys, "check", "--family", "path:3", "--blue", "0", "--ell", huge)
+        assert code == 0 and out == "false witness_leaks=[0,1,2]\n"
+        code, out, _ = run(capsys, "forts", "--family", "path:3", "--ell", huge)
+        assert code == 0 and out.splitlines() == [f"[{v}] ell={huge} connected=true" for v in range(3)]
 
 
 def test_check_reports_witness(capsys):
@@ -232,6 +245,11 @@ def test_scan_skips_blank_lines(tmp_path, capsys):
 def test_empty_blue_list_is_the_empty_set(capsys):
     code, out, _ = run(capsys, "closure", "--family", "path:3", "--blue", "")
     assert code == 0 and out == "blue=[] forced=false\n"
+
+
+def test_family_with_an_empty_field_is_exit_one(capsys):
+    code, out, err = run(capsys, "number", "--family", "grid:4::4", "--ell", "1")
+    assert code == 1 and out == "" and err.startswith("error: bad family parameters in 'grid:4::4'")
 
 
 def test_oversized_family_is_exit_one(capsys):

@@ -31,6 +31,10 @@ def test_spec_parse_and_str():
         FamilySpec.parse("path:3:4")
     with pytest.raises(ValueError):
         FamilySpec.parse("grid:4:x")
+    # an empty field is an error, not a field to skip
+    for text in ("grid:4::4", "grid:4:4:", "path:3:"):
+        with pytest.raises(ValueError, match="^bad family parameters"):
+            FamilySpec.parse(text)
 
 
 def test_spec_keeps_its_own_parameter_tuple():

@@ -58,7 +58,7 @@ def test_decode_errors_carry_offsets(text, offset):
 
 def test_encode_guard():
     with pytest.raises(Graph6Error):
-        to_graph6(Graph(63, tuple([0] * 63)))
+        to_graph6(Graph((0,) * 63))
 
 
 def test_roundtrip_random_against_networkx():

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import pytest
@@ -55,21 +56,19 @@ def test_vertexset_equality_hash_and_repr():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b00))  # asymmetric
+        Graph((0b10, 0b00))  # asymmetric
     with pytest.raises(ValueError):
-        Graph(1, (0b1,))  # loop
+        Graph((0b1,))  # loop
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
-    with pytest.raises(ValueError):
-        Graph(65, tuple([0] * 65))
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: VertexSet(65), "vertex count 65 outside [0, 64]"),
     (lambda: VertexSet.from_mask(100, 0), "vertex count 100 outside [0, 64]"),
     (lambda: VertexSet.from_mask(-1, 0), "vertex count -1 outside [0, 64]"),
-    (lambda: Graph(2, (0,)), "adjacency length does not match vertex count"),
-    (lambda: Graph(2, (0b100, 0)), "neighborhood of 0 leaves [0, 2)"),
+    (lambda: Graph((0,) * 65), "vertex count 65 outside [0, 64]"),
+    (lambda: Graph((0b100, 0)), "neighborhood of 0 leaves [0, 2)"),
     (lambda: Graph.from_edges(2, [(1, 1)]), "loop at vertex 1"),
     (lambda: Graph.from_edges(10**12, []), "vertex count 1000000000000 outside [0, 64]"),
     (lambda: Graph.from_edges(-1, [(0, 1)]), "vertex count -1 outside [0, 64]"),
@@ -78,7 +77,7 @@ def test_graph_validation():
     (lambda: path(3).degree(3), "vertex 3 outside [0, 3)"),
     (lambda: cartesian_product(path(9), path(8)), "vertex count 72 outside [0, 64]"),
 ], ids=["vertexset-universe", "from-mask-universe", "from-mask-negative-universe",
-        "graph-short-adjacency", "graph-row-range", "from-edges-loop",
+        "graph-row-count", "graph-row-range", "from-edges-loop",
         "from-edges-huge-order", "from-edges-negative-order",
         "degree-negative", "neighbors-negative", "degree-past-end", "product-order"])
 def test_argument_checks(call, message):
@@ -88,10 +87,23 @@ def test_argument_checks(call, message):
 
 def test_graph_keeps_its_own_adjacency_tuple():
     adj = [0b10, 0b01]
-    g = Graph(2, adj)
-    assert g == Graph(2, (0b10, 0b01)) and hash(g) == hash(Graph(2, (0b10, 0b01)))
+    g = Graph(adj)
+    assert g == Graph((0b10, 0b01)) and hash(g) == hash(Graph((0b10, 0b01)))
     adj[0] = 0b11  # a loop at 0, had the graph kept the caller's list
     assert g.adj == (0b10, 0b01) and g.edges() == [(0, 1)]
+
+
+def test_a_graph_is_its_rows():
+    # the vertex count is the row count, derived and never passed
+    g = Graph((0b010, 0b101, 0b010))
+    want = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert g.n == 3 and g == want and hash(g) == hash(want)
+    assert repr(g) == "Graph(adj=(2, 5, 2))"
+    assert Graph(()).n == 0 and Graph.from_edges(4, []).n == 4
+    # process pools pickle graphs: a copy keeps its count
+    for h in (g, path(5), Graph.from_edges(4, []), delete_edge(cycle(6), 0, 1)):
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and hash(copy) == hash(h) and copy.n == h.n
 
 
 def test_graph_accessors():
@@ -122,10 +134,10 @@ def test_deleting_an_edge_gives_the_graph_of_the_other_edges():
         for u, v in edges:
             want = Graph.from_edges(g.n, [e for e in edges if e != (u, v)])
             for got in (delete_edge(g, u, v), delete_edge(g, v, u)):
-                assert got == want and hash(got) == hash(want)
+                assert got == want and hash(got) == hash(want) and got.n == g.n
                 assert type(got.adj) is tuple
     with pytest.raises(ValueError, match=r"^asymmetric edge \(0,1\)$"):
-        Graph(2, (0b10, 0b00))
+        Graph((0b10, 0b00))
 
 
 def test_connected_components_order():
@@ -134,7 +146,7 @@ def test_connected_components_order():
     assert [list(c) for c in connected_components(cycle(5))] == [[0, 1, 2, 3, 4]]
     empty3 = Graph.from_edges(3, [])
     assert [list(c) for c in connected_components(empty3)] == [[0], [1], [2]]
-    assert connected_components(Graph(0, ())) == []
+    assert connected_components(Graph(())) == []
 
 
 def test_cartesian_product_k2_k2_is_c4():

@@ -26,7 +26,6 @@ from forceps import (
     is_ell_leaky_forcing_set,
     leaky_number,
     monotonicity_audit,
-    product_bound_check,
 )
 from forceps.families import (
     FamilySpec,
@@ -321,20 +320,6 @@ class TestMonotonicityAudit:
         with pytest.raises(AuditFailure) as info:
             monotonicity_audit(path(4), 2)
         assert info.value.finding["kind"] == kind
-
-
-class TestProductBound:
-    def test_k2_square(self):
-        assert product_bound_check(complete(2), complete(2), 1) == (2, 4, True)
-
-    def test_p3_k2_leak_free(self):
-        lhs, rhs, holds = product_bound_check(path(3), complete(2), 0)
-        assert holds and lhs == 2 and rhs == 2
-
-    def test_triangle_prism(self):
-        lhs, rhs, holds = product_bound_check(cycle(3), complete(2), 1)
-        assert (lhs, holds) == (3, True)
-        assert rhs == min(2 * value(cycle(3), 1), 3 * value(complete(2), 1)) == 4
 
 
 class TestEdgeDeletionScan:
