@@ -4,7 +4,7 @@
  * have no C twin.  setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 12
+#define KERNEL_VERSION 13
 /* Fort cuts one search_min_superset call keeps. */
 #define CUTS 64
 
@@ -371,6 +371,63 @@ static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int stand
     return fort;
 }
 
+/* Whether `cut` is a fort of the rule with at most ell threats, connected
+ * under the psd rule: a cut the search may keep.  Same test as
+ * _pykernel._binds. */
+static int binds(const uint64_t *adj, uint64_t cut, int ell, int standard)
+{
+    uint64_t one = 0, two = 0, c, unused;
+    for (c = cut; c; c &= c - 1) {
+        two |= one & adj[CTZ(c)];
+        one |= adj[CTZ(c)];
+    }
+    if (POP(one & ~two & ~cut) > ell)
+        return 0;
+    return standard || component(adj, cut, cut & (0 - cut), &unused) == cut;
+}
+
+/* Fill `cuts` with the offers in `seq` that binds() accepts, that meet `free`
+ * and that repeat no earlier kept offer, the first CUTS of them in the
+ * offered order; every offer is range-checked.  Returns their count, or -1
+ * with an exception set. */
+static int take_offers(PyObject *seq, int n, const uint64_t *adj, uint64_t free, int ell, int standard,
+                       uint64_t *cuts)
+{
+    Py_ssize_t t;
+    int i, ncuts = 0;
+    uint64_t cut;
+    for (t = 0; t < PySequence_Fast_GET_SIZE(seq); t++) {
+        if (get_vmask(PySequence_Fast_GET_ITEM(seq, t), n, &cut) < 0)
+            return -1;
+        for (i = 0; i < ncuts && cuts[i] != cut; i++)
+            ;
+        if (i == ncuts && ncuts < CUTS && (cut & free) && binds(adj, cut, ell, standard))
+            cuts[ncuts++] = cut;
+    }
+    return ncuts;
+}
+
+/* (mask or -1, candidates, closures, ring): the ring of ncuts cuts, whose
+ * newest sits just below `head`, as a tuple newest first. */
+static PyObject *search_out(int found, uint64_t mask, long long candidates, long long closures,
+                            const uint64_t *cuts, int ncuts, int head)
+{
+    PyObject *ring, *item;
+    int i;
+    if ((ring = PyTuple_New(ncuts)) == NULL)
+        return NULL;
+    for (i = 0; i < ncuts; i++) {
+        if ((item = PyLong_FromUnsignedLongLong(cuts[(head + CUTS - 1 - i) % CUTS])) == NULL) {
+            Py_DECREF(ring);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(ring, i, item);
+    }
+    if (found)
+        return Py_BuildValue("(KLLN)", (unsigned long long)mask, candidates, closures, ring);
+    return Py_BuildValue("(iLLN)", -1, candidates, closures, ring);
+}
+
 /* ------------------------------------------------------ Python entries */
 
 static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -467,7 +524,7 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
 }
 
 /* Scan the size classes lo..hi in order, clipped to |core|..|core| + |free|
- * (an empty range gives (-1, 0, 0)); class k is the sets of core plus
+ * (an empty range gives (-1, 0, 0, ())); class k is the sets of core plus
  * k - |core| vertices of `free` (core vertices inside it are ignored) in
  * lexicographic order, and solve._pieces splits a class into such pieces.
  * Leaks go only on `live`, the components with a vertex outside core, with
@@ -487,46 +544,61 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
  * no vertex of F either.  Only failing candidates are skipped, so the
  * witness and the candidate count do not depend on the cuts.  That argument
  * never uses the size of the set, so the last CUTS (64, fixed) cuts stay in
- * one ring for every class of the call, starting with none.  The class of
- * core alone is one candidate and keeps no cut.  The other classes are walked
- * prefix by prefix, as failing_leaks walks placements; the cuts a prefix
- * misses are ANDed into `need`, and a closure runs only for a last vertex in
- * rest & need, taken by lowest bit.  A skipped candidate still counts as
- * tested.  _pykernel.search_min_superset keeps the same ring and tests the
- * same candidates, so the twins share candidates and closures; it also ends
- * a prefix's ring scan once nothing is left and skips a prefix a remembered
- * cut empties, which changes neither.  Its docstring gives the proofs. */
+ * one ring for every class of the call, and the call returns the ring,
+ * newest first.  Nor does it use where F came from, so the ring starts from
+ * the offered `cuts` (checked after the leak budget) that take_offers keeps,
+ * the first as the newest; a wrong offer costs time, never an answer.  The
+ * class of core alone is one candidate, always tested, and keeps no cut.
+ * The other classes are walked prefix by prefix, as failing_leaks walks
+ * placements; the cuts a prefix misses are ANDed into `need`, and a closure
+ * runs only for a last vertex in rest & need, taken by lowest bit.  A
+ * skipped candidate still counts as tested.  _pykernel.search_min_superset keeps the same ring and tests the
+ * same candidates, so the twins share candidates, closures and rings; it
+ * also ends a prefix's ring scan once nothing is left and skips a prefix a
+ * remembered cut empties, which changes neither.  Its docstring gives the
+ * proofs. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int lo, hi, base, j, i, ncuts = 0, head = 0;
-    uint64_t adj[64], core, free_mask, full, leaks, reach, p, need, rest, hits, low, cand, unused, cuts[CUTS];
+    int lo, hi, base, j, i, ncuts, head;
+    uint64_t adj[64], core, free_mask, full, leaks, reach, p, need, rest, hits, low, cand, unused, cut, cuts[CUTS];
     long long candidates = 0, closures = 0;
-    PyObject *out = NULL;
+    PyObject *out = NULL, *seq;
     struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
-    if (check_nargs("search_min_superset", nargs, 7) < 0 || load_adj(args[0], &sc.n, adj) < 0
+    if (check_nargs("search_min_superset", nargs, 8) < 0 || load_adj(args[0], &sc.n, adj) < 0
         || get_vmask(args[1], sc.n, &core) < 0 || get_vmask(args[2], sc.n, &free_mask) < 0
         || get_bound(args[3], &lo) < 0 || get_bound(args[4], &hi) < 0
-        || get_ell(args[5], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0)
+        || get_ell(args[5], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0
+        || (seq = PySequence_Fast(args[7], "cuts must be iterable")) == NULL)
         return NULL;
     full = full_mask(sc.n);
     free_mask &= ~core;
+    sc.vs = sc.ell >= 2 ? component(adj, full, full & ~core, &unused) : full;
+    if (sc.ell > POP(sc.vs))
+        sc.ell = POP(sc.vs);
+    if ((ncuts = take_offers(seq, sc.n, adj, free_mask, sc.ell, sc.standard, cuts)) < 0)
+        goto done;
+    for (i = 0; i < ncuts / 2; i++) {  /* the first offer kept is the newest */
+        cut = cuts[i];
+        cuts[i] = cuts[ncuts - 1 - i];
+        cuts[ncuts - 1 - i] = cut;
+    }
+    head = ncuts % CUTS;
     base = POP(core);
     if (lo < base)
         lo = base;
     if (hi > base + POP(free_mask))
         hi = base + POP(free_mask);
-    if (lo > hi)
-        return Py_BuildValue("(iii)", -1, 0, 0);
-    sc.vs = sc.ell >= 2 ? component(adj, full, full & ~core, &unused) : full;
-    if (sc.ell > POP(sc.vs))
-        sc.ell = POP(sc.vs);
+    if (lo > hi) {
+        out = search_out(0, 0, 0, 0, NULL, 0, 0);
+        goto done;
+    }
     for (j = lo - base; j <= hi - base; j++) {
         if (j == 0) {
             candidates++;
             if (failing_leaks(&sc, core, &leaks, &reach, &closures) < 0)
                 goto done;
             if (reach == full) {
-                out = Py_BuildValue("(KLL)", (unsigned long long)core, candidates, closures);
+                out = search_out(1, core, candidates, closures, cuts, ncuts, head);
                 goto done;
             }
             continue;
@@ -545,7 +617,7 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
                 if (failing_leaks(&sc, cand, &leaks, &reach, &closures) < 0)
                     goto done;
                 if (reach == full) {
-                    out = Py_BuildValue("(KLL)", (unsigned long long)cand, candidates, closures);
+                    out = search_out(1, cand, candidates, closures, cuts, ncuts, head);
                     goto done;
                 }
                 /* the ring drops its oldest cut once full */
@@ -557,8 +629,9 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
             candidates += POP(rest);
         } while ((p = next_prefix(free_mask, p)) != 0);
     }
-    out = Py_BuildValue("(iLL)", -1, candidates, closures);
+    out = search_out(0, 0, candidates, closures, cuts, ncuts, head);
 done:
+    Py_DECREF(seq);
     PyMem_Free(sc.memo.keys);
     return out;
 }

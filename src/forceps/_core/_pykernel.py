@@ -10,8 +10,9 @@ sets are plain ints over ``0 .. n-1``.  A mask argument outside
 ``[0, 2**64)`` raises OverflowError, one naming a vertex at or above ``n``
 raises ValueError, and so does a negative leak budget; a budget above ``n``,
 of any size, is clamped to ``n``.  Arguments are checked in order: graph,
-masks, leak budget.  ``min_hitting_set`` takes masks alone, with no graph:
-they are their own universe, any vertex below 64.
+masks, leak budget, then the cuts ``search_min_superset`` is offered.
+``min_hitting_set`` takes masks alone, with no graph: they are their own
+universe, any vertex below 64.
 
 Rules: ``standard=True`` lets a non-leaked blue vertex force its unique
 non-blue neighbor; ``standard=False`` (positive semidefinite) lets it force
@@ -27,7 +28,7 @@ from itertools import combinations
 BACKEND = "python"
 # Bumped whenever results, work counters or signatures change; _core refuses
 # a compiled twin whose version differs.
-KERNEL_VERSION = 12
+KERNEL_VERSION = 13
 
 _CUTS = 64  # fort cuts one search_min_superset call keeps
 
@@ -388,16 +389,19 @@ def first_failing_leaks(adj, blue, ell, standard) -> tuple[int, int]:
     return leaks, closures
 
 
-def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, int, int]:
+def search_min_superset(adj, core, free, lo, hi, ell, standard, cuts) -> tuple[int, int, int, tuple[int, ...]]:
     """Scan the size classes ``lo`` .. ``hi`` in order, each class k being
     the sets of ``core`` plus ``k - |core|`` vertices of ``free`` in
     lexicographic order, and return the first set that forces the graph
     under every ``ell``-leak placement, or -1.  Returns (mask,
-    candidates_tested, closures_run).  Core vertices inside ``free`` are
-    ignored, so ``full & ~core`` scans every size-k superset of ``core``; a
-    smaller ``free`` scans one piece of that range (see ``solve._pieces``).
-    The range is clipped to |core| .. |core| + |free|, and an empty one
-    returns (-1, 0, 0).
+    candidates_tested, closures_run, ring), the ring being the fort cuts
+    held at the end, newest first (see below); ``cuts`` offers cuts to
+    start from.  Core vertices inside ``free`` are ignored, so
+    ``full & ~core`` scans every size-k superset of ``core``; a smaller
+    ``free`` scans one piece of that range (see ``solve._pieces``).  The
+    range is clipped to |core| .. |core| + |free|, and an empty one returns
+    (-1, 0, 0, ()).  Every offered mask is checked like ``core``, after
+    the leak budget.
 
     Live vertices.  A component wholly inside ``core`` is blue with only
     blue neighbors in every candidate, so it never forces and a leak on it
@@ -431,14 +435,31 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
 
     Cuts across classes.  That argument never uses the size of the set
     missing F, so a cut found in one class binds every later class too.
-    One call keeps its last 64 cuts (a fixed number), newest first, across
-    all of its classes, and starts with none, so a piece's counts depend
-    only on its own candidates.  The class of ``core`` alone is one
-    candidate and keeps no cut.  The other classes are walked as the leak
-    scan walks placements (see _prefixes): ``hits`` starts as ``rest`` and
-    the cuts a prefix P misses are ANDed into it; a closure runs only for a
-    last vertex in ``hits``, taken by lowest bit, and each new cut is ANDed
-    in.  A skipped candidate still counts as tested.
+    One call keeps its last 64 cuts (a fixed number), newest first, in one
+    ring across all of its classes, and returns the ring as it ends.  The
+    class of ``core`` alone is one candidate, always tested, and keeps no
+    cut.  The other classes are walked as the leak scan walks placements
+    (see _prefixes): ``hits`` starts as ``rest`` and the cuts a prefix P
+    misses are ANDed into it; a closure runs only for a last vertex in
+    ``hits``, taken by lowest bit, and each new cut is ANDed in.  A skipped
+    candidate still counts as tested.
+
+    Offered cuts.  Nor does the argument use where F came from: any F that
+    is a fort of the rule in this graph, with at most ``ell`` threats (as
+    clamped), is missed only by failing candidates.  If F meets ``core``,
+    every candidate hits it; if not, F and its threats, which are
+    neighbours of F, lie in ``live``, so leaking them is a placement the
+    scan tries.  So the ring may start from cuts a caller offers, such as
+    the ring of a search of the graph with one more edge, which mostly
+    still binds.  Each offer is checked here, and a wrong one costs time,
+    never an answer: an offer is kept only if it meets ``free`` (one that
+    misses it tells no candidate from another), has at most ``ell``
+    threats, is connected under the psd rule (see _binds), and repeats no
+    offer kept before it.  Kept offers fill the ring in the offered order,
+    the first as the newest, up to 64 of them, before the first class is
+    searched; the ring then drops its oldest cut for each new one, as an
+    empty start does.  So a call's counts depend only on its candidates and
+    its offers.
 
     Dead prefixes.  The ring scan stops once ``hits`` is empty: more cuts
     cannot refill it.  A cut that misses both P and ``rest`` empties
@@ -446,11 +467,12 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     and a later prefix that misses it in P and in its ``rest`` is skipped
     without a scan.  The remembered cut is forgotten when the ring drops
     it, so it prunes only what the ring itself would.  The ring's cuts are
-    distinct, since each new one is missed by a candidate that meets every
-    cut kept, so the dropped cut is known by its value.  Neither shortcut
-    tests a candidate the full scan skips or skips one it tests, and the
-    ring's contents stay the same, so the candidates and closures are those
-    of the full scan, and of the C twin.
+    distinct, since no kept offer repeats another and each new cut is
+    missed by a candidate that meets every cut kept, so the dropped cut is
+    known by its value.  Neither shortcut tests a candidate the full scan
+    skips or skips one it tests, and the ring's contents stay the same, so
+    the candidates and closures are those of the full scan, and of the C
+    twin.
     """
     n = _check_count(len(adj))
     _check_mask(n, core)
@@ -458,14 +480,18 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     _check_ell(ell)
     full = (1 << n) - 1
     free &= ~core
+    live = _component(adj, full, full & ~core)[0] if ell >= 2 else full
+    ell = min(ell, live.bit_count())
+    ring: deque[int] = deque(maxlen=_CUTS)
+    for cut in cuts:
+        _check_mask(n, cut)
+        if len(ring) < _CUTS and cut & free and cut not in ring and _binds(adj, cut, ell, standard):
+            ring.append(cut)
     base = core.bit_count()
     lo = max(lo, base) - base
     hi = min(hi, base + free.bit_count()) - base
     if lo > hi:
-        return -1, 0, 0
-    live = _component(adj, full, full & ~core)[0] if ell >= 2 else full
-    ell = min(ell, live.bit_count())
-    cuts: deque[int] = deque(maxlen=_CUTS)
+        return -1, 0, 0, ()
     killer = full  # none yet: full meets every prefix, as ``rest`` is never empty
     candidates = 0
     closures = 0
@@ -475,14 +501,14 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
             _, reach, c = _scan(n, adj, core, live, ell, standard)
             closures += c
             if reach == full:
-                return core, candidates, closures
+                return core, candidates, closures, tuple(ring)
             continue
         for pmask, rest in _prefixes(free, j - 1, core):
             candidates += rest.bit_count()
             if not (pmask | rest) & killer:
                 continue
             hits = rest
-            for cut in cuts:
+            for cut in ring:
                 if not pmask & cut:
                     hits &= cut
                     if not hits:
@@ -496,13 +522,31 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
                 _, reach, c = _scan(n, adj, cand, live, ell, standard)
                 closures += c
                 if reach == full:
-                    return cand, candidates - rest.bit_count(), closures
+                    return cand, candidates - rest.bit_count(), closures, tuple(ring)
                 cut = _small_fort(adj, full & ~reach, ell, standard)
                 hits &= rest & cut
-                if len(cuts) == _CUTS and cuts[-1] == killer:
+                if len(ring) == _CUTS and ring[-1] == killer:
                     killer = full  # the ring drops it
-                cuts.appendleft(cut)
-    return -1, candidates, closures
+                ring.appendleft(cut)
+    return -1, candidates, closures, tuple(ring)
+
+
+def _binds(adj, cut, ell, standard) -> bool:
+    """Whether ``cut`` is a fort of the rule with at most ``ell`` threats,
+    the vertices outside it with exactly one neighbor in it, and connected
+    under the psd rule: a cut search_min_superset may keep.  ``one`` and
+    ``two`` hold the vertices with at least one and two neighbors in it."""
+    one = two = 0
+    c = cut
+    while c:
+        low = c & -c
+        c ^= low
+        nb = adj[low.bit_length() - 1]
+        two |= one & nb
+        one |= nb
+    if (one & ~two & ~cut).bit_count() > ell:
+        return False
+    return standard or _component(adj, cut, cut & -cut)[0] == cut
 
 
 def is_fort_mask(adj, fort, ell) -> bool:

@@ -21,9 +21,12 @@ to them):
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 
 from .graphs import Graph, _check_order, cartesian_product
+
+_DECIMAL = re.compile("0|-?[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -45,13 +48,15 @@ class FamilySpec:
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
-        """Parse the colon-joined CLI form, e.g. 'grid:4:4'."""
-        parts = text.split(":")
-        try:
-            params = tuple(int(p) for p in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"bad family parameters in {text!r}: {exc}") from None
-        return cls(parts[0], params)
+        """Parse the colon-joined CLI form, e.g. 'grid:4:4'.  A parameter is
+        spelled as ``str`` spells an int: ASCII digits with no leading zero,
+        space, underscore or plus sign, so ``str`` of the result gives
+        ``text`` back.  A negative one parses, and its generator rejects it."""
+        kind, *fields = text.split(":")
+        for field in fields:
+            if not _DECIMAL.fullmatch(field):
+                raise ValueError(f"bad family parameters in {text!r}: {field!r} is not a decimal as str spells it")
+        return cls(kind, tuple(map(int, fields)))
 
     def __str__(self) -> str:
         return ":".join([self.kind, *map(str, self.params)])

@@ -16,7 +16,10 @@ one kernel call over all of its classes, which keeps, per failed
 candidate, a small fort among the vertices its stalled closure left white
 and runs no closure for a later candidate, of any size, that misses one
 (see ``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts
-every enumerated candidate, skipped or not.  A component is searched inside
+every enumerated candidate, skipped or not.  A solve may also start from
+cuts a caller offers, as ``edge_deletion_scan`` offers G's cuts to each
+G - e: the kernel keeps only those that still bind, so an offer moves
+``SolveStats.leak_checks`` and nothing else.  A component is searched inside
 the whole graph with every other vertex blue: those have no white neighbor,
 so they never force, and the kernel places no leak on them.  So each
 component is solved at the full leak budget (the adversary may
@@ -50,7 +53,8 @@ _PARALLEL_MIN_CANDIDATES = 1 << 14
 class SolveStats:
     """Work counters.  ``nodes`` counts the candidate sets enumerated,
     including those a fort cut skipped without a closure; ``leak_checks``
-    counts the closures computed."""
+    counts the closures computed, which also depend on the cuts the solve
+    was offered (see ``leaky_number``)."""
 
     nodes: int = 0
     leak_checks: int = 0
@@ -58,12 +62,18 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's value and witness, the degree core, the rule and the
+    clamped budget, its work counters, and ``cuts``: the fort cuts its
+    kernel calls held at the end (see ``leaky_number``), which equality and
+    repr leave out."""
+
     value: int
     witness: VertexSet
     forced_core: VertexSet
     rule: Rule
     ell: int
     stats: SolveStats
+    cuts: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -121,24 +131,28 @@ def _pieces(core: int, free: int, j: int, size: int) -> Iterator[tuple[int, int]
 def _search_pieces(
     pool: Executor, g: Graph, core: int, free: int, k: int, ell: int,
     standard: bool, size: int,
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, tuple[int, ...]]:
     """Search one size class as consecutive pieces of at most ``size``
-    candidates in ``pool``; the first piece with a hit holds its witness."""
+    candidates in ``pool``, each from an empty cut ring; the first piece
+    with a hit holds its witness.  Returns the kernel's 4-tuple, with the
+    rings of the pieces searched joined in order."""
     futures = [
-        pool.submit(_core.search_min_superset, g.adj, c, f, k, k, ell, standard)
+        pool.submit(_core.search_min_superset, g.adj, c, f, k, k, ell, standard, ())
         for c, f in _pieces(core, free, k - core.bit_count(), size)
     ]
     nodes = 0
     closures = 0
+    rings: tuple[int, ...] = ()
     for i, future in enumerate(futures):
-        found, cand, clos = future.result()
+        found, cand, clos, ring = future.result()
         nodes += cand
         closures += clos
+        rings += ring
         if found >= 0:
             for queued in futures[i + 1:]:
                 queued.cancel()  # the pool goes on to the solve's next component
-            return found, nodes, closures
-    return -1, nodes, closures
+            return found, nodes, closures, rings
+    return -1, nodes, closures, rings
 
 
 def leaky_number(
@@ -147,6 +161,7 @@ def leaky_number(
     rule: Rule = Rule.psd,
     *,
     workers: int = 1,
+    cuts: Iterable[int] = (),
 ) -> SolveResult:
     """Minimum size of a set that forces ``g`` under every placement of
     ``ell`` leaks, with the lexicographically first optimal witness.
@@ -162,9 +177,16 @@ def leaky_number(
     ``workers > 1`` a size class of at least ``2**14`` candidates is split
     into consecutive pieces searched in a process pool, which the first
     such class opens and every later one reuses, and each run of smaller
-    classes between them is one kernel call.  The value, witness and
-    ``stats.nodes`` are the serial search's, while ``stats.leak_checks``
-    can differ, since each piece and each run starts with no fort cuts.
+    classes between them is one kernel call.
+
+    ``cuts`` offers fort cuts, vertex masks, to every serial kernel call,
+    which checks their range and keeps those that bind in ``g`` (see
+    ``_pykernel.search_min_superset``); the pieces of a split class start
+    with none.  The result's ``cuts`` joins the cut rings the kernel calls
+    end with, newest first within each, in call order: one ring per
+    component searched when ``workers`` is 1.  The value, witness and
+    ``stats.nodes`` are the serial search's at any ``workers`` and under
+    any offer, while ``stats.leak_checks`` depends on both.
     """
     _check_budget(ell)
     _check_workers(workers)
@@ -173,7 +195,9 @@ def leaky_number(
     full = (1 << n) - 1
     core = _degree_core(g, ell)
     standard = _standard(rule)
+    cuts = tuple(cuts)
     value = witness = nodes = closures = 0
+    rings: tuple[int, ...] = ()
     pool = None
     try:
         for comp, _ in _core.components(g.adj, full):
@@ -197,15 +221,17 @@ def leaky_number(
 
                         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
                     size = -(-comb(free.bit_count(), k - base) // (4 * workers))
-                    found, cand, clos = _search_pieces(pool, g, blue, free, k, ell, standard, size)
+                    found, cand, clos, ring = _search_pieces(pool, g, blue, free, k, ell, standard, size)
                 else:
                     # the classes up to the next one the pool splits, or to
                     # the whole graph, which always forces: one kernel call
                     while hi < n and not _sharded(workers, free, hi + 1 - base):
                         hi += 1
-                    found, cand, clos = _core.search_min_superset(g.adj, blue, free, k, hi, ell, standard)
+                    found, cand, clos, ring = _core.search_min_superset(
+                        g.adj, blue, free, k, hi, ell, standard, cuts)
                 nodes += cand
                 closures += clos
+                rings += ring
                 k = hi + 1
             value += found.bit_count() - outside
             witness |= found & comp
@@ -214,7 +240,7 @@ def leaky_number(
             pool.shutdown(cancel_futures=True)
     return SolveResult(
         value, VertexSet.from_mask(n, witness), VertexSet.from_mask(n, core), rule, ell,
-        SolveStats(nodes, closures),
+        SolveStats(nodes, closures), rings,
     )
 
 
@@ -261,11 +287,12 @@ def monotonicity_audit(g: Graph, max_ell: int) -> list[int]:
 
 def _scan_one(args) -> list[ScanRecord]:
     g, ell = args
-    base = leaky_number(g, ell).value
+    base = leaky_number(g, ell)
     records = []
     for u, v in g.edges():
-        reduced = leaky_number(delete_edge(g, u, v), ell).value
-        records.append(ScanRecord(g, (u, v), base, reduced))
+        # most of G's cuts still bind in G - e; the kernel keeps those that do
+        reduced = leaky_number(delete_edge(g, u, v), ell, cuts=base.cuts[:64]).value
+        records.append(ScanRecord(g, (u, v), base.value, reduced))
     return records
 
 
@@ -273,11 +300,13 @@ def edge_deletion_scan(
     graphs: Iterable[Graph], ell: int = 1, workers: int = 1
 ) -> Iterator[ScanRecord]:
     """One record per (graph, edge): the value before and after deleting
-    that edge.  Output order follows the input stream at any worker count.
-    With ``workers > 1`` the stream is read in batches of ``8 * workers``
-    graphs, so at most one batch is held at a time (``Executor.map`` would
-    read the whole stream before yielding anything).  A ``workers`` that
-    is not an int of at least 1 raises when the first record is asked for.
+    that edge.  Each G - e is solved from the first 64 of G's cuts, which
+    spares closures and changes no value.  Output order follows the input
+    stream at any worker count.  With ``workers > 1`` the stream is read
+    in batches of ``8 * workers`` graphs, so at most one batch is held at a
+    time (``Executor.map`` would read the whole stream before yielding
+    anything).  A ``workers`` that is not an int of at least 1 raises when
+    the first record is asked for.
     """
     _check_workers(workers)
     tasks = ((g, ell) for g in graphs)

@@ -24,12 +24,13 @@ import pytest
 from forceps import Graph, Rule, VertexSet, _core, from_graph6, is_ell_leaky_forcing_set, leaky_number
 from forceps._core import _pykernel
 from forceps.families import complete, cycle, grid, hypercube, path, petersen_gp, tree_from_pruefer, wheel
+from forceps.graphs import delete_edge
 from forceps.solve import _pieces
 
 from corpus import atlas_graphs, interleaved_union, random_graph
 from oracles import (
-    async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_standard_fort, naive_minimal_forts,
-    naive_possible_forces,
+    async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_fort, naive_is_standard_fort,
+    naive_minimal_forts, naive_possible_forces,
 )
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
@@ -247,8 +248,8 @@ def test_searches_agree(ck, monkeypatch):
         hi = rng.choice([lo - 1, rng.randint(max(lo, -1), g.n + 2), 1 << 70])
         ell = rng.randint(0, 2)
         for std in (False, True):
-            assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
-                ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
+            assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std, ()) == \
+                ck.search_min_superset(g.adj, core, free, lo, hi, ell, std, ())
     # 64 vertices with vertex 63 forcing; the core drops a few blue vertices
     for g, blue, rng in _top_forcer_instances(8):
         core = blue & ~sum(1 << v for v in rng.sample(range(63), 3))
@@ -257,10 +258,11 @@ def test_searches_agree(ck, monkeypatch):
             lo = hi - rng.randint(0, 2)
             free = rng.choice([(1 << 64) - 1, rng.getrandbits(64) | 1 << 63])
             for std in (False, True):
-                assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
-                    ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
+                assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std, ()) == \
+                    ck.search_min_superset(g.adj, core, free, lo, hi, ell, std, ())
     # disjoint unions whose core covers one part: leaks go only on the
-    # components with a vertex outside the core, and the budget may exceed them
+    # components with a vertex outside the core, and the budget may exceed
+    # them; an offered cut's threats are counted against the clamped budget
     rng = random.Random(0xDEAD)
     for _ in range(60):
         a = random_graph(rng, rng.randint(1, 5), 0.5)
@@ -271,10 +273,12 @@ def test_searches_agree(ck, monkeypatch):
         free = rng.choice([(1 << g.n) - 1, rng.getrandbits(g.n)])
         lo = rng.randint(core.bit_count(), g.n)
         hi = rng.randint(lo, g.n)
-        for ell in (2, 3):
+        offers = [rng.getrandbits(g.n) | part for _ in range(10)] + [rng.getrandbits(g.n) for _ in range(10)]
+        for ell in (2, 3, 6):
             for std in (False, True):
-                assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
-                    ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
+                for cuts in ((), offers):
+                    assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std, cuts) == \
+                        ck.search_min_superset(g.adj, core, free, lo, hi, ell, std, cuts)
     # 64 vertices in two groups with no edge between them, the dead one
     # inside the core; vertex 63 lies in the dead group, then in the live one
     for top_live in (False, True):
@@ -290,8 +294,8 @@ def test_searches_agree(ck, monkeypatch):
                 lo = core.bit_count() + rng.randint(0, 2)
                 hi = core.bit_count() + 2
                 for std in (False, True):
-                    found = _pykernel.search_min_superset(g.adj, core, live, lo, hi, ell, std)
-                    assert found == ck.search_min_superset(g.adj, core, live, lo, hi, ell, std)
+                    found = _pykernel.search_min_superset(g.adj, core, live, lo, hi, ell, std, ())
+                    assert found == ck.search_min_superset(g.adj, core, live, lo, hi, ell, std, ())
                     # a hit forces the graph under placements over every vertex
                     if found[0] >= 0:
                         assert ck.first_failing_leaks(g.adj, found[0], ell, std)[0] == -1
@@ -315,9 +319,9 @@ def test_searches_agree(ck, monkeypatch):
             core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
             lo = max(core.bit_count(), ell + 1)
             for std in (False, True):
-                found = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std)
+                found = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std, ())
                 assert found[0] >= 0
-                assert found == ck.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std)
+                assert found == ck.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std, ())
     assert 2 * sum(shrunk) > len(shrunk)
 
 
@@ -333,11 +337,11 @@ def test_sharded_search_agrees_with_full_scan(ck):
         for kern in (_pykernel, ck):
             for ell in (0, 1, 2):
                 for std in (False, True):
-                    full = kern.search_min_superset(g.adj, core, free, 4, 4, ell, std)
+                    full = kern.search_min_superset(g.adj, core, free, 4, 4, ell, std, ())
                     for size in (1, 5, 20):
                         found, candidates = -1, 0
                         for c, f in _pieces(core, free, 3, size):
-                            piece, cand, _ = kern.search_min_superset(g.adj, c, f, 4, 4, ell, std)
+                            piece, cand, _, _ = kern.search_min_superset(g.adj, c, f, 4, 4, ell, std, ())
                             candidates += cand
                             if piece >= 0:
                                 found = piece
@@ -364,12 +368,12 @@ def test_a_range_call_chains_its_classes(ck):
             for kern in (_pykernel, ck):
                 found, candidates = -1, 0
                 for k in range(lo, hi + 1):
-                    found, cand, clos = kern.search_min_superset(g.adj, core, free, k, k, ell, std)
+                    found, cand, clos, _ = kern.search_min_superset(g.adj, core, free, k, k, ell, std, ())
                     candidates += cand
                     chained_closures += clos
                     if found >= 0:
                         break
-                whole = kern.search_min_superset(g.adj, core, free, lo, hi, ell, std)
+                whole = kern.search_min_superset(g.adj, core, free, lo, hi, ell, std, ())
                 assert whole[:2] == (found, candidates)
                 whole_closures += whole[2]
     assert whole_closures < chained_closures
@@ -444,7 +448,7 @@ EVICTING_SEARCHES = {
 def _search_from_the_degree_core(kern, g, ell):
     core = sum(1 << v for v in range(g.n) if g.adj[v].bit_count() <= ell)
     lo = max(core.bit_count(), ell + 1)
-    return kern.search_min_superset(g.adj, core, (1 << g.n) - 1, lo, g.n, ell, False)
+    return kern.search_min_superset(g.adj, core, (1 << g.n) - 1, lo, g.n, ell, False, ())
 
 
 def _check_pins(kern, monkeypatch):
@@ -453,7 +457,8 @@ def _check_pins(kern, monkeypatch):
         for rule, leak_checks in counts.items():
             assert leaky_number(g, ell, rule).stats.leak_checks == leak_checks
     for (g, ell), pinned in EVICTING_SEARCHES.items():
-        assert _search_from_the_degree_core(kern, g, ell) == pinned
+        found = _search_from_the_degree_core(kern, g, ell)
+        assert found[:3] == pinned and len(found[3]) == _pykernel._CUTS
 
 
 def test_anchor_leak_checks_are_pinned(monkeypatch):
@@ -478,6 +483,122 @@ def test_compiled_anchor_leak_checks_are_pinned(ck, monkeypatch):
     _check_pins(ck, monkeypatch)
 
 
+def _twin(name, request):
+    return _pykernel if name == "python" else request.getfixturevalue("ck")
+
+
+def _offer_kind(g, mask, free, ell, standard):
+    """Why the search must refuse ``mask`` as a cut, or None if it may keep
+    it, judged from the graph alone: the threats are the vertices outside
+    the mask with exactly one neighbor in it."""
+    vertices = {v for v in range(g.n) if mask >> v & 1}
+    threats = sum(1 for v in range(g.n) if not mask >> v & 1 and (g.adj[v] & mask).bit_count() == 1)
+    connected = len(_pykernel.components(g.adj, mask)) == 1
+    if not mask & free:
+        return "misses free" if mask else "zero"
+    if standard and threats > ell and naive_is_fort(g, vertices, ell):
+        return "psd fort"  # each component has at most ell threats, the whole set more
+    if not standard and not connected and threats <= ell:
+        return "standard fort"
+    if not standard and not connected and naive_is_fort(g, vertices, ell):
+        return "disconnected psd fort"
+    if threats == ell + 1 and (standard or connected):
+        return "ell + 1 threats"
+    if threats > ell or not (standard or connected):
+        return "not a fort"
+    return None
+
+
+@pytest.mark.parametrize("twin", ["python", "c"])
+def test_refused_offers_change_nothing(twin, request):
+    # offers the search must refuse, each twice, cost nothing and change
+    # nothing: the search returns what an empty offer returns, ring included
+    kern = _twin(twin, request)
+    rng = random.Random(0x0FF)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(5, 8)
+        g = random_graph(rng, n, rng.choice([0.3, 0.45, 0.6]))
+        for ell in range(3):
+            core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
+            free = rng.choice([(1 << n) - 1, rng.getrandbits(n)]) & ~core
+            lo = max(core.bit_count(), ell + 1)
+            for std in (False, True):
+                refused = []
+                for mask in range(1 << n):
+                    kind = _offer_kind(g, mask, free, ell, std)
+                    if kind is not None:
+                        refused.append(mask)
+                        seen.add((std, kind))
+                offers = rng.sample(refused, min(len(refused), 40)) + [0]
+                offers += offers[::-1]
+                bare = kern.search_min_superset(g.adj, core, free, lo, n, ell, std, ())
+                assert kern.search_min_superset(g.adj, core, free, lo, n, ell, std, offers) == bare
+    kinds = ("zero", "misses free", "ell + 1 threats", "not a fort")
+    assert seen >= {(std, kind) for std in (False, True) for kind in kinds}
+    assert seen >= {(True, "psd fort"), (False, "standard fort"), (False, "disconnected psd fort")}
+
+
+@pytest.mark.parametrize("twin", ["python", "c"])
+def test_kept_offers_fill_the_ring_in_the_offered_order(twin, request):
+    # in K10 every set of two or more vertices is a connected fort with no
+    # threat.  Nine blue vertices force the tenth at once, so the ring that
+    # comes back is the one the offers filled: the first 64 distinct offers
+    # that meet free (vertex 0), in the offered order, the first as the
+    # newest.  {0} alone has nine threats and is refused
+    kern = _twin(twin, request)
+    k10 = complete(10)
+    rng = random.Random(0x10)
+    offers = [rng.getrandbits(10) for _ in range(300)]
+    offers[5:5] = [1, offers[3], 0, 1 << 9, offers[4]]
+    want = []
+    for mask in offers:
+        if mask & 1 and mask != 1 and mask not in want:
+            want.append(mask)
+    assert len(want) > 64
+    for std in (False, True):
+        found = kern.search_min_superset(k10.adj, 0x3FE, 1, 9, 9, 8, std, offers)
+        assert found[:2] == (0x3FE, 1) and found[3] == tuple(want[:64])
+
+
+def test_twins_agree_on_offered_cuts(ck):
+    # a scan offers G's ring to the search of each G - e: the twins keep the
+    # same offers, test the same candidates and return the same ring
+    rng = random.Random(0xE0E)
+    made = 0
+    for _ in range(40):
+        n = rng.randint(6, 12)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5]))
+        ell = rng.randint(0, 3)
+        core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
+        lo = max(core.bit_count(), ell + 1)
+        for std in (False, True):
+            ring = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std, ())[3]
+            for u, v in rng.sample(g.edges(), min(3, len(g.edges()))):
+                h = delete_edge(g, u, v)
+                hcore = sum(1 << x for x in range(n) if h.adj[x].bit_count() <= ell)
+                args = (h.adj, hcore, (1 << n) - 1, max(hcore.bit_count(), ell + 1), n, ell, std)
+                carried = _pykernel.search_min_superset(*args, ring)
+                assert carried == ck.search_min_superset(*args, ring)
+                assert carried[:2] == _pykernel.search_min_superset(*args, ())[:2]
+    # more than 64 kept offers, so the ring drops offers and then new cuts:
+    # every minimal fort of these graphs binds, and random masks mostly not
+    for g, ell in ((hypercube(4), 1), (hypercube(4), 2), (grid(4, 4), 1)):
+        forts = _pykernel.minimal_fort_masks(g.adj, ell)
+        core = sum(1 << v for v in range(g.n) if g.adj[v].bit_count() <= ell)
+        for std in (False, True):
+            offers = rng.sample(forts, 100) + [rng.getrandbits(g.n) for _ in range(50)]
+            rng.shuffle(offers)
+            args = (g.adj, core, (1 << g.n) - 1, max(core.bit_count(), ell + 1), g.n, ell, std)
+            found = _pykernel.search_min_superset(*args, offers)
+            assert found == ck.search_min_superset(*args, offers)
+            assert found[:2] == _pykernel.search_min_superset(*args, ())[:2]
+            kept = {m for m in offers if _offer_kind(g, m, args[2] & ~core, ell, std) is None}
+            assert len(kept) > 64
+            made += bool(set(found[3]) - kept)
+    assert made > 0
+
+
 def test_search_returns_the_first_superset_the_oracle_accepts(ck):
     # the oracle closes sets one force at a time over Python sets and knows
     # nothing of fort cuts
@@ -499,7 +620,7 @@ def test_search_returns_the_first_superset_the_oracle_accepts(ck):
                     expected, count = core | sum(1 << v for v in combo), i
                     break
             for kern in (_pykernel, ck):
-                found = kern.search_min_superset(g.adj, core, free_mask, k, k, ell, rule is Rule.standard)
+                found = kern.search_min_superset(g.adj, core, free_mask, k, k, ell, rule is Rule.standard, ())
                 assert found[:2] == (expected, count)
 
 
@@ -598,10 +719,10 @@ def test_twins_check_graph_and_budget_arguments_alike(ck):
     # (entry, takes a leak budget)
     entries = (
         (lambda k, adj, ell: k.components(adj, 0), False),
-        (lambda k, adj, ell: k.search_min_superset(adj, 1, 6, 2, 2, ell, True), True),
+        (lambda k, adj, ell: k.search_min_superset(adj, 1, 6, 2, 2, ell, True, ()), True),
         (lambda k, adj, ell: k.realizable_forcers(adj, 0, 0), False),
         (lambda k, adj, ell: k.first_failing_leaks(adj, 0, ell, False), True),
-        (lambda k, adj, ell: k.search_min_superset(adj, 0, 1, 1, 1, ell, False), True),
+        (lambda k, adj, ell: k.search_min_superset(adj, 0, 1, 1, 1, ell, False, ()), True),
         (lambda k, adj, ell: k.first_failing_leaks(adj, 1, ell, True), True),
         (lambda k, adj, ell: k.minimal_fort_masks(adj, ell), True),
     )
@@ -637,11 +758,11 @@ def test_full_word_capacity(ck):
         assert k.first_failing_leaks(q6.adj, 0, 0, False) == (0, 1)
         # standard rule stalls: every blue vertex has six white neighbors
         assert k.first_failing_leaks(q6.adj, even, 0, True) == (0, 1)
-        assert k.search_min_superset(q6.adj, even, 0, 32, 32, 0, False) == (even, 1, 1)
+        assert k.search_min_superset(q6.adj, even, 0, 32, 32, 0, False, ()) == (even, 1, 1, ())
         with pytest.raises(ValueError):
             k.first_failing_leaks(q6.adj, even, -1, False)
         with pytest.raises(ValueError):
-            k.search_min_superset(q6.adj, even, full, 40, 40, -1, False)
+            k.search_min_superset(q6.adj, even, full, 40, 40, -1, False, ())
         # the ends of a path are its one-leak forts; on a cycle every vertex
         # is a two-leak fort, and vertex 63 fills its lane up to the guard bit
         p64 = path(64)
@@ -668,12 +789,15 @@ def test_twins_reject_out_of_range_masks_alike(ck):
     calls = (
         lambda k, mask: k.components(p3.adj, mask),
         lambda k, mask: k.first_failing_leaks(p3.adj, mask, 1, True),
-        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, True),
+        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, True, ()),
         lambda k, mask: k.realizable_forcers(p3.adj, mask, 7),
         lambda k, mask: k.realizable_forcers(p3.adj, 1, mask),
         lambda k, mask: k.first_failing_leaks(p3.adj, mask, 1, False),
-        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, False),
-        lambda k, mask: k.search_min_superset(p3.adj, 0, mask, 1, 1, 0, False),
+        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, False, ()),
+        lambda k, mask: k.search_min_superset(p3.adj, 0, mask, 1, 1, 0, False, ()),
+        # every offered cut is checked, in an empty range too
+        lambda k, mask: k.search_min_superset(p3.adj, 0, 7, 1, 3, 1, False, (3, mask, 6)),
+        lambda k, mask: k.search_min_superset(p3.adj, 0, 7, 2, 1, 0, True, [mask]),
     )
     cases = ((0b1001, ValueError), (1 << 63, ValueError), (-1, OverflowError), (1 << 64, OverflowError))
     for call in calls:
@@ -685,6 +809,12 @@ def test_twins_reject_out_of_range_masks_alike(ck):
                 messages.append(str(info.value))
             assert messages[0] == messages[1]
         assert call(_pykernel, 0b101) == call(ck, 0b101)
+    # offered cuts are checked after the leak budget, and must be iterable
+    for k in (_pykernel, ck):
+        with pytest.raises(ValueError, match="^leak budget must be non-negative$"):
+            k.search_min_superset(p3.adj, 0, 7, 1, 1, -1, False, [-1])
+        with pytest.raises(TypeError):
+            k.search_min_superset(p3.adj, 0, 7, 1, 1, 0, False, 5)
     # hitting-set masks are their own universe: any vertex below 64 is one
     for k in (_pykernel, ck):
         assert k.min_hitting_set([]) == (0, 0)

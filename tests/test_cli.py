@@ -252,6 +252,12 @@ def test_family_with_an_empty_field_is_exit_one(capsys):
     assert code == 1 and out == "" and err.startswith("error: bad family parameters in 'grid:4::4'")
 
 
+@pytest.mark.parametrize("text", ["path:1_0", "path:+3", "grid:4:04"])
+def test_family_with_a_non_decimal_field_is_exit_one(capsys, text):
+    code, out, err = run(capsys, "number", "--family", text, "--ell", "1")
+    assert code == 1 and out == "" and err.startswith(f"error: bad family parameters in {text!r}")
+
+
 def test_oversized_family_is_exit_one(capsys):
     code, out, err = run(capsys, "number", "--family", "complete_bipartite:30000:30000",
                          "--ell", "1")

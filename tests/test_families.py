@@ -31,10 +31,14 @@ def test_spec_parse_and_str():
         FamilySpec.parse("path:3:4")
     with pytest.raises(ValueError):
         FamilySpec.parse("grid:4:x")
-    # an empty field is an error, not a field to skip
-    for text in ("grid:4::4", "grid:4:4:", "path:3:"):
+    # an empty field is an error, not a field to skip, and so is any
+    # spelling of a number but the plain decimal that str gives back
+    for text in ("grid:4::4", "grid:4:4:", "path:3:", "path:1_0", "path: 3", "path:3 ", "path:+3",
+                 "path:-0", "path:-03", "path:\u0663", "grid:4:04", "path:00", "path:3\n", "path:0x3"):
         with pytest.raises(ValueError, match="^bad family parameters"):
             FamilySpec.parse(text)
+    for text in ("path:10", "path:0", "hypercube:-1", "grid:4:4", "tree_from_pruefer:0:10:9", "fig3_spider"):
+        assert str(FamilySpec.parse(text)) == text
 
 
 def test_spec_keeps_its_own_parameter_tuple():

@@ -23,6 +23,7 @@ from forceps import (
     expected_value,
     family_table,
     from_graph6,
+    induced_subgraph,
     is_ell_leaky_forcing_set,
     leaky_number,
     monotonicity_audit,
@@ -41,7 +42,7 @@ from forceps.families import (
 )
 from forceps.solve import ScanSummary, _pieces, _search_pieces
 
-from corpus import atlas_graphs, interleaved_union, random_graph
+from corpus import atlas_graphs, disjoint_union, interleaved_union, random_graph
 from oracles import naive_leaky_number
 
 
@@ -103,6 +104,30 @@ class TestLeakyNumber:
     def test_empty_graph(self):
         res = leaky_number(Graph.from_edges(0, []), 0)
         assert res.value == 0 and len(res.witness) == 0
+
+    def test_a_solve_returns_its_cuts_and_takes_offered_ones(self):
+        # the final cut ring of each component's search: forts of the rule
+        # with at most ell threats, connected under the psd rule.  Offered
+        # back, they skip closures and change nothing else
+        g, ell = disjoint_union(grid(3, 3), hypercube(3)), 1
+        for rule in Rule:
+            res = leaky_number(g, ell, rule)
+            assert len(res.cuts) <= 2 * 64
+            assert {cut & 0x1FF != 0 for cut in res.cuts} == {True, False}  # both components
+            for cut in res.cuts:
+                vertices = set(_bits(cut))
+                threats = sum(1 for v in range(g.n) if v not in vertices and len(set(_bits(g.adj[v])) & vertices) == 1)
+                assert threats <= ell
+                sub, _ = induced_subgraph(g, VertexSet(g.n, vertices))
+                assert rule is Rule.standard or len(connected_components(sub)) == 1
+            again = leaky_number(g, ell, rule, cuts=iter(res.cuts))
+            assert (again.value, again.witness, again.stats.nodes) == (res.value, res.witness, res.stats.nodes)
+            assert again.stats.leak_checks < res.stats.leak_checks
+            # the cuts are left out of equality and repr
+            assert replace(res, cuts=()) == res and "cuts" not in repr(res)
+        for cut, exc in ((1 << 17, ValueError), (-1, OverflowError)):
+            with pytest.raises(exc):
+                leaky_number(g, ell, cuts=[1, cut])
 
 
 class TestAgainstBruteForce:
@@ -246,7 +271,7 @@ class TestParallelSearch:
         # pool goes on to the solve's next component, so the queued pieces
         # must not run
         pool = ManualPool()
-        assert _search_pieces(pool, cycle(6), 0, (1 << 6) - 1, 2, 0, False, 1) == (0b11, 1, 1)
+        assert _search_pieces(pool, cycle(6), 0, (1 << 6) - 1, 2, 0, False, 1) == (0b11, 1, 1, ())
         assert len(pool.futures) == comb(6, 2)
         assert all(f.cancelled() for f in pool.futures[1:])
 
@@ -362,6 +387,44 @@ class TestEdgeDeletionScan:
                 if key not in values:
                     values[key] = leaky_number(h, 1).value
                 assert r.value_g_minus_e == values[key]
+
+    def test_records_match_plain_solves(self, monkeypatch):
+        # the scan offers G's cuts to the solve of each G - e; that solve
+        # gives the plain solve's value, witness and node count, with fewer
+        # closures over the corpus
+        import forceps.solve as solve_mod
+
+        solves = []
+
+        def recording(g, ell, rule=Rule.psd, **kwargs):
+            res = leaky_number(g, ell, rule, **kwargs)
+            solves.append((g, kwargs.get("cuts", ()), res))
+            return res
+
+        monkeypatch.setattr(solve_mod, "leaky_number", recording)
+        offered = carried = plain_checks = 0
+        for g in atlas_graphs(6):
+            for ell in (0, 1, 2):
+                solves.clear()
+                records = list(edge_deletion_scan([g], ell))
+                assert len(solves) == 1 + len(records) == 1 + g.num_edges()
+                base = solves[0][2]
+                assert base == leaky_number(g, ell)
+                for rec, (h, cuts, res) in zip(records, solves[1:]):
+                    plain = leaky_number(delete_edge(g, *rec.edge), ell)
+                    assert h == delete_edge(g, *rec.edge) and cuts == base.cuts[:64]
+                    assert (rec.value_g, rec.value_g_minus_e) == (base.value, plain.value)
+                    assert (res.value, res.witness, res.stats.nodes) == \
+                        (plain.value, plain.witness, plain.stats.nodes)
+                    offered += bool(cuts)
+                    carried += res.stats.leak_checks
+                    plain_checks += plain.stats.leak_checks
+        assert offered and carried < plain_checks
+
+    def test_parallel_scan_gives_the_serial_records(self):
+        sample = atlas_graphs(6)[::7]
+        for ell in (0, 1, 2):
+            assert list(edge_deletion_scan(sample, ell, workers=2)) == list(edge_deletion_scan(sample, ell))
 
     def test_summary_collects_increases(self):
         summary = ScanSummary()
