@@ -4,7 +4,7 @@ The compiled extension ``_ckernel`` is plain C (``_ckernel.c``) that
 setuptools compiles; a ``src/`` checkout gets it with
 ``python setup.py build_ext --inplace``.  Nothing is built at import time:
 when the extension is absent, or FORCEPS_PURE_PYTHON is set to a value other
-than empty or ``0``, the pure Python twin is used.  The C twin has the six
+than empty or ``0``, the pure Python twin is used.  The C twin has the seven
 functions the workloads time, with identical results; ``closure_mask`` and
 ``is_fort_mask`` exist only in Python.  A graph enters as its adjacency
 tuple alone, whose length is the vertex count, and a hitting-set instance as
@@ -36,6 +36,7 @@ components = kernel.components
 realizable_forcers = kernel.realizable_forcers
 first_failing_leaks = kernel.first_failing_leaks
 search_min_superset = kernel.search_min_superset
+deletion_values = kernel.deletion_values
 minimal_fort_masks = kernel.minimal_fort_masks
 min_hitting_set = kernel.min_hitting_set
 # Only untimed callers (forcing-set and fort checks) use these: one implementation.

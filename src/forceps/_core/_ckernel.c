@@ -1,11 +1,11 @@
-/* C twin of the six primitives of _pykernel that the workloads time, with the
+/* C twin of the seven primitives of _pykernel that the workloads time, with the
  * same argument conventions and bit-identical results.  See _pykernel for the
  * semantics; its closure_mask and is_fort_mask serve only untimed callers and
  * have no C twin.  setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 13
-/* Fort cuts one search_min_superset call keeps. */
+#define KERNEL_VERSION 14
+/* Fort cuts one search keeps. */
 #define CUTS 64
 
 #define PY_SSIZE_T_CLEAN
@@ -371,42 +371,6 @@ static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int stand
     return fort;
 }
 
-/* Whether `cut` is a fort of the rule with at most ell threats, connected
- * under the psd rule: a cut the search may keep.  Same test as
- * _pykernel._binds. */
-static int binds(const uint64_t *adj, uint64_t cut, int ell, int standard)
-{
-    uint64_t one = 0, two = 0, c, unused;
-    for (c = cut; c; c &= c - 1) {
-        two |= one & adj[CTZ(c)];
-        one |= adj[CTZ(c)];
-    }
-    if (POP(one & ~two & ~cut) > ell)
-        return 0;
-    return standard || component(adj, cut, cut & (0 - cut), &unused) == cut;
-}
-
-/* Fill `cuts` with the offers in `seq` that binds() accepts, that meet `free`
- * and that repeat no earlier kept offer, the first CUTS of them in the
- * offered order; every offer is range-checked.  Returns their count, or -1
- * with an exception set. */
-static int take_offers(PyObject *seq, int n, const uint64_t *adj, uint64_t free, int ell, int standard,
-                       uint64_t *cuts)
-{
-    Py_ssize_t t;
-    int i, ncuts = 0;
-    uint64_t cut;
-    for (t = 0; t < PySequence_Fast_GET_SIZE(seq); t++) {
-        if (get_vmask(PySequence_Fast_GET_ITEM(seq, t), n, &cut) < 0)
-            return -1;
-        for (i = 0; i < ncuts && cuts[i] != cut; i++)
-            ;
-        if (i == ncuts && ncuts < CUTS && (cut & free) && binds(adj, cut, ell, standard))
-            cuts[ncuts++] = cut;
-    }
-    return ncuts;
-}
-
 /* (mask or -1, candidates, closures, ring): the ring of ncuts cuts, whose
  * newest sits just below `head`, as a tuple newest first. */
 static PyObject *search_out(int found, uint64_t mask, long long candidates, long long closures,
@@ -426,6 +390,112 @@ static PyObject *search_out(int found, uint64_t mask, long long candidates, long
     if (found)
         return Py_BuildValue("(KLLN)", (unsigned long long)mask, candidates, closures, ring);
     return Py_BuildValue("(iLLN)", -1, candidates, closures, ring);
+}
+
+/* Scan the size classes lo..hi in order, clipped to |core|..|core| + |free|;
+ * class k is the sets of core plus k - |core| vertices of `free` (which
+ * misses core) in lexicographic order, and solve._pieces splits a class into
+ * such pieces.  1 with the first set that forces the graph under every
+ * placement of sc->ell leaks in *found, 0 when the classes hold none (an
+ * empty range holds none and tests nothing), -1 with MemoryError.  Leaks go
+ * only on sc->vs, the components with a vertex outside core, with ell clamped
+ * to its size: a component inside core is blue with only blue neighbours in
+ * every candidate, so a leak on it is wasted, and a candidate's scan runs at
+ * most 1 + C(|vs|, ell) closures.  A failing candidate's scan gives the
+ * closure of a failing chain node S inside the failing placement L, a fixed
+ * point under S, so the vertices W outside it are a fort whose threats lie
+ * in S.  The cut kept is small_fort's F inside W: at most ell (as clamped)
+ * outside vertices with exactly one neighbour in F, and F connected under the
+ * psd rule.  A set missing F fails once F's threats leak: while F is white, a
+ * non-leaked blue vertex has no neighbour in F or at least two, so under the
+ * standard rule it forces nothing in F, and under the psd rule its neighbours
+ * in F share one white component, the one holding F, so it forces no vertex
+ * of F either.  Only failing candidates are skipped, so the witness and the
+ * candidate count do not depend on the cuts.  That argument never uses the
+ * size of the set, so the last CUTS (64, fixed) cuts stay in one ring for
+ * every class: `cuts` holds *ncuts distinct ones, the newest just below
+ * *head, which the search updates.  Nor does it use where F came from, so the
+ * ring may start from any such cuts, as deletion_values starts it from G's
+ * cuts that bind in G - e.  The class of core alone is one candidate, always
+ * tested, and keeps no cut.  The other classes are walked prefix by prefix,
+ * as failing_leaks walks placements; the cuts a prefix misses are ANDed into
+ * `need`, and a closure runs only for a last vertex in rest & need, taken by
+ * lowest bit.  A skipped candidate still counts as tested.
+ * _pykernel._search keeps the same ring and tests the same candidates, so
+ * the twins share candidates, closures and rings; it also ends a prefix's
+ * ring scan once nothing is left and skips a prefix a remembered cut
+ * empties, which changes neither.  _pykernel.search_min_superset's docstring
+ * gives the proofs. */
+static int search(struct scan *sc, uint64_t core, uint64_t free_mask, int lo, int hi, uint64_t *cuts,
+                  int *ncuts, int *head, uint64_t *found, long long *candidates, long long *closures)
+{
+    int base = POP(core), j, i;
+    uint64_t full = full_mask(sc->n), leaks, reach, p, need, rest, hits, low, cand;
+    if (lo < base)
+        lo = base;
+    if (hi > base + POP(free_mask))
+        hi = base + POP(free_mask);
+    for (j = lo - base; j <= hi - base; j++) {
+        if (j == 0) {
+            ++*candidates;
+            if (failing_leaks(sc, core, &leaks, &reach, closures) < 0)
+                return -1;
+            if (reach == full) {
+                *found = core;
+                return 1;
+            }
+            continue;
+        }
+        p = lowest(free_mask & ~HIGH(free_mask), j - 1);
+        do {
+            need = ~(uint64_t)0;
+            for (i = 0; i < *ncuts; i++)
+                if (((core | p) & cuts[i]) == 0)
+                    need &= cuts[i];
+            for (rest = ABOVE(free_mask, p); (hits = rest & need) != 0;) {
+                low = hits & (0 - hits);
+                *candidates += POP(rest & (low - 1)) + 1;
+                rest &= 0 - (low << 1);  /* 0 once low is vertex 63 */
+                cand = core | p | low;
+                if (failing_leaks(sc, cand, &leaks, &reach, closures) < 0)
+                    return -1;
+                if (reach == full) {
+                    *found = cand;
+                    return 1;
+                }
+                /* the ring drops its oldest cut once full */
+                cuts[*head] = small_fort(sc->adj, full & ~reach, sc->ell, sc->standard);
+                need &= cuts[*head];
+                *head = (*head + 1) % CUTS;
+                *ncuts += *ncuts < CUTS;
+            }
+            *candidates += POP(rest);
+        } while ((p = next_prefix(free_mask, p)) != 0);
+    }
+    return 0;
+}
+
+/* An offer to deletion_values that may bind in some G - e, with its facts in
+ * G: the vertices outside it with one neighbour in it (its threats) and with
+ * exactly two, and the threats' count. */
+struct offer {
+    uint64_t cut, threats, twice;
+    int count;
+};
+
+/* Whether the offer binds in G - uv, whose rows are `h`: it is connected with
+ * at most ell threats there.  The rule of _pykernel.deletion_values: an edge
+ * with no endpoint in the offer changes nothing; with one, only the other
+ * endpoint's count drops by one; with both, no threat changes and the offer
+ * less the edge is connected iff u and v are joined inside it. */
+static int still_binds(const struct offer *f, const uint64_t *h, int u, int v, int ell)
+{
+    uint64_t bu = (uint64_t)1 << u, bv = (uint64_t)1 << v, e = bu | bv, ends = f->cut & e, unused;
+    if (ends == e)
+        return f->count <= ell && (component(h, f->cut, bu, &unused) & bv) != 0;
+    if (ends)
+        return f->count - ((e & f->threats) != 0) + ((e & f->twice) != 0) <= ell;
+    return f->count <= ell;
 }
 
 /* ------------------------------------------------------ Python entries */
@@ -523,115 +593,136 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
     return Py_BuildValue("(KL)", (unsigned long long)leaks, closures);
 }
 
-/* Scan the size classes lo..hi in order, clipped to |core|..|core| + |free|
- * (an empty range gives (-1, 0, 0, ())); class k is the sets of core plus
- * k - |core| vertices of `free` (core vertices inside it are ignored) in
- * lexicographic order, and solve._pieces splits a class into such pieces.
- * Leaks go only on `live`, the components with a vertex outside core, with
- * ell clamped to its size: a component inside core is blue with only blue
- * neighbours in every candidate, so a leak on it is wasted, and a
- * candidate's scan runs at most 1 + C(|live|, ell) closures.  For ell <= 1
- * the last leak is a leak-free forcer, already live, so live is computed
- * only for ell >= 2.  A failing candidate's scan gives the closure of a
- * failing chain node S inside the failing placement L, a fixed point under
- * S, so the vertices W outside it are a fort whose threats lie in S.  The
- * cut kept is small_fort's F inside W: at most ell (as clamped) outside
- * vertices with exactly one neighbour in F, and F connected under the psd
- * rule.  A set missing F fails once F's threats leak: while F is white, a
- * non-leaked blue vertex has no neighbour in F or at least two, so under the
- * standard rule it forces nothing in F, and under the psd rule its
- * neighbours in F share one white component, the one holding F, so it forces
- * no vertex of F either.  Only failing candidates are skipped, so the
- * witness and the candidate count do not depend on the cuts.  That argument
- * never uses the size of the set, so the last CUTS (64, fixed) cuts stay in
- * one ring for every class of the call, and the call returns the ring,
- * newest first.  Nor does it use where F came from, so the ring starts from
- * the offered `cuts` (checked after the leak budget) that take_offers keeps,
- * the first as the newest; a wrong offer costs time, never an answer.  The
- * class of core alone is one candidate, always tested, and keeps no cut.
- * The other classes are walked prefix by prefix, as failing_leaks walks
- * placements; the cuts a prefix misses are ANDed into `need`, and a closure
- * runs only for a last vertex in rest & need, taken by lowest bit.  A
- * skipped candidate still counts as tested.  _pykernel.search_min_superset keeps the same ring and tests the
- * same candidates, so the twins share candidates, closures and rings; it
- * also ends a prefix's ring scan once nothing is left and skips a prefix a
- * remembered cut empties, which changes neither.  Its docstring gives the
- * proofs. */
+/* See search; the ring comes back newest first.  For ell <= 1 the last leak is
+ * a leak-free forcer, already live, so live is computed only for ell >= 2. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int lo, hi, base, j, i, ncuts, head;
-    uint64_t adj[64], core, free_mask, full, leaks, reach, p, need, rest, hits, low, cand, unused, cut, cuts[CUTS];
+    int lo, hi, found, ncuts = 0, head = 0;
+    uint64_t adj[64], core, free_mask, full, mask = 0, unused, cuts[CUTS];
     long long candidates = 0, closures = 0;
-    PyObject *out = NULL, *seq;
     struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
-    if (check_nargs("search_min_superset", nargs, 8) < 0 || load_adj(args[0], &sc.n, adj) < 0
+    if (check_nargs("search_min_superset", nargs, 7) < 0 || load_adj(args[0], &sc.n, adj) < 0
         || get_vmask(args[1], sc.n, &core) < 0 || get_vmask(args[2], sc.n, &free_mask) < 0
         || get_bound(args[3], &lo) < 0 || get_bound(args[4], &hi) < 0
-        || get_ell(args[5], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0
-        || (seq = PySequence_Fast(args[7], "cuts must be iterable")) == NULL)
+        || get_ell(args[5], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0)
         return NULL;
     full = full_mask(sc.n);
-    free_mask &= ~core;
     sc.vs = sc.ell >= 2 ? component(adj, full, full & ~core, &unused) : full;
     if (sc.ell > POP(sc.vs))
         sc.ell = POP(sc.vs);
-    if ((ncuts = take_offers(seq, sc.n, adj, free_mask, sc.ell, sc.standard, cuts)) < 0)
+    found = search(&sc, core, free_mask & ~core, lo, hi, cuts, &ncuts, &head, &mask, &candidates, &closures);
+    PyMem_Free(sc.memo.keys);
+    return found < 0 ? NULL : search_out(found, mask, candidates, closures, cuts, ncuts, head);
+}
+
+/* Per edge u < v in ascending order, (value, candidates, closures) of the
+ * psd ell-leaky number of G - uv, solved as a serial solve.leaky_number
+ * solves it: one search per component with a vertex outside the degree core,
+ * from the core and ell + 1 of the component's vertices up, the other
+ * vertices blue.  The offered cuts are range-checked after the leak budget
+ * and deduplicated; an offer that is disconnected in G, or has more than
+ * ell + 1 threats there, binds in no G - e.  Each search starts its ring from
+ * the first CUTS offers, in the offered order, the first as the newest, that
+ * meet its free vertices and still_binds keeps.  A searched component has at
+ * least ell + 2 vertices, so its clamped budget is ell.  Same steps as
+ * _pykernel.deletion_values, whose docstring gives the proofs. */
+static PyObject *py_deletion_values(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, ell, u, v, i, m = 0, nbind, ncuts, head, outside;
+    uint64_t adj[64], h[64], full, core, ecore, cut, c, nb, one, two, three, above, comp, rest;
+    uint64_t free_mask, blue, mask, unused, cuts[CUTS], *binding = NULL;
+    long long value, candidates, closures;
+    Py_ssize_t t, len, nedges = 0;
+    PyObject *seq, *out = NULL, *item;
+    struct offer *offers = NULL;
+    struct scan sc = {0, 0, 0, 0, h, {NULL, NULL, 0, 0}};
+    if (check_nargs("deletion_values", nargs, 3) < 0 || load_adj(args[0], &n, adj) < 0
+        || get_ell(args[1], &ell, n) < 0 || (seq = PySequence_Fast(args[2], "cuts must be iterable")) == NULL)
+        return NULL;
+    len = PySequence_Fast_GET_SIZE(seq);
+    offers = PyMem_Malloc((len ? len : 1) * sizeof *offers);
+    binding = PyMem_Malloc((len ? len : 1) * sizeof *binding);
+    if (offers == NULL || binding == NULL) {
+        PyErr_NoMemory();
         goto done;
-    for (i = 0; i < ncuts / 2; i++) {  /* the first offer kept is the newest */
-        cut = cuts[i];
-        cuts[i] = cuts[ncuts - 1 - i];
-        cuts[ncuts - 1 - i] = cut;
     }
-    head = ncuts % CUTS;
-    base = POP(core);
-    if (lo < base)
-        lo = base;
-    if (hi > base + POP(free_mask))
-        hi = base + POP(free_mask);
-    if (lo > hi) {
-        out = search_out(0, 0, 0, 0, NULL, 0, 0);
-        goto done;
-    }
-    for (j = lo - base; j <= hi - base; j++) {
-        if (j == 0) {
-            candidates++;
-            if (failing_leaks(&sc, core, &leaks, &reach, &closures) < 0)
-                goto done;
-            if (reach == full) {
-                out = search_out(1, core, candidates, closures, cuts, ncuts, head);
-                goto done;
-            }
+    for (t = 0; t < len; t++) {
+        if (get_vmask(PySequence_Fast_GET_ITEM(seq, t), n, &cut) < 0)
+            goto done;
+        for (i = 0; i < m && offers[i].cut != cut; i++)
+            ;
+        if (i < m || cut == 0 || component(adj, cut, cut & (0 - cut), &unused) != cut)
             continue;
+        one = two = three = 0;
+        for (c = cut; c; c &= c - 1) {
+            nb = adj[CTZ(c)];
+            three |= two & nb;
+            two |= one & nb;
+            one |= nb;
         }
-        p = lowest(free_mask & ~HIGH(free_mask), j - 1);
-        do {
-            need = ~(uint64_t)0;
-            for (i = 0; i < ncuts; i++)
-                if (((core | p) & cuts[i]) == 0)
-                    need &= cuts[i];
-            for (rest = ABOVE(free_mask, p); (hits = rest & need) != 0;) {
-                low = hits & (0 - hits);
-                candidates += POP(rest & (low - 1)) + 1;
-                rest &= 0 - (low << 1);  /* 0 once low is vertex 63 */
-                cand = core | p | low;
-                if (failing_leaks(&sc, cand, &leaks, &reach, &closures) < 0)
-                    goto done;
-                if (reach == full) {
-                    out = search_out(1, cand, candidates, closures, cuts, ncuts, head);
+        offers[m] = (struct offer){cut, one & ~two & ~cut, two & ~three & ~cut, POP(one & ~two & ~cut)};
+        m += offers[m].count <= ell + 1;
+    }
+    full = full_mask(n);
+    core = 0;
+    for (u = 0; u < n; u++) {
+        core |= (uint64_t)(POP(adj[u]) <= ell) << u;
+        nedges += POP(adj[u] & ~full_mask(u + 1));
+    }
+    if ((out = PyTuple_New(nedges)) == NULL)
+        goto done;
+    sc.n = n;
+    sc.ell = ell;
+    nedges = 0;
+    for (u = 0; u < n; u++) {
+        for (above = adj[u] & ~full_mask(u + 1); above; above &= above - 1) {
+            v = CTZ(above);
+            memcpy(h, adj, sizeof h);
+            h[u] &= ~((uint64_t)1 << v);
+            h[v] &= ~((uint64_t)1 << u);
+            for (nbind = i = 0; i < m; i++)
+                if (still_binds(&offers[i], h, u, v, ell))
+                    binding[nbind++] = offers[i].cut;
+            ecore = core | (uint64_t)(POP(h[u]) <= ell) << u | (uint64_t)(POP(h[v]) <= ell) << v;
+            value = candidates = closures = 0;
+            for (rest = full; rest; rest &= ~comp) {
+                comp = component(h, rest, rest & (0 - rest), &unused);
+                free_mask = comp & ~ecore;
+                outside = n - POP(comp);
+                if (free_mask == 0) {  /* every vertex of the component can be stranded */
+                    value += POP(comp);
+                    continue;
+                }
+                blue = ecore | (full & ~comp);
+                for (ncuts = i = 0; i < nbind && ncuts < CUTS; i++)
+                    if (binding[i] & free_mask)
+                        cuts[ncuts++] = binding[i];
+                for (i = 0; i < ncuts / 2; i++) {  /* the first offer kept is the newest */
+                    cut = cuts[i];
+                    cuts[i] = cuts[ncuts - 1 - i];
+                    cuts[ncuts - 1 - i] = cut;
+                }
+                head = ncuts % CUTS;
+                sc.vs = ell >= 2 ? comp : full;
+                mask = 0;
+                if (search(&sc, blue, free_mask, outside + ell + 1, n, cuts, &ncuts, &head, &mask,
+                           &candidates, &closures) < 0) {
+                    Py_CLEAR(out);
                     goto done;
                 }
-                /* the ring drops its oldest cut once full */
-                cuts[head] = small_fort(adj, full & ~reach, sc.ell, sc.standard);
-                need &= cuts[head];
-                head = (head + 1) % CUTS;
-                ncuts += ncuts < CUTS;
+                value += POP(mask) - outside;
             }
-            candidates += POP(rest);
-        } while ((p = next_prefix(free_mask, p)) != 0);
+            if ((item = Py_BuildValue("(LLL)", value, candidates, closures)) == NULL) {
+                Py_CLEAR(out);
+                goto done;
+            }
+            PyTuple_SET_ITEM(out, nedges++, item);
+        }
     }
-    out = search_out(0, 0, candidates, closures, cuts, ncuts, head);
 done:
     Py_DECREF(seq);
+    PyMem_Free(offers);
+    PyMem_Free(binding);
     PyMem_Free(sc.memo.keys);
     return out;
 }
@@ -924,7 +1015,8 @@ done:
 
 static PyMethodDef methods[] = {
     METHOD(components), METHOD(realizable_forcers), METHOD(first_failing_leaks),
-    METHOD(search_min_superset), METHOD(minimal_fort_masks), METHOD(min_hitting_set),
+    METHOD(search_min_superset), METHOD(deletion_values), METHOD(minimal_fort_masks),
+    METHOD(min_hitting_set),
     {NULL, NULL, 0, NULL},
 };
 

@@ -10,7 +10,7 @@ sets are plain ints over ``0 .. n-1``.  A mask argument outside
 ``[0, 2**64)`` raises OverflowError, one naming a vertex at or above ``n``
 raises ValueError, and so does a negative leak budget; a budget above ``n``,
 of any size, is clamped to ``n``.  Arguments are checked in order: graph,
-masks, leak budget, then the cuts ``search_min_superset`` is offered.
+masks, leak budget, then the cuts ``deletion_values`` is offered.
 ``min_hitting_set`` takes masks alone, with no graph: they are their own
 universe, any vertex below 64.
 
@@ -23,14 +23,14 @@ whenever exactly one of its non-blue neighbors lies in that component.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 
 BACKEND = "python"
 # Bumped whenever results, work counters or signatures change; _core refuses
 # a compiled twin whose version differs.
-KERNEL_VERSION = 13
+KERNEL_VERSION = 14
 
-_CUTS = 64  # fort cuts one search_min_superset call keeps
+_CUTS = 64  # fort cuts one search keeps
 
 
 def _check_count(n) -> int:
@@ -389,19 +389,17 @@ def first_failing_leaks(adj, blue, ell, standard) -> tuple[int, int]:
     return leaks, closures
 
 
-def search_min_superset(adj, core, free, lo, hi, ell, standard, cuts) -> tuple[int, int, int, tuple[int, ...]]:
+def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, int, int, tuple[int, ...]]:
     """Scan the size classes ``lo`` .. ``hi`` in order, each class k being
     the sets of ``core`` plus ``k - |core|`` vertices of ``free`` in
     lexicographic order, and return the first set that forces the graph
     under every ``ell``-leak placement, or -1.  Returns (mask,
     candidates_tested, closures_run, ring), the ring being the fort cuts
-    held at the end, newest first (see below); ``cuts`` offers cuts to
-    start from.  Core vertices inside ``free`` are ignored, so
-    ``full & ~core`` scans every size-k superset of ``core``; a smaller
-    ``free`` scans one piece of that range (see ``solve._pieces``).  The
-    range is clipped to |core| .. |core| + |free|, and an empty one returns
-    (-1, 0, 0, ()).  Every offered mask is checked like ``core``, after
-    the leak budget.
+    held at the end, newest first (see below).  Core vertices inside
+    ``free`` are ignored, so ``full & ~core`` scans every size-k superset
+    of ``core``; a smaller ``free`` scans one piece of that range (see
+    ``solve._pieces``).  The range is clipped to |core| .. |core| + |free|,
+    and an empty one returns (-1, 0, 0, ()).
 
     Live vertices.  A component wholly inside ``core`` is blue with only
     blue neighbors in every candidate, so it never forces and a leak on it
@@ -449,17 +447,11 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard, cuts) -> tuple[i
     clamped), is missed only by failing candidates.  If F meets ``core``,
     every candidate hits it; if not, F and its threats, which are
     neighbours of F, lie in ``live``, so leaking them is a placement the
-    scan tries.  So the ring may start from cuts a caller offers, such as
-    the ring of a search of the graph with one more edge, which mostly
-    still binds.  Each offer is checked here, and a wrong one costs time,
-    never an answer: an offer is kept only if it meets ``free`` (one that
-    misses it tells no candidate from another), has at most ``ell``
-    threats, is connected under the psd rule (see _binds), and repeats no
-    offer kept before it.  Kept offers fill the ring in the offered order,
-    the first as the newest, up to 64 of them, before the first class is
-    searched; the ring then drops its oldest cut for each new one, as an
-    empty start does.  So a call's counts depend only on its candidates and
-    its offers.
+    scan tries.  So a search may start from a ring of such cuts, as
+    deletion_values starts each search of G - e from those of G's cuts
+    that still bind there; the ring then drops its oldest cut for each new
+    one, as an empty start does.  So a search's counts depend only on its
+    candidates and the ring it starts from.
 
     Dead prefixes.  The ring scan stops once ``hits`` is empty: more cuts
     cannot refill it.  A cut that misses both P and ``rest`` empties
@@ -467,7 +459,7 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard, cuts) -> tuple[i
     and a later prefix that misses it in P and in its ``rest`` is skipped
     without a scan.  The remembered cut is forgotten when the ring drops
     it, so it prunes only what the ring itself would.  The ring's cuts are
-    distinct, since no kept offer repeats another and each new cut is
+    distinct, since no starting cut repeats another and each new cut is
     missed by a candidate that meets every cut kept, so the dropped cut is
     known by its value.  Neither shortcut tests a candidate the full scan
     skips or skips one it tests, and the ring's contents stay the same, so
@@ -479,19 +471,24 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard, cuts) -> tuple[i
     _check_mask(n, free)
     _check_ell(ell)
     full = (1 << n) - 1
-    free &= ~core
     live = _component(adj, full, full & ~core)[0] if ell >= 2 else full
-    ell = min(ell, live.bit_count())
     ring: deque[int] = deque(maxlen=_CUTS)
-    for cut in cuts:
-        _check_mask(n, cut)
-        if len(ring) < _CUTS and cut & free and cut not in ring and _binds(adj, cut, ell, standard):
-            ring.append(cut)
+    found, candidates, closures = _search(
+        n, adj, core, free & ~core, lo, hi, min(ell, live.bit_count()), standard, live, ring)
+    return found, candidates, closures, tuple(ring)
+
+
+def _search(n, adj, core, free, lo, hi, ell, standard, live, ring) -> tuple[int, int, int]:
+    """search_min_superset's scan from the distinct cuts in ``ring``, a
+    deque with ``maxlen`` 64, newest first, which it updates: (mask,
+    candidates_tested, closures_run).  ``free`` misses ``core``, and
+    ``live`` and the clamped ``ell`` are search_min_superset's."""
+    full = (1 << n) - 1
     base = core.bit_count()
     lo = max(lo, base) - base
     hi = min(hi, base + free.bit_count()) - base
     if lo > hi:
-        return -1, 0, 0, ()
+        return -1, 0, 0
     killer = full  # none yet: full meets every prefix, as ``rest`` is never empty
     candidates = 0
     closures = 0
@@ -501,7 +498,7 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard, cuts) -> tuple[i
             _, reach, c = _scan(n, adj, core, live, ell, standard)
             closures += c
             if reach == full:
-                return core, candidates, closures, tuple(ring)
+                return core, candidates, closures
             continue
         for pmask, rest in _prefixes(free, j - 1, core):
             candidates += rest.bit_count()
@@ -522,31 +519,121 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard, cuts) -> tuple[i
                 _, reach, c = _scan(n, adj, cand, live, ell, standard)
                 closures += c
                 if reach == full:
-                    return cand, candidates - rest.bit_count(), closures, tuple(ring)
+                    return cand, candidates - rest.bit_count(), closures
                 cut = _small_fort(adj, full & ~reach, ell, standard)
                 hits &= rest & cut
                 if len(ring) == _CUTS and ring[-1] == killer:
                     killer = full  # the ring drops it
                 ring.appendleft(cut)
-    return -1, candidates, closures, tuple(ring)
+    return -1, candidates, closures
 
 
-def _binds(adj, cut, ell, standard) -> bool:
-    """Whether ``cut`` is a fort of the rule with at most ``ell`` threats,
-    the vertices outside it with exactly one neighbor in it, and connected
-    under the psd rule: a cut search_min_superset may keep.  ``one`` and
-    ``two`` hold the vertices with at least one and two neighbors in it."""
-    one = two = 0
-    c = cut
-    while c:
-        low = c & -c
-        c ^= low
-        nb = adj[low.bit_length() - 1]
-        two |= one & nb
-        one |= nb
-    if (one & ~two & ~cut).bit_count() > ell:
-        return False
-    return standard or _component(adj, cut, cut & -cut)[0] == cut
+def deletion_values(adj, ell, cuts) -> tuple[tuple[int, int, int], ...]:
+    """Per edge e = (u, v) of the graph G, u < v in ascending order as
+    ``Graph.edges`` lists them: (value, candidates_tested, closures_run),
+    the psd ``ell``-leaky number of G - e and the work of its solve.  G - e
+    is solved as a serial ``solve.leaky_number`` solves it: one search per
+    connected component with a vertex outside the degree core, from the
+    core and ell + 1 vertices of the component up, with every other vertex
+    blue.  So the value and the candidate count are that solve's.
+
+    ``cuts`` offers fort cuts of G, such as the ring of G's own solve.
+    Every offer is checked as a mask argument is, after the leak budget,
+    and repeats are dropped.  Each search starts its ring from the first 64
+    offers, in the offered order, the first as the newest, that meet its
+    free vertices and bind in G - e, where they are connected with at most
+    ``ell`` threats: a cut the search may keep (see search_min_superset,
+    "Offered cuts").  A component with a vertex w outside the core has at
+    least ell + 2 vertices, w and its more than ``ell`` neighbors, so the
+    search's clamped budget is ``ell``.
+
+    Whether an offer F binds in G - e follows from facts of F in G,
+    recorded once per call: its threats (the vertices outside F with one
+    neighbor in F), the vertices outside F with exactly two, and whether F
+    is connected.
+    - If e has no endpoint in F, no vertex's count of neighbors in F
+      changes, nor does the subgraph F induces.
+    - If e has one endpoint in F, only the other endpoint w loses a
+      neighbor in F: w stops being a threat if it had one there, becomes
+      one if it had two, and is no threat before or after if it had three
+      or more.  The subgraph F induces stays.
+    - If e has both endpoints in F, no outside vertex's count changes, and
+      F - e, F connected, is connected iff u and v are joined inside it.
+    So no edge joins a disconnected F or takes more than one threat away,
+    and an offer that is disconnected in G, or has more than ell + 1
+    threats there, binds in no G - e and is dropped at once.
+    """
+    n = _check_count(len(adj))
+    _check_ell(ell)
+    cuts = list(cuts)
+    for cut in cuts:
+        _check_mask(n, cut)
+    ell = min(ell, n)
+    facts = []  # per offer that may bind: (F, threats, vertices outside with two neighbors in F, threat count)
+    for cut in dict.fromkeys(cuts):
+        one = two = three = 0
+        c = cut
+        while c:
+            low = c & -c
+            c ^= low
+            nb = adj[low.bit_length() - 1]
+            three |= two & nb
+            two |= one & nb
+            one |= nb
+        threats = one & ~two & ~cut
+        count = threats.bit_count()
+        if cut and count <= ell + 1 and _component(adj, cut, cut & -cut)[0] == cut:
+            facts.append((cut, threats, two & ~three & ~cut, count))
+    full = (1 << n) - 1
+    core = 0
+    for v in range(n):
+        if adj[v].bit_count() <= ell:
+            core |= 1 << v
+    out = []
+    for u in range(n):
+        bu = 1 << u
+        above = adj[u] >> (u + 1) << (u + 1)
+        while above:
+            bv = above & -above
+            above ^= bv
+            v = bv.bit_length() - 1
+            e = bu | bv
+            h = list(adj)
+            h[u] &= ~bv
+            h[v] &= ~bu
+            binding = []
+            for cut, threats, twice, count in facts:
+                ends = cut & e
+                if ends == e:
+                    if count > ell or not _component(h, cut, bu)[0] & bv:
+                        continue
+                elif ends:
+                    if count - bool(e & threats) + bool(e & twice) > ell:
+                        continue
+                elif count > ell:
+                    continue
+                binding.append(cut)
+            ecore = core
+            for w, bw in ((u, bu), (v, bv)):
+                if h[w].bit_count() <= ell:
+                    ecore |= bw
+            value = candidates = closures = 0
+            for comp, _ in _components(h, full):
+                free = comp & ~ecore
+                if not free:  # every vertex of the component can be stranded
+                    value += comp.bit_count()
+                    continue
+                blue = ecore | full & ~comp
+                outside = n - comp.bit_count()
+                ring = deque(islice((cut for cut in binding if cut & free), _CUTS), maxlen=_CUTS)
+                # from ell + 1 vertices of the component up; _search clips to the core
+                live = comp if ell >= 2 else full
+                found, c, k = _search(n, h, blue, free, outside + ell + 1, n, ell, False, live, ring)
+                value += found.bit_count() - outside
+                candidates += c
+                closures += k
+            out.append((value, candidates, closures))
+    return tuple(out)
 
 
 def is_fort_mask(adj, fort, ell) -> bool:

@@ -16,21 +16,23 @@ one kernel call over all of its classes, which keeps, per failed
 candidate, a small fort among the vertices its stalled closure left white
 and runs no closure for a later candidate, of any size, that misses one
 (see ``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts
-every enumerated candidate, skipped or not.  A solve may also start from
-cuts a caller offers, as ``edge_deletion_scan`` offers G's cuts to each
-G - e: the kernel keeps only those that still bind, so an offer moves
-``SolveStats.leak_checks`` and nothing else.  A component is searched inside
-the whole graph with every other vertex blue: those have no white neighbor,
-so they never force, and the kernel places no leak on them.  So each
-component is solved at the full leak budget (the adversary may
-concentrate all leaks in one component), the answers and the counters
-are summed, and ``leaky_number`` says how one process pool serves every
-component of a sharded solve.
+every enumerated candidate, skipped or not.  A solve returns the cuts its
+searches end with, and ``edge_deletion_scan`` solves every G - e in one
+kernel call (``_pykernel.deletion_values``) that starts each search from
+those of G's cuts that still bind there: they spare closures and change
+no value.  A component is searched inside the whole graph with every
+other vertex blue: those have no white neighbor, so they never force, and
+the kernel places no leak on them.  So each component is solved at the
+full leak budget (the adversary may concentrate all leaks in one
+component), the answers and the counters are summed, and
+``leaky_number`` says how one process pool serves every component of a
+sharded solve.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice, product as iter_product
 from math import comb
@@ -41,7 +43,7 @@ from .errors import AuditFailure
 from .families import FamilySpec, generate
 from .forcing import Rule, _standard
 from .graph6 import _finding_graph
-from .graphs import Graph, VertexSet, _check_budget, _check_workers, delete_edge
+from .graphs import Graph, VertexSet, _check_budget, _check_workers
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -53,8 +55,8 @@ _PARALLEL_MIN_CANDIDATES = 1 << 14
 class SolveStats:
     """Work counters.  ``nodes`` counts the candidate sets enumerated,
     including those a fort cut skipped without a closure; ``leak_checks``
-    counts the closures computed, which also depend on the cuts the solve
-    was offered (see ``leaky_number``)."""
+    counts the closures computed, which also depend on the cuts the
+    searches keep and on ``workers`` (see ``leaky_number``)."""
 
     nodes: int = 0
     leak_checks: int = 0
@@ -137,7 +139,7 @@ def _search_pieces(
     with a hit holds its witness.  Returns the kernel's 4-tuple, with the
     rings of the pieces searched joined in order."""
     futures = [
-        pool.submit(_core.search_min_superset, g.adj, c, f, k, k, ell, standard, ())
+        pool.submit(_core.search_min_superset, g.adj, c, f, k, k, ell, standard)
         for c, f in _pieces(core, free, k - core.bit_count(), size)
     ]
     nodes = 0
@@ -161,7 +163,6 @@ def leaky_number(
     rule: Rule = Rule.psd,
     *,
     workers: int = 1,
-    cuts: Iterable[int] = (),
 ) -> SolveResult:
     """Minimum size of a set that forces ``g`` under every placement of
     ``ell`` leaks, with the lexicographically first optimal witness.
@@ -179,14 +180,13 @@ def leaky_number(
     such class opens and every later one reuses, and each run of smaller
     classes between them is one kernel call.
 
-    ``cuts`` offers fort cuts, vertex masks, to every serial kernel call,
-    which checks their range and keeps those that bind in ``g`` (see
-    ``_pykernel.search_min_superset``); the pieces of a split class start
-    with none.  The result's ``cuts`` joins the cut rings the kernel calls
-    end with, newest first within each, in call order: one ring per
-    component searched when ``workers`` is 1.  The value, witness and
-    ``stats.nodes`` are the serial search's at any ``workers`` and under
-    any offer, while ``stats.leak_checks`` depends on both.
+    Every kernel call starts with no cuts.  The result's ``cuts`` joins
+    the cut rings the kernel calls end with, newest first within each, in
+    call order: one ring per component searched when ``workers`` is 1.
+    ``edge_deletion_scan`` offers them to the solves of G - e (see
+    ``_pykernel.deletion_values``).  The value, witness and
+    ``stats.nodes`` are the serial search's at any ``workers``, while
+    ``stats.leak_checks`` depends on it.
     """
     _check_budget(ell)
     _check_workers(workers)
@@ -195,7 +195,6 @@ def leaky_number(
     full = (1 << n) - 1
     core = _degree_core(g, ell)
     standard = _standard(rule)
-    cuts = tuple(cuts)
     value = witness = nodes = closures = 0
     rings: tuple[int, ...] = ()
     pool = None
@@ -228,7 +227,7 @@ def leaky_number(
                     while hi < n and not _sharded(workers, free, hi + 1 - base):
                         hi += 1
                     found, cand, clos, ring = _core.search_min_superset(
-                        g.adj, blue, free, k, hi, ell, standard, cuts)
+                        g.adj, blue, free, k, hi, ell, standard)
                 nodes += cand
                 closures += clos
                 rings += ring
@@ -288,23 +287,21 @@ def monotonicity_audit(g: Graph, max_ell: int) -> list[int]:
 def _scan_one(args) -> list[ScanRecord]:
     g, ell = args
     base = leaky_number(g, ell)
-    records = []
-    for u, v in g.edges():
-        # most of G's cuts still bind in G - e; the kernel keeps those that do
-        reduced = leaky_number(delete_edge(g, u, v), ell, cuts=base.cuts[:64]).value
-        records.append(ScanRecord(g, (u, v), base.value, reduced))
-    return records
+    # most of G's cuts still bind in G - e; the kernel keeps those that do
+    values = _core.deletion_values(g.adj, ell, base.cuts[:64])
+    return [ScanRecord(g, edge, base.value, value) for edge, (value, _, _) in zip(g.edges(), values)]
 
 
 def edge_deletion_scan(
     graphs: Iterable[Graph], ell: int = 1, workers: int = 1
 ) -> Iterator[ScanRecord]:
     """One record per (graph, edge): the value before and after deleting
-    that edge.  Each G - e is solved from the first 64 of G's cuts, which
-    spares closures and changes no value.  Output order follows the input
-    stream at any worker count.  With ``workers > 1`` the stream is read
-    in batches of ``8 * workers`` graphs, so at most one batch is held at a
-    time (``Executor.map`` would read the whole stream before yielding
+    that edge.  G is solved once, and every G - e in one kernel call that
+    starts from the first 64 of G's cuts, which spares closures and
+    changes no value.  Output order follows the input stream at any
+    worker count.  With ``workers > 1`` the stream is read in batches of
+    ``8 * workers`` graphs, so at most one batch is held at a time
+    (``Executor.map`` would read the whole stream before yielding
     anything).  A ``workers`` that is not an int of at least 1 raises when
     the first record is asked for.
     """
@@ -324,12 +321,20 @@ def edge_deletion_scan(
 
 @dataclass
 class ScanSummary:
-    """Running aggregation of scan records."""
+    """Running aggregation of scan records.  A scan holds every deletion
+    that raised the value until it prints the summary, so each is kept as
+    its graph and one packed edge rather than as a pair of tuples."""
 
     records: int = 0
     min_diff: int | None = None
     max_diff: int | None = None
-    increases: list[tuple[Graph, tuple[int, int]]] = field(default_factory=list)
+    _graphs: list[Graph] = field(default_factory=list, init=False, repr=False)
+    _edges: array = field(default_factory=lambda: array("H"), init=False, repr=False)  # u * 64 + v
+
+    @property
+    def increases(self) -> list[tuple[Graph, tuple[int, int]]]:
+        """(graph, edge) per deletion that raised the value by 1, in record order."""
+        return [(g, divmod(e, 64)) for g, e in zip(self._graphs, self._edges)]
 
     def add(self, rec: ScanRecord) -> None:
         self.records += 1
@@ -337,7 +342,9 @@ class ScanSummary:
         self.min_diff = d if self.min_diff is None else min(self.min_diff, d)
         self.max_diff = d if self.max_diff is None else max(self.max_diff, d)
         if d == 1:
-            self.increases.append((rec.graph, rec.edge))
+            u, v = rec.edge
+            self._graphs.append(rec.graph)
+            self._edges.append(u << 6 | v)
 
     def window_violations(self, lower: int = -2, upper: int = 1) -> bool:
         if self.records == 0:
@@ -347,7 +354,7 @@ class ScanSummary:
     def to_lines(self) -> list[str]:
         lines = [
             f"records={self.records} min_diff={self.min_diff} max_diff={self.max_diff}",
-            f"deletions that raised the value by 1: {len(self.increases)}",
+            f"deletions that raised the value by 1: {len(self._graphs)}",
         ]
         for g, (u, v) in self.increases:
             name = _finding_graph(g)  # graph6, or the edges of a larger graph

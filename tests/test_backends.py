@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from collections import deque
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -29,7 +30,7 @@ from forceps.solve import _pieces
 
 from corpus import atlas_graphs, interleaved_union, random_graph
 from oracles import (
-    async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_fort, naive_is_standard_fort,
+    async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_standard_fort,
     naive_minimal_forts, naive_possible_forces,
 )
 
@@ -248,8 +249,8 @@ def test_searches_agree(ck, monkeypatch):
         hi = rng.choice([lo - 1, rng.randint(max(lo, -1), g.n + 2), 1 << 70])
         ell = rng.randint(0, 2)
         for std in (False, True):
-            assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std, ()) == \
-                ck.search_min_superset(g.adj, core, free, lo, hi, ell, std, ())
+            assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
+                ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
     # 64 vertices with vertex 63 forcing; the core drops a few blue vertices
     for g, blue, rng in _top_forcer_instances(8):
         core = blue & ~sum(1 << v for v in rng.sample(range(63), 3))
@@ -258,11 +259,11 @@ def test_searches_agree(ck, monkeypatch):
             lo = hi - rng.randint(0, 2)
             free = rng.choice([(1 << 64) - 1, rng.getrandbits(64) | 1 << 63])
             for std in (False, True):
-                assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std, ()) == \
-                    ck.search_min_superset(g.adj, core, free, lo, hi, ell, std, ())
+                assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
+                    ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
     # disjoint unions whose core covers one part: leaks go only on the
     # components with a vertex outside the core, and the budget may exceed
-    # them; an offered cut's threats are counted against the clamped budget
+    # them
     rng = random.Random(0xDEAD)
     for _ in range(60):
         a = random_graph(rng, rng.randint(1, 5), 0.5)
@@ -273,12 +274,10 @@ def test_searches_agree(ck, monkeypatch):
         free = rng.choice([(1 << g.n) - 1, rng.getrandbits(g.n)])
         lo = rng.randint(core.bit_count(), g.n)
         hi = rng.randint(lo, g.n)
-        offers = [rng.getrandbits(g.n) | part for _ in range(10)] + [rng.getrandbits(g.n) for _ in range(10)]
         for ell in (2, 3, 6):
             for std in (False, True):
-                for cuts in ((), offers):
-                    assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std, cuts) == \
-                        ck.search_min_superset(g.adj, core, free, lo, hi, ell, std, cuts)
+                assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
+                    ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
     # 64 vertices in two groups with no edge between them, the dead one
     # inside the core; vertex 63 lies in the dead group, then in the live one
     for top_live in (False, True):
@@ -294,8 +293,8 @@ def test_searches_agree(ck, monkeypatch):
                 lo = core.bit_count() + rng.randint(0, 2)
                 hi = core.bit_count() + 2
                 for std in (False, True):
-                    found = _pykernel.search_min_superset(g.adj, core, live, lo, hi, ell, std, ())
-                    assert found == ck.search_min_superset(g.adj, core, live, lo, hi, ell, std, ())
+                    found = _pykernel.search_min_superset(g.adj, core, live, lo, hi, ell, std)
+                    assert found == ck.search_min_superset(g.adj, core, live, lo, hi, ell, std)
                     # a hit forces the graph under placements over every vertex
                     if found[0] >= 0:
                         assert ck.first_failing_leaks(g.adj, found[0], ell, std)[0] == -1
@@ -319,9 +318,9 @@ def test_searches_agree(ck, monkeypatch):
             core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
             lo = max(core.bit_count(), ell + 1)
             for std in (False, True):
-                found = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std, ())
+                found = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std)
                 assert found[0] >= 0
-                assert found == ck.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std, ())
+                assert found == ck.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std)
     assert 2 * sum(shrunk) > len(shrunk)
 
 
@@ -337,11 +336,11 @@ def test_sharded_search_agrees_with_full_scan(ck):
         for kern in (_pykernel, ck):
             for ell in (0, 1, 2):
                 for std in (False, True):
-                    full = kern.search_min_superset(g.adj, core, free, 4, 4, ell, std, ())
+                    full = kern.search_min_superset(g.adj, core, free, 4, 4, ell, std)
                     for size in (1, 5, 20):
                         found, candidates = -1, 0
                         for c, f in _pieces(core, free, 3, size):
-                            piece, cand, _, _ = kern.search_min_superset(g.adj, c, f, 4, 4, ell, std, ())
+                            piece, cand, _, _ = kern.search_min_superset(g.adj, c, f, 4, 4, ell, std)
                             candidates += cand
                             if piece >= 0:
                                 found = piece
@@ -368,12 +367,12 @@ def test_a_range_call_chains_its_classes(ck):
             for kern in (_pykernel, ck):
                 found, candidates = -1, 0
                 for k in range(lo, hi + 1):
-                    found, cand, clos, _ = kern.search_min_superset(g.adj, core, free, k, k, ell, std, ())
+                    found, cand, clos, _ = kern.search_min_superset(g.adj, core, free, k, k, ell, std)
                     candidates += cand
                     chained_closures += clos
                     if found >= 0:
                         break
-                whole = kern.search_min_superset(g.adj, core, free, lo, hi, ell, std, ())
+                whole = kern.search_min_superset(g.adj, core, free, lo, hi, ell, std)
                 assert whole[:2] == (found, candidates)
                 whole_closures += whole[2]
     assert whole_closures < chained_closures
@@ -448,7 +447,7 @@ EVICTING_SEARCHES = {
 def _search_from_the_degree_core(kern, g, ell):
     core = sum(1 << v for v in range(g.n) if g.adj[v].bit_count() <= ell)
     lo = max(core.bit_count(), ell + 1)
-    return kern.search_min_superset(g.adj, core, (1 << g.n) - 1, lo, g.n, ell, False, ())
+    return kern.search_min_superset(g.adj, core, (1 << g.n) - 1, lo, g.n, ell, False)
 
 
 def _check_pins(kern, monkeypatch):
@@ -487,116 +486,245 @@ def _twin(name, request):
     return _pykernel if name == "python" else request.getfixturevalue("ck")
 
 
-def _offer_kind(g, mask, free, ell, standard):
-    """Why the search must refuse ``mask`` as a cut, or None if it may keep
-    it, judged from the graph alone: the threats are the vertices outside
-    the mask with exactly one neighbor in it."""
-    vertices = {v for v in range(g.n) if mask >> v & 1}
-    threats = sum(1 for v in range(g.n) if not mask >> v & 1 and (g.adj[v] & mask).bit_count() == 1)
-    connected = len(_pykernel.components(g.adj, mask)) == 1
-    if not mask & free:
-        return "misses free" if mask else "zero"
-    if standard and threats > ell and naive_is_fort(g, vertices, ell):
-        return "psd fort"  # each component has at most ell threats, the whole set more
-    if not standard and not connected and threats <= ell:
-        return "standard fort"
-    if not standard and not connected and naive_is_fort(g, vertices, ell):
-        return "disconnected psd fort"
-    if threats == ell + 1 and (standard or connected):
-        return "ell + 1 threats"
-    if threats > ell or not (standard or connected):
-        return "not a fort"
-    return None
+def _threats(g, mask):
+    """How many vertices outside ``mask`` have exactly one neighbor in it."""
+    return sum(1 for v in range(g.n) if not mask >> v & 1 and (g.adj[v] & mask).bit_count() == 1)
+
+
+def _connected(g, mask):
+    return len(_pykernel.components(g.adj, mask)) == 1
+
+
+def _degree_core(g, ell):
+    return sum(1 << v for v in range(g.n) if g.adj[v].bit_count() <= ell)
+
+
+def _solve_less_edge(g, ell, edge, ring):
+    """(value, candidates, closures) of G - ``edge`` solved as deletion_values
+    solves it, where the search of the component with free vertices ``free``
+    starts from the cuts ``ring(h, free)``, newest first."""
+    n = g.n
+    full = (1 << n) - 1
+    h = delete_edge(g, *edge)
+    core = _degree_core(h, ell)
+    value = candidates = closures = 0
+    for comp, _ in _pykernel.components(h.adj, full):
+        free = comp & ~core
+        if not free:
+            value += comp.bit_count()
+            continue
+        outside = n - comp.bit_count()
+        found, cand, clos = _pykernel._search(
+            n, h.adj, core | full & ~comp, free, outside + ell + 1, n, ell, False,
+            comp if ell >= 2 else full, deque(ring(h, free), maxlen=64))
+        value += found.bit_count() - outside
+        candidates += cand
+        closures += clos
+    return value, candidates, closures
+
+
+def _kept(h, ell, offers, free):
+    """The first 64 distinct offers that meet ``free`` and bind in ``h``,
+    counted there vertex by vertex: connected, with at most ``ell`` threats."""
+    return [m for m in dict.fromkeys(offers) if m & free and _threats(h, m) <= ell and _connected(h, m)][:64]
+
+
+def _reference_values(g, ell, offers):
+    """deletion_values with every offer judged in every G - e on its own."""
+    ell = min(ell, g.n)
+    return tuple(_solve_less_edge(g, ell, e, lambda h, free: _kept(h, ell, offers, free)) for e in g.edges())
+
+
+# One row per branch of deletion_values's rule, judged for the row's last
+# offer F and the deleted edge e: (branch, graph6, ell, e, offers).  At e,
+# every row's decision shows in the triple (see the next test but one)
+DELETION_CASES = (
+    ("no endpoint in F", "D{w", 1, (0, 4), [6]),
+    ("no endpoint in F, ell + 1 threats", "DkW", 1, (0, 1), [16]),
+    ("both endpoints in F, F - e connected", "D{w", 1, (1, 2), [7]),
+    ("both endpoints in F, F - e split", "D{w", 1, (0, 4), [17]),
+    ("one endpoint in F, the other with 1 neighbor in F", "Enao", 1, (0, 1), [6]),
+    ("one endpoint in F, the other with 2 neighbors in F", "D{w", 1, (0, 1), [17]),
+    ("one endpoint in F, the other with 3 neighbors in F", "D{w", 1, (0, 1), [22]),
+    ("a bridge", "D{w", 1, (0, 3), [3]),
+    ("a repeated offer", "D{w", 1, (0, 1), [6] * 64 + [18]),
+    ("more than 64 offers", "FlZ]?", 2, None, list(range(127, 0, -1))),
+)
+
+
+@pytest.mark.parametrize("twin", ["python", "c"])
+def test_deletion_values_follow_the_rule_in_every_branch(twin, request):
+    kern = _twin(twin, request)
+    for branch, line, ell, _, offers in DELETION_CASES:
+        g = from_graph6(line)
+        assert kern.deletion_values(g.adj, ell, offers) == _reference_values(g, ell, offers), branch
+
+
+def test_deletion_cases_reach_every_branch():
+    # each row is the branch it names, and a wrong decision on its offer at
+    # its edge changes the triple there
+    for branch, line, ell, edge, offers in DELETION_CASES:
+        g = from_graph6(line)
+        if edge is None:  # more than 64 offers bind: the first 64 fill the ring, the first as the newest
+            h_kept = [len(_kept(delete_edge(g, *e), ell, offers, (1 << g.n) - 1)) for e in g.edges()]
+            assert max(h_kept) == 64 and len([m for m in offers if _threats(g, m) <= ell]) > 64
+            plain = _reference_values(g, ell, offers)
+            for wrong in (lambda k: k[-64:], lambda k: k[:64][::-1]):  # the last 64; oldest first
+                assert plain != tuple(
+                    _solve_less_edge(g, ell, e, lambda h, free: wrong(
+                        [m for m in offers if m & free and _threats(h, m) <= ell and _connected(h, m)]))
+                    for e in g.edges()), branch
+            continue
+        u, v = edge
+        h = delete_edge(g, u, v)
+        f = offers[-1]
+        keeps = _threats(h, f) <= ell and _connected(h, f)
+        plain = _solve_less_edge(g, ell, edge, lambda h, free: _kept(h, ell, offers, free))
+        if branch == "a repeated offer":
+            # kept only once, so the offer after the repeats still fits
+            assert keeps and offers.count(f) == 1 and _kept(h, ell, offers, f)[-1] == f
+            wrong = _solve_less_edge(g, ell, edge, lambda h, free: [m for m in offers if m & free][:64])
+            assert plain != wrong, branch
+            continue
+        assert _connected(g, f)
+        ends = (f >> u & 1) + (f >> v & 1)
+        threats = _threats(g, f)
+        if branch == "a bridge":
+            assert len(_pykernel.components(h.adj, (1 << g.n) - 1)) == 2 and keeps
+        elif ends == 0:
+            assert branch == "no endpoint in F" + ("" if keeps else ", ell + 1 threats")
+            assert threats == _threats(h, f) and (threats <= ell if keeps else threats == ell + 1)
+        elif ends == 2:
+            assert branch == "both endpoints in F, F - e " + ("connected" if keeps else "split")
+            assert threats == _threats(h, f) <= ell
+        else:
+            count = (g.adj[v if f >> u & 1 else u] & f).bit_count()
+            assert branch == f"one endpoint in F, the other with {count} neighbor{'s' * (count > 1)} in F"
+            # with one, a threat of G is none in G - e, so F binds only
+            # there; with two, G - e has a threat more; with three, neither
+            assert (threats, _threats(h, f), keeps) == {1: (ell + 1, ell, True), 2: (ell, ell + 1, False),
+                                                        3: (threats, threats, threats <= ell)}[count]
+        wrong = _solve_less_edge(g, ell, edge, lambda h, free: [] if keeps else [f] if f & free else [])
+        assert plain != wrong, branch
+
+
+def _refusal(g, ell, mask):
+    """Why deletion_values keeps ``mask`` in no G - e, judged from the graph
+    alone, or None if some G - e keeps it."""
+    if not mask:
+        return "zero"
+    if not _connected(g, mask):
+        return "disconnected"  # deleting an edge never joins it
+    if _threats(g, mask) > ell + 1:
+        return "ell + 2 threats"  # deleting an edge takes at most one away
+    free_somewhere = binds_somewhere = False
+    for e in g.edges():
+        h = delete_edge(g, *e)
+        binds = _threats(h, mask) <= ell and _connected(h, mask)
+        free_somewhere |= bool(mask & ~_degree_core(h, ell))
+        binds_somewhere |= binds
+        if binds and mask & ~_degree_core(h, ell):
+            return None
+    if not free_somewhere:
+        return "inside the core"
+    return "bound only where it misses free" if binds_somewhere else "bound in no G - e"
 
 
 @pytest.mark.parametrize("twin", ["python", "c"])
 def test_refused_offers_change_nothing(twin, request):
-    # offers the search must refuse, each twice, cost nothing and change
-    # nothing: the search returns what an empty offer returns, ring included
+    # offers that no G - e keeps, each twice, cost nothing and change
+    # nothing: every edge's triple is an empty offer's
     kern = _twin(twin, request)
     rng = random.Random(0x0FF)
     seen = set()
-    for _ in range(40):
+    for _ in range(30):
         n = rng.randint(5, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.45, 0.6]))
         for ell in range(3):
-            core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
-            free = rng.choice([(1 << n) - 1, rng.getrandbits(n)]) & ~core
-            lo = max(core.bit_count(), ell + 1)
-            for std in (False, True):
-                refused = []
-                for mask in range(1 << n):
-                    kind = _offer_kind(g, mask, free, ell, std)
-                    if kind is not None:
-                        refused.append(mask)
-                        seen.add((std, kind))
-                offers = rng.sample(refused, min(len(refused), 40)) + [0]
-                offers += offers[::-1]
-                bare = kern.search_min_superset(g.adj, core, free, lo, n, ell, std, ())
-                assert kern.search_min_superset(g.adj, core, free, lo, n, ell, std, offers) == bare
-    kinds = ("zero", "misses free", "ell + 1 threats", "not a fort")
-    assert seen >= {(std, kind) for std in (False, True) for kind in kinds}
-    assert seen >= {(True, "psd fort"), (False, "standard fort"), (False, "disconnected psd fort")}
+            refused = []
+            for mask in range(1 << n):
+                kind = _refusal(g, ell, mask)
+                if kind is not None:
+                    refused.append(mask)
+                    seen.add(kind)
+            offers = rng.sample(refused, min(len(refused), 40)) + [0]
+            offers += offers[::-1]
+            assert kern.deletion_values(g.adj, ell, offers) == kern.deletion_values(g.adj, ell, ())
+    assert seen == {"zero", "disconnected", "ell + 2 threats", "inside the core", "bound in no G - e",
+                    "bound only where it misses free"}
 
 
 @pytest.mark.parametrize("twin", ["python", "c"])
 def test_kept_offers_fill_the_ring_in_the_offered_order(twin, request):
-    # in K10 every set of two or more vertices is a connected fort with no
-    # threat.  Nine blue vertices force the tenth at once, so the ring that
-    # comes back is the one the offers filled: the first 64 distinct offers
-    # that meet free (vertex 0), in the offered order, the first as the
-    # newest.  {0} alone has nine threats and is refused
+    # every mask of a graph of 7 vertices offered, shuffled and some twice:
+    # each search starts from the first 64 distinct ones that bind and meet
+    # its free vertices, the first as the newest
     kern = _twin(twin, request)
-    k10 = complete(10)
     rng = random.Random(0x10)
-    offers = [rng.getrandbits(10) for _ in range(300)]
-    offers[5:5] = [1, offers[3], 0, 1 << 9, offers[4]]
-    want = []
-    for mask in offers:
-        if mask & 1 and mask != 1 and mask not in want:
-            want.append(mask)
-    assert len(want) > 64
-    for std in (False, True):
-        found = kern.search_min_superset(k10.adj, 0x3FE, 1, 9, 9, 8, std, offers)
-        assert found[:2] == (0x3FE, 1) and found[3] == tuple(want[:64])
+    full_rings = 0
+    for g in atlas_graphs(7, min_n=7)[::97]:
+        for ell in (1, 2):
+            offers = list(range(1 << g.n))
+            offers += rng.sample(offers, 30)
+            rng.shuffle(offers)
+            assert kern.deletion_values(g.adj, ell, offers) == _reference_values(g, ell, offers)
+            full_rings += any(len(_kept(delete_edge(g, *e), ell, offers, (1 << g.n) - 1)) == 64
+                              for e in g.edges())
+    assert full_rings > 2
 
 
 def test_twins_agree_on_offered_cuts(ck):
-    # a scan offers G's ring to the search of each G - e: the twins keep the
-    # same offers, test the same candidates and return the same ring
+    # the scan offers G's ring to deletion_values: the twins keep the same
+    # offers, test the same candidates and run the same closures, on trees,
+    # where every edge is a bridge, and on graphs of up to 16 vertices
     rng = random.Random(0xE0E)
-    made = 0
-    for _ in range(40):
-        n = rng.randint(6, 12)
-        g = random_graph(rng, n, rng.choice([0.3, 0.5]))
-        ell = rng.randint(0, 3)
-        core = sum(1 << v for v in range(n) if g.adj[v].bit_count() <= ell)
-        lo = max(core.bit_count(), ell + 1)
-        for std in (False, True):
-            ring = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std, ())[3]
-            for u, v in rng.sample(g.edges(), min(3, len(g.edges()))):
-                h = delete_edge(g, u, v)
-                hcore = sum(1 << x for x in range(n) if h.adj[x].bit_count() <= ell)
-                args = (h.adj, hcore, (1 << n) - 1, max(hcore.bit_count(), ell + 1), n, ell, std)
-                carried = _pykernel.search_min_superset(*args, ring)
-                assert carried == ck.search_min_superset(*args, ring)
-                assert carried[:2] == _pykernel.search_min_superset(*args, ())[:2]
-    # more than 64 kept offers, so the ring drops offers and then new cuts:
-    # every minimal fort of these graphs binds, and random masks mostly not
-    for g, ell in ((hypercube(4), 1), (hypercube(4), 2), (grid(4, 4), 1)):
-        forts = _pykernel.minimal_fort_masks(g.adj, ell)
-        core = sum(1 << v for v in range(g.n) if g.adj[v].bit_count() <= ell)
-        for std in (False, True):
-            offers = rng.sample(forts, 100) + [rng.getrandbits(g.n) for _ in range(50)]
-            rng.shuffle(offers)
-            args = (g.adj, core, (1 << g.n) - 1, max(core.bit_count(), ell + 1), g.n, ell, std)
-            found = _pykernel.search_min_superset(*args, offers)
-            assert found == ck.search_min_superset(*args, offers)
-            assert found[:2] == _pykernel.search_min_superset(*args, ())[:2]
-            kept = {m for m in offers if _offer_kind(g, m, args[2] & ~core, ell, std) is None}
-            assert len(kept) > 64
-            made += bool(set(found[3]) - kept)
-    assert made > 0
+    for i in range(24):
+        n = rng.randint(2, 16)
+        if i % 4 == 0:
+            g = tree_from_pruefer(tuple(rng.randrange(n) for _ in range(n - 2)))
+        else:
+            g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.5]))
+        for ell in range(4):
+            ring = leaky_number(g, ell).cuts[:64]
+            offers = ring + tuple(rng.getrandbits(n) for _ in range(10)) + ring[:5]
+            found = _pykernel.deletion_values(g.adj, ell, offers)
+            assert len(found) == g.num_edges()
+            assert found == ck.deletion_values(g.adj, ell, offers)
+    # the same errors, arguments checked in order: graph, budget, offers
+    p3 = path(3)
+    calls = (
+        (lambda k: k.deletion_values((0,) * 65, 0, ()), ValueError),
+        (lambda k: k.deletion_values(5, 0, ()), TypeError),
+        (lambda k: k.deletion_values(p3.adj, -1, [-1]), ValueError),
+        (lambda k: k.deletion_values(p3.adj, 1, [3, 1 << 3]), ValueError),
+        (lambda k: k.deletion_values(p3.adj, 1, [3, -1]), OverflowError),
+        (lambda k: k.deletion_values(p3.adj, 1, [1 << 64]), OverflowError),
+        (lambda k: k.deletion_values(p3.adj, 1, 5), TypeError),
+    )
+    for call, exc in calls:
+        messages = []
+        for k in (_pykernel, ck):
+            with pytest.raises(exc) as info:
+                call(k)
+            messages.append(str(info.value))
+        assert exc is TypeError or messages[0] == messages[1]
+
+
+# ell = 1 over the connected atlas graphs of at most 6 vertices: G's solve
+# and every G - e, as leaky_number counts them and deletion_values
+@pytest.mark.parametrize("twin", ["python", "c"])
+def test_scan_work_is_pinned(twin, request, monkeypatch):
+    kern = _twin(twin, request)
+    monkeypatch.setattr(_core, "search_min_superset", kern.search_min_superset)
+    candidates = closures = 0
+    for g in atlas_graphs(6):
+        base = leaky_number(g, 1)
+        candidates += base.stats.nodes
+        closures += base.stats.leak_checks
+        for _, cand, clos in kern.deletion_values(g.adj, 1, base.cuts[:64]):
+            candidates += cand
+            closures += clos
+    assert (candidates, closures) == (16701, 8820)
 
 
 def test_search_returns_the_first_superset_the_oracle_accepts(ck):
@@ -620,7 +748,7 @@ def test_search_returns_the_first_superset_the_oracle_accepts(ck):
                     expected, count = core | sum(1 << v for v in combo), i
                     break
             for kern in (_pykernel, ck):
-                found = kern.search_min_superset(g.adj, core, free_mask, k, k, ell, rule is Rule.standard, ())
+                found = kern.search_min_superset(g.adj, core, free_mask, k, k, ell, rule is Rule.standard)
                 assert found[:2] == (expected, count)
 
 
@@ -719,12 +847,13 @@ def test_twins_check_graph_and_budget_arguments_alike(ck):
     # (entry, takes a leak budget)
     entries = (
         (lambda k, adj, ell: k.components(adj, 0), False),
-        (lambda k, adj, ell: k.search_min_superset(adj, 1, 6, 2, 2, ell, True, ()), True),
+        (lambda k, adj, ell: k.search_min_superset(adj, 1, 6, 2, 2, ell, True), True),
         (lambda k, adj, ell: k.realizable_forcers(adj, 0, 0), False),
         (lambda k, adj, ell: k.first_failing_leaks(adj, 0, ell, False), True),
-        (lambda k, adj, ell: k.search_min_superset(adj, 0, 1, 1, 1, ell, False, ()), True),
+        (lambda k, adj, ell: k.search_min_superset(adj, 0, 1, 1, 1, ell, False), True),
         (lambda k, adj, ell: k.first_failing_leaks(adj, 1, ell, True), True),
         (lambda k, adj, ell: k.minimal_fort_masks(adj, ell), True),
+        (lambda k, adj, ell: k.deletion_values(adj, ell, [3, 6]), True),
     )
     for call, takes_ell in entries:
         messages = []
@@ -758,11 +887,11 @@ def test_full_word_capacity(ck):
         assert k.first_failing_leaks(q6.adj, 0, 0, False) == (0, 1)
         # standard rule stalls: every blue vertex has six white neighbors
         assert k.first_failing_leaks(q6.adj, even, 0, True) == (0, 1)
-        assert k.search_min_superset(q6.adj, even, 0, 32, 32, 0, False, ()) == (even, 1, 1, ())
+        assert k.search_min_superset(q6.adj, even, 0, 32, 32, 0, False) == (even, 1, 1, ())
         with pytest.raises(ValueError):
             k.first_failing_leaks(q6.adj, even, -1, False)
         with pytest.raises(ValueError):
-            k.search_min_superset(q6.adj, even, full, 40, 40, -1, False, ())
+            k.search_min_superset(q6.adj, even, full, 40, 40, -1, False)
         # the ends of a path are its one-leak forts; on a cycle every vertex
         # is a two-leak fort, and vertex 63 fills its lane up to the guard bit
         p64 = path(64)
@@ -789,15 +918,15 @@ def test_twins_reject_out_of_range_masks_alike(ck):
     calls = (
         lambda k, mask: k.components(p3.adj, mask),
         lambda k, mask: k.first_failing_leaks(p3.adj, mask, 1, True),
-        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, True, ()),
+        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, True),
         lambda k, mask: k.realizable_forcers(p3.adj, mask, 7),
         lambda k, mask: k.realizable_forcers(p3.adj, 1, mask),
         lambda k, mask: k.first_failing_leaks(p3.adj, mask, 1, False),
-        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, False, ()),
-        lambda k, mask: k.search_min_superset(p3.adj, 0, mask, 1, 1, 0, False, ()),
-        # every offered cut is checked, in an empty range too
-        lambda k, mask: k.search_min_superset(p3.adj, 0, 7, 1, 3, 1, False, (3, mask, 6)),
-        lambda k, mask: k.search_min_superset(p3.adj, 0, 7, 2, 1, 0, True, [mask]),
+        lambda k, mask: k.search_min_superset(p3.adj, mask, 7, 3, 3, 0, False),
+        lambda k, mask: k.search_min_superset(p3.adj, 0, mask, 1, 1, 0, False),
+        # every offered cut is checked, on a graph with no edge too
+        lambda k, mask: k.deletion_values(p3.adj, 1, (3, mask, 6)),
+        lambda k, mask: k.deletion_values((0, 0, 0), 0, [mask]),
     )
     cases = ((0b1001, ValueError), (1 << 63, ValueError), (-1, OverflowError), (1 << 64, OverflowError))
     for call in calls:
@@ -809,12 +938,6 @@ def test_twins_reject_out_of_range_masks_alike(ck):
                 messages.append(str(info.value))
             assert messages[0] == messages[1]
         assert call(_pykernel, 0b101) == call(ck, 0b101)
-    # offered cuts are checked after the leak budget, and must be iterable
-    for k in (_pykernel, ck):
-        with pytest.raises(ValueError, match="^leak budget must be non-negative$"):
-            k.search_min_superset(p3.adj, 0, 7, 1, 1, -1, False, [-1])
-        with pytest.raises(TypeError):
-            k.search_min_superset(p3.adj, 0, 7, 1, 1, 0, False, 5)
     # hitting-set masks are their own universe: any vertex below 64 is one
     for k in (_pykernel, ck):
         assert k.min_hitting_set([]) == (0, 0)

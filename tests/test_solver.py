@@ -28,6 +28,7 @@ from forceps import (
     leaky_number,
     monotonicity_audit,
 )
+from forceps import _core
 from forceps.families import (
     FamilySpec,
     complete,
@@ -105,10 +106,9 @@ class TestLeakyNumber:
         res = leaky_number(Graph.from_edges(0, []), 0)
         assert res.value == 0 and len(res.witness) == 0
 
-    def test_a_solve_returns_its_cuts_and_takes_offered_ones(self):
+    def test_a_solve_returns_its_cuts(self):
         # the final cut ring of each component's search: forts of the rule
-        # with at most ell threats, connected under the psd rule.  Offered
-        # back, they skip closures and change nothing else
+        # with at most ell threats, connected under the psd rule
         g, ell = disjoint_union(grid(3, 3), hypercube(3)), 1
         for rule in Rule:
             res = leaky_number(g, ell, rule)
@@ -120,14 +120,8 @@ class TestLeakyNumber:
                 assert threats <= ell
                 sub, _ = induced_subgraph(g, VertexSet(g.n, vertices))
                 assert rule is Rule.standard or len(connected_components(sub)) == 1
-            again = leaky_number(g, ell, rule, cuts=iter(res.cuts))
-            assert (again.value, again.witness, again.stats.nodes) == (res.value, res.witness, res.stats.nodes)
-            assert again.stats.leak_checks < res.stats.leak_checks
             # the cuts are left out of equality and repr
             assert replace(res, cuts=()) == res and "cuts" not in repr(res)
-        for cut, exc in ((1 << 17, ValueError), (-1, OverflowError)):
-            with pytest.raises(exc):
-                leaky_number(g, ell, cuts=[1, cut])
 
 
 class TestAgainstBruteForce:
@@ -388,38 +382,24 @@ class TestEdgeDeletionScan:
                     values[key] = leaky_number(h, 1).value
                 assert r.value_g_minus_e == values[key]
 
-    def test_records_match_plain_solves(self, monkeypatch):
-        # the scan offers G's cuts to the solve of each G - e; that solve
-        # gives the plain solve's value, witness and node count, with fewer
+    def test_records_match_plain_solves(self):
+        # the scan solves every G - e in one kernel call from G's cuts: each
+        # edge's value and candidate count are a plain solve's, with fewer
         # closures over the corpus
-        import forceps.solve as solve_mod
-
-        solves = []
-
-        def recording(g, ell, rule=Rule.psd, **kwargs):
-            res = leaky_number(g, ell, rule, **kwargs)
-            solves.append((g, kwargs.get("cuts", ()), res))
-            return res
-
-        monkeypatch.setattr(solve_mod, "leaky_number", recording)
-        offered = carried = plain_checks = 0
+        carried = plain_checks = 0
         for g in atlas_graphs(6):
             for ell in (0, 1, 2):
-                solves.clear()
+                base = leaky_number(g, ell)
                 records = list(edge_deletion_scan([g], ell))
-                assert len(solves) == 1 + len(records) == 1 + g.num_edges()
-                base = solves[0][2]
-                assert base == leaky_number(g, ell)
-                for rec, (h, cuts, res) in zip(records, solves[1:]):
+                solves = _core.deletion_values(g.adj, ell, base.cuts[:64])
+                assert [r.edge for r in records] == g.edges() and len(solves) == g.num_edges()
+                for rec, (value, candidates, closures) in zip(records, solves):
                     plain = leaky_number(delete_edge(g, *rec.edge), ell)
-                    assert h == delete_edge(g, *rec.edge) and cuts == base.cuts[:64]
                     assert (rec.value_g, rec.value_g_minus_e) == (base.value, plain.value)
-                    assert (res.value, res.witness, res.stats.nodes) == \
-                        (plain.value, plain.witness, plain.stats.nodes)
-                    offered += bool(cuts)
-                    carried += res.stats.leak_checks
+                    assert (value, candidates) == (plain.value, plain.stats.nodes)
+                    carried += closures
                     plain_checks += plain.stats.leak_checks
-        assert offered and carried < plain_checks
+        assert carried < plain_checks
 
     def test_parallel_scan_gives_the_serial_records(self):
         sample = atlas_graphs(6)[::7]
@@ -434,11 +414,13 @@ class TestEdgeDeletionScan:
         assert summary.min_diff == -2 and summary.max_diff == 1
         assert summary.increases == [(complete(3), (0, 1))]
         assert not summary.window_violations()
-        # past 62 vertices a graph is named the way findings name it
-        summary.add(ScanRecord(path(64), (5, 6), 3, 2))
+        # past 62 vertices a graph is named the way findings name it; an
+        # edge at the top vertex comes back whole
+        summary.add(ScanRecord(path(64), (62, 63), 3, 2))
+        assert summary.increases[1] == (path(64), (62, 63))
         edges = ", ".join(f"[{v}, {v + 1}]" for v in range(63))
         assert summary.to_lines()[2:] == [
-            "  Bw edge=(0,1)", f'  {{"n": 64, "edges": [{edges}]}} edge=(5,6)',
+            "  Bw edge=(0,1)", f'  {{"n": 64, "edges": [{edges}]}} edge=(62,63)',
         ]
         summary.add(ScanRecord(complete(2), (0, 1), 5, 2))
         assert summary.window_violations()
