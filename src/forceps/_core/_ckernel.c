@@ -29,15 +29,16 @@ static int fail(PyObject *exc, const char *msg)
     return -1;
 }
 
-/* Any int, saturated to the range of int: a size-class bound, since the class
- * range is clipped to 0..64 anyway, or a leak budget, which get_ell clamps. */
+/* Any int, saturated to -1 .. 65: a size-class bound, since the class range is
+ * clipped to 0..64 anyway, or a leak budget, which get_ell checks and clamps.
+ * So no sum or difference of bounds overflows. */
 static int get_bound(PyObject *o, int *out)
 {
     int overflow;
     long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    *out = overflow > 0 || v > INT_MAX ? INT_MAX : overflow < 0 || v < INT_MIN ? INT_MIN : (int)v;
+    *out = overflow > 0 || v > 65 ? 65 : overflow < 0 || v < -1 ? -1 : (int)v;
     return 0;
 }
 
@@ -593,8 +594,7 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
     return Py_BuildValue("(KL)", (unsigned long long)leaks, closures);
 }
 
-/* See search; the ring comes back newest first.  For ell <= 1 the last leak is
- * a leak-free forcer, already live, so live is computed only for ell >= 2. */
+/* See search; the ring comes back newest first. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int lo, hi, found, ncuts = 0, head = 0;
@@ -607,7 +607,7 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
         || get_ell(args[5], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0)
         return NULL;
     full = full_mask(sc.n);
-    sc.vs = sc.ell >= 2 ? component(adj, full, full & ~core, &unused) : full;
+    sc.vs = component(adj, full, full & ~core, &unused);
     if (sc.ell > POP(sc.vs))
         sc.ell = POP(sc.vs);
     found = search(&sc, core, free_mask & ~core, lo, hi, cuts, &ncuts, &head, &mask, &candidates, &closures);
@@ -703,7 +703,7 @@ static PyObject *py_deletion_values(PyObject *self, PyObject *const *args, Py_ss
                     cuts[ncuts - 1 - i] = cut;
                 }
                 head = ncuts % CUTS;
-                sc.vs = ell >= 2 ? comp : full;
+                sc.vs = comp;
                 mask = 0;
                 if (search(&sc, blue, free_mask, outside + ell + 1, n, cuts, &ncuts, &head, &mask,
                            &candidates, &closures) < 0) {

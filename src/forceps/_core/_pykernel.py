@@ -407,9 +407,7 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     budget clamped to its size: some ``ell``-placement fails iff some
     min(``ell``, |live|)-placement inside ``live`` does, since more leaks
     never grow a closure, and a candidate's scan runs at most
-    1 + C(|live|, ``ell``) closures.  For ``ell`` <= 1 the last leak is a
-    leak-free forcer, already live, so ``live`` is computed only for
-    ``ell`` >= 2.
+    1 + C(|live|, ``ell``) closures.
 
     Fort cuts.  When a candidate fails, the leak scan stops at a failing
     chain node S inside the first failing placement L (S is empty when the
@@ -471,7 +469,7 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     _check_mask(n, free)
     _check_ell(ell)
     full = (1 << n) - 1
-    live = _component(adj, full, full & ~core)[0] if ell >= 2 else full
+    live = _component(adj, full, full & ~core)[0]
     ring: deque[int] = deque(maxlen=_CUTS)
     found, candidates, closures = _search(
         n, adj, core, free & ~core, lo, hi, min(ell, live.bit_count()), standard, live, ring)
@@ -487,8 +485,6 @@ def _search(n, adj, core, free, lo, hi, ell, standard, live, ring) -> tuple[int,
     base = core.bit_count()
     lo = max(lo, base) - base
     hi = min(hi, base + free.bit_count()) - base
-    if lo > hi:
-        return -1, 0, 0
     killer = full  # none yet: full meets every prefix, as ``rest`` is never empty
     candidates = 0
     closures = 0
@@ -627,8 +623,7 @@ def deletion_values(adj, ell, cuts) -> tuple[tuple[int, int, int], ...]:
                 outside = n - comp.bit_count()
                 ring = deque(islice((cut for cut in binding if cut & free), _CUTS), maxlen=_CUTS)
                 # from ell + 1 vertices of the component up; _search clips to the core
-                live = comp if ell >= 2 else full
-                found, c, k = _search(n, h, blue, free, outside + ell + 1, n, ell, False, live, ring)
+                found, c, k = _search(n, h, blue, free, outside + ell + 1, n, ell, False, comp, ring)
                 value += found.bit_count() - outside
                 candidates += c
                 closures += k

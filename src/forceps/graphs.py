@@ -175,16 +175,6 @@ class Graph:
             adj[v] |= 1 << u
         return cls(adj)
 
-    @classmethod
-    def _trusted(cls, adj: tuple[int, ...]) -> "Graph":
-        """A graph from rows already known to be valid, built without the
-        checks of ``__post_init__``; only callers that derive the rows from a
-        valid graph may use it."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "n", len(adj))
-        return self
-
     def vertex_set(self) -> VertexSet:
         return VertexSet.from_mask(self.n, (1 << self.n) - 1)
 
@@ -233,15 +223,13 @@ def _mask(g: Graph, vs: VertexSet) -> int:
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    """The same graph minus one edge; the result may be disconnected.
-    Dropping both arcs of an edge keeps the rows symmetric and loop-free,
-    so the result skips the validation of ``Graph(...)``."""
+    """The same graph minus one edge; the result may be disconnected."""
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u},{v}) not present")
     adj = list(g.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
-    return Graph._trusted(tuple(adj))
+    return Graph(tuple(adj))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

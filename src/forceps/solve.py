@@ -288,8 +288,9 @@ def _scan_one(args) -> list[ScanRecord]:
     g, ell = args
     base = leaky_number(g, ell)
     # most of G's cuts still bind in G - e; the kernel keeps those that do
-    values = _core.deletion_values(g.adj, ell, base.cuts[:64])
-    return [ScanRecord(g, edge, base.value, value) for edge, (value, _, _) in zip(g.edges(), values)]
+    values = _core.deletion_values(g.adj, ell, base.cuts)
+    return [ScanRecord(g, edge, base.value, value)
+            for edge, (value, _, _) in zip(g.edges(), values, strict=True)]
 
 
 def edge_deletion_scan(
@@ -297,14 +298,15 @@ def edge_deletion_scan(
 ) -> Iterator[ScanRecord]:
     """One record per (graph, edge): the value before and after deleting
     that edge.  G is solved once, and every G - e in one kernel call that
-    starts from the first 64 of G's cuts, which spares closures and
-    changes no value.  Output order follows the input stream at any
-    worker count.  With ``workers > 1`` the stream is read in batches of
-    ``8 * workers`` graphs, so at most one batch is held at a time
-    (``Executor.map`` would read the whole stream before yielding
-    anything).  A ``workers`` that is not an int of at least 1 raises when
-    the first record is asked for.
+    starts from G's cuts, which spares closures and changes no value.
+    Output order follows the input stream at any worker count.  With
+    ``workers > 1`` the stream is read in batches of ``8 * workers``
+    graphs, so at most one batch is held at a time (``Executor.map`` would
+    read the whole stream before yielding anything).  An ``ell`` or a
+    ``workers`` that ``leaky_number`` would refuse raises when the first
+    record is asked for, even for an empty stream.
     """
+    _check_budget(ell)
     _check_workers(workers)
     tasks = ((g, ell) for g in graphs)
     if workers == 1:
@@ -367,9 +369,11 @@ class ScanSummary:
 # family tables
 
 
-def expected_value(spec: FamilySpec, ell: int, g: Graph | None = None) -> int | None:
+def expected_value(spec: FamilySpec, ell: int) -> int | None:
     """Closed-form value for a family member, or None where no closed form
-    is available at this budget (never extrapolated past its known range)."""
+    is available at this budget (never extrapolated past its known range).
+    ``ell`` is checked as ``leaky_number`` checks it."""
+    _check_budget(ell)
     kind, params = spec.kind, spec.params
     if kind == "path":
         n = params[0]
@@ -398,7 +402,7 @@ def expected_value(spec: FamilySpec, ell: int, g: Graph | None = None) -> int | 
         return 1 << (d - 1) if ell <= d - 1 else 1 << d
     if kind == "grid":
         n, m = params
-        if ell >= (g if g is not None else generate(spec)).max_degree():
+        if ell >= generate(spec).max_degree():
             return n * m  # every vertex can be stranded, so all must start blue
         if ell == 1 and n == m and n >= 4:
             return n
@@ -411,10 +415,7 @@ def expected_value(spec: FamilySpec, ell: int, g: Graph | None = None) -> int | 
             return 4 if n in (4, 5, 6) else None
         return 2 * n
     if kind in ("tree_from_pruefer", "fig3_spider"):
-        tree = g if g is not None else generate(spec)
-        if ell == 0:
-            return 1
-        return sum(1 for v in range(tree.n) if tree.degree(v) <= ell)
+        return 1 if ell == 0 else sum(1 for d in generate(spec).degrees() if d <= ell)
     return None
 
 
@@ -424,14 +425,17 @@ def family_table(
     """Solve every (family member, budget) pair and pair each value with
     its closed form when one exists.  Each value is solved on its own, so
     a row never inherits an error from another budget's row.  Budgets are
-    listed in ascending order, once each."""
+    checked one by one, then listed in ascending order, once each."""
+    ells = list(ells)
+    for ell in ells:
+        _check_budget(ell)  # before the set, which would merge True into 1
     rows = []
     budgets = sorted(set(ells))
     for spec in specs:
         g = generate(spec)
         for ell in budgets:
             res = leaky_number(g, ell, workers=workers)
-            rows.append(FamilyRow(str(spec), ell, res.value, expected_value(spec, ell, g)))
+            rows.append(FamilyRow(str(spec), ell, res.value, expected_value(spec, ell)))
     return rows
 
 

@@ -28,7 +28,7 @@ from forceps.families import complete, cycle, grid, hypercube, path, petersen_gp
 from forceps.graphs import delete_edge
 from forceps.solve import _pieces
 
-from corpus import atlas_graphs, interleaved_union, random_graph
+from corpus import atlas_graphs, disjoint_union, interleaved_union, random_graph
 from oracles import (
     async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_standard_fort,
     naive_minimal_forts, naive_possible_forces,
@@ -251,6 +251,12 @@ def test_searches_agree(ck, monkeypatch):
         for std in (False, True):
             assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
                 ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
+    # empty ranges past the range of a C int, with a nonempty core: no
+    # bound arithmetic overflows into a range that runs
+    huge = 1 << 70
+    for lo, hi in ((-huge, -huge - 1), (huge, huge - 1), (-huge, -2), (3, -huge)):
+        for kern in (_pykernel, ck):
+            assert kern.search_min_superset(cycle(5).adj, 0b101, 0b11010, lo, hi, 1, False) == (-1, 0, 0, ())
     # 64 vertices with vertex 63 forcing; the core drops a few blue vertices
     for g, blue, rng in _top_forcer_instances(8):
         core = blue & ~sum(1 << v for v in rng.sample(range(63), 3))
@@ -262,8 +268,8 @@ def test_searches_agree(ck, monkeypatch):
                 assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
                     ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
     # disjoint unions whose core covers one part: leaks go only on the
-    # components with a vertex outside the core, and the budget may exceed
-    # them
+    # components with a vertex outside the core, at every budget, and the
+    # budget may exceed them
     rng = random.Random(0xDEAD)
     for _ in range(60):
         a = random_graph(rng, rng.randint(1, 5), 0.5)
@@ -274,7 +280,7 @@ def test_searches_agree(ck, monkeypatch):
         free = rng.choice([(1 << g.n) - 1, rng.getrandbits(g.n)])
         lo = rng.randint(core.bit_count(), g.n)
         hi = rng.randint(lo, g.n)
-        for ell in (2, 3, 6):
+        for ell in (0, 1, 2, 3, 6):
             for std in (False, True):
                 assert _pykernel.search_min_superset(g.adj, core, free, lo, hi, ell, std) == \
                     ck.search_min_superset(g.adj, core, free, lo, hi, ell, std)
@@ -515,8 +521,8 @@ def _solve_less_edge(g, ell, edge, ring):
             continue
         outside = n - comp.bit_count()
         found, cand, clos = _pykernel._search(
-            n, h.adj, core | full & ~comp, free, outside + ell + 1, n, ell, False,
-            comp if ell >= 2 else full, deque(ring(h, free), maxlen=64))
+            n, h.adj, core | full & ~comp, free, outside + ell + 1, n, ell, False, comp,
+            deque(ring(h, free), maxlen=64))
         value += found.bit_count() - outside
         candidates += cand
         closures += clos
@@ -685,7 +691,7 @@ def test_twins_agree_on_offered_cuts(ck):
         else:
             g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.5]))
         for ell in range(4):
-            ring = leaky_number(g, ell).cuts[:64]
+            ring = leaky_number(g, ell).cuts
             offers = ring + tuple(rng.getrandbits(n) for _ in range(10)) + ring[:5]
             found = _pykernel.deletion_values(g.adj, ell, offers)
             assert len(found) == g.num_edges()
@@ -721,10 +727,36 @@ def test_scan_work_is_pinned(twin, request, monkeypatch):
         base = leaky_number(g, 1)
         candidates += base.stats.nodes
         closures += base.stats.leak_checks
-        for _, cand, clos in kern.deletion_values(g.adj, 1, base.cuts[:64]):
+        for _, cand, clos in kern.deletion_values(g.adj, 1, base.cuts):
             candidates += cand
             closures += clos
     assert (candidates, closures) == (16701, 8820)
+
+
+# disconnected graphs whose solve keeps more than 64 cuts, one ring per
+# component: (graph, ell) -> (closures of every G - e from the first 64
+# of G's cuts, from all of them)
+DISCONNECTED_SCANS = {
+    (disjoint_union(wheel(12), wheel(12)), 2): (7646, 3530),
+    (disjoint_union(disjoint_union(wheel(9), wheel(9)), wheel(9)), 2): (10347, 2625),
+    (disjoint_union(grid(4, 4), petersen_gp(8)), 1): (15804, 12789),
+}
+
+
+@pytest.mark.parametrize("twin", ["python", "c"])
+def test_every_component_starts_from_g_s_cuts(twin, request):
+    # G's cuts come one ring per component, in component order, so the
+    # first 64 hold few or none of a later component's: all of them spare
+    # closures, and change no value or candidate count
+    kern = _twin(twin, request)
+    for (g, ell), pinned in DISCONNECTED_SCANS.items():
+        cuts = leaky_number(g, ell).cuts
+        assert len(cuts) > 64
+        first, every = (kern.deletion_values(g.adj, ell, offers) for offers in (cuts[:64], cuts))
+        assert (sum(k for _, _, k in first), sum(k for _, _, k in every)) == pinned
+        plain = [leaky_number(delete_edge(g, *e), ell) for e in g.edges()]
+        for triples in (first, every):
+            assert [t[:2] for t in triples] == [(p.value, p.stats.nodes) for p in plain]
 
 
 def test_search_returns_the_first_superset_the_oracle_accepts(ck):

@@ -9,6 +9,9 @@ from forceps import (
     VertexSet,
     closure,
     distinct_forcers,
+    edge_deletion_scan,
+    expected_value,
+    family_table,
     force_candidates,
     hitting_number,
     is_ell_leaky_forcing_set,
@@ -20,7 +23,7 @@ from forceps import (
     one_leaky_criterion,
     possible_forces,
 )
-from forceps.families import complete, cycle, fig3_spider, hypercube, path
+from forceps.families import FamilySpec, complete, cycle, fig3_spider, hypercube, path
 
 from oracles import naive_possible_forces
 
@@ -240,9 +243,15 @@ def test_a_rule_must_be_a_rule_member(call, rule):
     lambda ell: minimal_forts(path(3), ell),
     lambda ell: hitting_number(path(3), ell),
     lambda ell: monotonicity_audit(path(3), ell),
-], ids=["leaky-number", "leaky-test", "fort-test", "minimal-forts", "hitting-number", "monotonicity-audit"])
+    lambda ell: expected_value(FamilySpec("path", (3,)), ell),
+    lambda ell: family_table([FamilySpec("path", (3,))], [1, ell]),
+    lambda ell: list(edge_deletion_scan([], ell)),
+], ids=["leaky-number", "leaky-test", "fort-test", "minimal-forts", "hitting-number", "monotonicity-audit",
+        "expected-value", "family-table", "edge-deletion-scan"])
 def test_a_leak_budget_must_be_a_non_negative_int(call):
-    # a bool is not read as 0 or 1, so no result can report ell=True
+    # a bool is not read as 0 or 1, so no result can report ell=True: a
+    # family table does not merge True into 1, and a scan checks its
+    # budget before it reads a graph
     for ell in (True, False, 1.0, "1"):
         with pytest.raises(TypeError, match=f"^{re.escape(f'leak budget must be an int, got {ell!r}')}$"):
             call(ell)

@@ -126,9 +126,8 @@ def test_delete_edge():
 
 
 def test_deleting_an_edge_gives_the_graph_of_the_other_edges():
-    # delete_edge skips the constructor's checks: dropping both arcs of an
-    # edge leaves valid rows, so its result equals and hashes like the
-    # checked build of the remaining edges
+    # dropping both arcs of an edge leaves the rows of the remaining edges,
+    # so the result equals and hashes like their build from an edge list
     for g in atlas_graphs(6):
         edges = g.edges()
         for u, v in edges:

@@ -35,6 +35,7 @@ from forceps.families import (
     complete_bipartite,
     cycle,
     fig3_spider,
+    generate,
     grid,
     hypercube,
     path,
@@ -391,7 +392,7 @@ class TestEdgeDeletionScan:
             for ell in (0, 1, 2):
                 base = leaky_number(g, ell)
                 records = list(edge_deletion_scan([g], ell))
-                solves = _core.deletion_values(g.adj, ell, base.cuts[:64])
+                solves = _core.deletion_values(g.adj, ell, base.cuts)
                 assert [r.edge for r in records] == g.edges() and len(solves) == g.num_edges()
                 for rec, (value, candidates, closures) in zip(records, solves):
                     plain = leaky_number(delete_edge(g, *rec.edge), ell)
@@ -400,6 +401,22 @@ class TestEdgeDeletionScan:
                     carried += closures
                     plain_checks += plain.stats.leak_checks
         assert carried < plain_checks
+
+    def test_the_scan_offers_every_cut_of_a_disconnected_graph(self, monkeypatch):
+        # G's solve keeps one ring per component, 106 cuts here; the kernel
+        # alone caps the ring each search of G - e starts from
+        offered = []
+        deletion_values = _core.deletion_values
+
+        def spy(adj, ell, cuts):
+            offered.append(cuts)
+            return deletion_values(adj, ell, cuts)
+
+        monkeypatch.setattr(_core, "deletion_values", spy)
+        g = disjoint_union(wheel(12), wheel(12))
+        records = list(edge_deletion_scan([g], 2))
+        assert len(records) == g.num_edges() and len(offered) == 1
+        assert len(offered[0]) == 106 and offered[0] == leaky_number(g, 2).cuts
 
     def test_parallel_scan_gives_the_serial_records(self):
         sample = atlas_graphs(6)[::7]
@@ -458,6 +475,14 @@ class TestFamilyTable:
         rows = family_table([FamilySpec("tree_from_pruefer", (3, 3))], [0, 1, 2])
         # star-ish tree on 4 vertices: center 3 has degree 3
         assert [(r.computed, r.expected) for r in rows] == [(1, 1), (3, 3), (3, 3)]
+
+    def test_a_closed_form_is_the_spec_s_own(self):
+        # the value comes from the graph the spec names, so no caller can
+        # pair a spec with another graph: this spec is the star on 4 vertices
+        spec = FamilySpec("tree_from_pruefer", (0, 0))
+        assert expected_value(spec, 1) == value(generate(spec), 1) == 3
+        with pytest.raises(TypeError):
+            expected_value(spec, 1, path(4))
 
     def test_contested_grid_row_is_computed_only(self):
         rows = family_table([FamilySpec("grid", (5, 4))], [1])
