@@ -15,7 +15,6 @@
 
 #define POP(x) __builtin_popcountll(x)
 #define CTZ(x) __builtin_ctzll(x)
-#define SINGLE(x) ((x) != 0 && ((x) & ((x) - 1)) == 0)
 #define HIGH(x) ((uint64_t)1 << (63 - __builtin_clzll(x)))  /* x nonzero */
 #define ABOVE(vs, p) ((p) ? (vs) & (0 - (HIGH(p) << 1)) : (vs))  /* p below vs's top */
 
@@ -130,20 +129,39 @@ static uint64_t component(const uint64_t *adj, uint64_t inside, uint64_t seed, u
     return comp;
 }
 
+/* The part of `inside` that `seed` reaches; *one, *two and *three get the
+ * vertices with at least one, two and three neighbours in it.  See
+ * _pykernel._grow. */
+static uint64_t grow(const uint64_t *adj, uint64_t inside, uint64_t seed, uint64_t *one, uint64_t *two,
+                     uint64_t *three)
+{
+    uint64_t part = 0, o = 0, t = 0, h = 0, frontier, nb;
+    for (frontier = seed; frontier; frontier = o & inside & ~part)
+        for (part |= frontier; frontier; frontier &= frontier - 1) {
+            nb = adj[CTZ(frontier)];
+            h |= t & nb;
+            t |= o & nb;
+            o |= nb;
+        }
+    *one = o;  /* counted in locals, which adj's rows cannot alias */
+    *two = t;
+    *three = h;
+    return part;
+}
+
 /* One simultaneous round: the vertices outside `barred` that some non-leaked
  * blue vertex forces.  *forcers gains, per target, the smallest source forcing
- * it, the source forcing.closure keeps in its chronology. */
+ * it, the source forcing.closure keeps in its chronology.  _pykernel._round's
+ * steps: per white part, visit the sources with one neighbour in it. */
 static uint64_t round_targets(const uint64_t *adj, uint64_t blue, uint64_t leaks, int standard,
                               uint64_t white, uint64_t barred, uint64_t *forcers)
 {
-    uint64_t hit = barred, sources = blue & ~leaks, s, nb, rest, comp, boundary = ~(uint64_t)0;
-    /* the standard rule is the psd rule with the white vertices as one part
-     * whose boundary holds every source */
+    uint64_t hit = barred, sources = blue & ~leaks, s, nb, rest, comp, one, two, three;
     for (rest = white; rest; rest &= ~comp) {
-        comp = standard ? rest : component(adj, rest, rest & (0 - rest), &boundary);
-        for (s = sources & boundary; s; s &= s - 1) {
+        comp = grow(adj, rest, standard ? rest : rest & (0 - rest), &one, &two, &three);
+        for (s = sources & one & ~two; s; s &= s - 1) {
             nb = adj[CTZ(s)] & comp;
-            if (SINGLE(nb) && !(nb & hit)) {
+            if (!(nb & hit)) {
                 hit |= nb;
                 *forcers |= s & (0 - s);
             }
@@ -340,17 +358,8 @@ static int failing_leaks(struct scan *sc, uint64_t blue, uint64_t *leaks, uint64
  * explains them; its connectivity test stops early with the same verdict. */
 static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int standard)
 {
-    uint64_t low = cut & (0 - cut), fort = 0, one = 0, two = 0, three = 0;
-    uint64_t frontier, rest, bit, nb, smaller, x, unused;
-    for (frontier = standard ? cut : low; frontier; frontier = one & cut & ~fort) {
-        fort |= frontier;
-        for (; frontier; frontier &= frontier - 1) {
-            nb = adj[CTZ(frontier)];
-            three |= two & nb;
-            two |= one & nb;
-            one |= nb;
-        }
-    }
+    uint64_t low = cut & (0 - cut), one, two, three, rest, bit, nb, smaller, x, unused;
+    uint64_t fort = grow(adj, cut, standard ? cut : low, &one, &two, &three);
     if (POP(fort) <= 2)
         return fort;
     for (rest = fort ^ low; rest; rest ^= bit) {
@@ -542,7 +551,8 @@ static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t
 static PyObject *py_realizable_forcers(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n, v;
-    uint64_t adj[64], blue, targets, full, want, newly, hit, bit, final, comp, s, unused = 0, forcers[64] = {0};
+    uint64_t adj[64], blue, targets, full, want, newly, hit, bit, final, one, two, unused = 0;
+    uint64_t forcers[64] = {0};
     PyObject *out, *item;
     if (check_nargs("realizable_forcers", nargs, 3) < 0 || load_adj(args[0], &n, adj) < 0
         || get_vmask(args[1], n, &blue) < 0 || get_vmask(args[2], n, &targets) < 0)
@@ -556,10 +566,8 @@ static PyObject *py_realizable_forcers(PyObject *self, PyObject *const *args, Py
             bit = hit & (0 - hit);
             v = CTZ(hit);
             final = closure(n, adj, blue & ~bit, 0, 0, bit, &unused);
-            comp = component(adj, full & ~final, bit, &unused);
-            for (s = adj[v] & final; s; s &= s - 1)
-                if ((adj[CTZ(s)] & comp) == bit)
-                    forcers[v] |= s & (0 - s);
+            grow(adj, full & ~final, bit, &one, &two, &unused);
+            forcers[v] = adj[v] & final & one & ~two;  /* v is their one white neighbour in v's part */
         }
     }
     if ((out = PyTuple_New(n)) == NULL)
@@ -629,7 +637,7 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
 static PyObject *py_deletion_values(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n, ell, u, v, i, m = 0, nbind, ncuts, head, outside;
-    uint64_t adj[64], h[64], full, core, ecore, cut, c, nb, one, two, three, above, comp, rest;
+    uint64_t adj[64], h[64], full, core, ecore, cut, one, two, three, above, comp, rest;
     uint64_t free_mask, blue, mask, unused, cuts[CUTS], *binding = NULL;
     long long value, candidates, closures;
     Py_ssize_t t, len, nedges = 0;
@@ -651,15 +659,8 @@ static PyObject *py_deletion_values(PyObject *self, PyObject *const *args, Py_ss
             goto done;
         for (i = 0; i < m && offers[i].cut != cut; i++)
             ;
-        if (i < m || cut == 0 || component(adj, cut, cut & (0 - cut), &unused) != cut)
+        if (i < m || cut == 0 || grow(adj, cut, cut & (0 - cut), &one, &two, &three) != cut)
             continue;
-        one = two = three = 0;
-        for (c = cut; c; c &= c - 1) {
-            nb = adj[CTZ(c)];
-            three |= two & nb;
-            two |= one & nb;
-            one |= nb;
-        }
         offers[m] = (struct offer){cut, one & ~two & ~cut, two & ~three & ~cut, POP(one & ~two & ~cut)};
         m += offers[m].count <= ell + 1;
     }

@@ -31,7 +31,8 @@ _DECIMAL = re.compile("0|-?[1-9][0-9]*")
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family tag plus integer parameters, e.g. ('path', (5,))."""
+    """A family tag plus integer parameters, e.g. ('path', (5,)).  A
+    parameter that is a bool or not an int raises TypeError."""
 
     kind: str
     params: tuple[int, ...] = ()
@@ -40,6 +41,9 @@ class FamilySpec:
         object.__setattr__(self, "params", tuple(self.params))
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown family {self.kind!r}")
+        for p in self.params:
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise TypeError(f"family parameter must be an int, got {p!r}")
         arity = _FAMILIES[self.kind][1]
         if arity is not None and len(self.params) != arity:
             raise ValueError(

@@ -262,11 +262,12 @@ def induced_subgraph(g: Graph, vs: VertexSet) -> tuple[Graph, tuple[int, ...]]:
 
     Returns the subgraph and the tuple mapping new index -> original vertex.
     """
+    mask = _mask(g, vs)
     keep = list(vs)
     index = {v: i for i, v in enumerate(keep)}
     adj = [0] * len(keep)
     for i, v in enumerate(keep):
-        for u in _bits_ascending(g.adj[v] & vs.mask):
+        for u in _bits_ascending(g.adj[v] & mask):
             adj[i] |= 1 << index[u]
     return Graph(adj), tuple(keep)
 

@@ -424,8 +424,10 @@ def family_table(
 ) -> list[FamilyRow]:
     """Solve every (family member, budget) pair and pair each value with
     its closed form when one exists.  Each value is solved on its own, so
-    a row never inherits an error from another budget's row.  Budgets are
-    checked one by one, then listed in ascending order, once each."""
+    a row never inherits an error from another budget's row.  The worker
+    count is checked where it enters, even when no row is solved, and the
+    budgets one by one, then listed in ascending order, once each."""
+    _check_workers(workers)
     ells = list(ells)
     for ell in ells:
         _check_budget(ell)  # before the set, which would merge True into 1

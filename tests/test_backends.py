@@ -1039,6 +1039,32 @@ def test_components_partition_inside(ck):
             assert lows == sorted(lows)
 
 
+def test_grow_matches_a_naive_count():
+    # the part by a search over vertex lists, and each vertex's neighbours
+    # in it counted one by one, with a seed of one vertex, a mask and all
+    # of a disconnected inside
+    rng = random.Random(0x6A0)
+    disconnected = 0
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+        inside = rng.getrandbits(n) | 1 << rng.randrange(n)
+        disconnected += len(_pykernel.components(g.adj, inside)) > 1
+        members = [v for v in range(n) if inside >> v & 1]
+        some = sum(1 << v for v in rng.sample(members, rng.randint(1, len(members))))
+        for seed in (1 << rng.choice(members), some, inside):
+            part, stack = seed, [v for v in members if seed >> v & 1]
+            while stack:
+                for w in g.neighbors(stack.pop()):
+                    if inside >> w & 1 and not part >> w & 1:
+                        part |= 1 << w
+                        stack.append(w)
+            counts = [(g.adj[w] & part).bit_count() for w in range(n)]
+            want = tuple(sum(1 << w for w in range(n) if counts[w] >= k) for k in (1, 2, 3))
+            assert _pykernel._grow(g.adj, inside, seed) == (part, *want)
+    assert disconnected > 100
+
+
 def _backend_with(value):
     env = {k: v for k, v in os.environ.items() if k != "FORCEPS_PURE_PYTHON"}
     if value is not None:

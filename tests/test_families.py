@@ -49,6 +49,14 @@ def test_spec_keeps_its_own_parameter_tuple():
     assert str(spec) == "path:3" and generate(spec) == path(3)
 
 
+def test_spec_parameters_are_ints():
+    # a bool would build path(1) and print as path:True, which parse rejects;
+    # a float would fail deep inside the generator
+    for kind, params in (("path", (True,)), ("path", (3.0,)), ("path", ("3",)), ("grid", (4, False))):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'family parameter must be an int, got {params[-1]!r}')}$"):
+            FamilySpec(kind, params)
+
+
 def test_path_cycle_complete():
     assert path(3).edges() == [(0, 1), (1, 2)]
     assert path(1).n == 1

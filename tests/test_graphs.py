@@ -76,10 +76,13 @@ def test_graph_validation():
     (lambda: path(3).neighbors(-1), "vertex -1 outside [0, 3)"),
     (lambda: path(3).degree(3), "vertex 3 outside [0, 3)"),
     (lambda: cartesian_product(path(9), path(8)), "vertex count 72 outside [0, 64]"),
+    (lambda: induced_subgraph(path(4), VertexSet(3, [0, 2])), "vertex set on 3 vertices does not match a graph on 4"),
+    (lambda: induced_subgraph(path(4), VertexSet(5, [0, 4])), "vertex set on 5 vertices does not match a graph on 4"),
 ], ids=["vertexset-universe", "from-mask-universe", "from-mask-negative-universe",
         "graph-row-count", "graph-row-range", "from-edges-loop",
         "from-edges-huge-order", "from-edges-negative-order",
-        "degree-negative", "neighbors-negative", "degree-past-end", "product-order"])
+        "degree-negative", "neighbors-negative", "degree-past-end", "product-order",
+        "induced-subgraph-smaller-universe", "induced-subgraph-larger-universe"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -494,7 +494,10 @@ class TestFamilyTable:
     lambda workers: leaky_number(path(3), 1, workers=workers),
     lambda workers: list(edge_deletion_scan([path(3)], 1, workers)),
     lambda workers: family_table([FamilySpec("path", (3,))], [1], workers=workers),
-], ids=["leaky-number", "edge-deletion-scan", "family-table"])
+    # checked where it enters, though no row reaches leaky_number
+    lambda workers: family_table([], [1], workers=workers),
+    lambda workers: family_table([FamilySpec("path", (3,))], [], workers=workers),
+], ids=["leaky-number", "edge-deletion-scan", "family-table", "family-table-no-specs", "family-table-no-budgets"])
 def test_workers_must_be_a_positive_int(call):
     # a bool, a float or a string is not read as a count, and no count
     # below 1 falls back to a serial run
