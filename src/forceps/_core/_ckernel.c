@@ -111,27 +111,9 @@ static int load_adj(PyObject *adj, int *n, uint64_t *out)
 
 /* ------------------------------------------------------------ kernels */
 
-/* The components of `inside` meeting `seed`, a vertex bit or a mask.  *boundary
- * gets their full reach, the union of their neighbourhoods, which includes
- * vertices of `inside`; the components() entry subtracts `inside`. */
-static uint64_t component(const uint64_t *adj, uint64_t inside, uint64_t seed, uint64_t *boundary)
-{
-    uint64_t comp = 0, reach = 0, frontier = seed, grow, f;
-    while (frontier) {
-        comp |= frontier;
-        grow = 0;
-        for (f = frontier; f; f &= f - 1)
-            grow |= adj[CTZ(f)];
-        reach |= grow;
-        frontier = grow & inside & ~comp;
-    }
-    *boundary = reach;
-    return comp;
-}
-
 /* The part of `inside` that `seed` reaches; *one, *two and *three get the
- * vertices with at least one, two and three neighbours in it.  See
- * _pykernel._grow. */
+ * vertices with at least one, two and three neighbours in it, so *one is the
+ * part's reach.  See _pykernel._grow. */
 static uint64_t grow(const uint64_t *adj, uint64_t inside, uint64_t seed, uint64_t *one, uint64_t *two,
                      uint64_t *three)
 {
@@ -369,7 +351,7 @@ static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int stand
         if (POP(((one & ~two & ~nb) | (two & ~three & nb)) & ~smaller) > ell)
             continue;
         x = nb & smaller;
-        if (!standard && (x & (x - 1)) != 0 && component(adj, smaller, low, &unused) != smaller)
+        if (!standard && (x & (x - 1)) != 0 && grow(adj, smaller, low, &unused, &unused, &unused) != smaller)
             continue;
         fort = smaller;
         one &= two | ~nb;
@@ -502,7 +484,7 @@ static int still_binds(const struct offer *f, const uint64_t *h, int u, int v, i
 {
     uint64_t bu = (uint64_t)1 << u, bv = (uint64_t)1 << v, e = bu | bv, ends = f->cut & e, unused;
     if (ends == e)
-        return f->count <= ell && (component(h, f->cut, bu, &unused) & bv) != 0;
+        return f->count <= ell && (grow(h, f->cut, bu, &unused, &unused, &unused) & bv) != 0;
     if (ends)
         return f->count - ((e & f->threats) != 0) + ((e & f->twice) != 0) <= ell;
     return f->count <= ell;
@@ -513,13 +495,13 @@ static int still_binds(const struct offer *f, const uint64_t *h, int u, int v, i
 static PyObject *py_components(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n;
-    uint64_t adj[64], inside, rest, comp, boundary;
+    uint64_t adj[64], inside, rest, comp, boundary, unused;
     PyObject *found, *item;
     if (check_nargs("components", nargs, 2) < 0 || load_adj(args[0], &n, adj) < 0
         || get_vmask(args[1], n, &inside) < 0 || (found = PyList_New(0)) == NULL)
         return NULL;
     for (rest = inside; rest; rest &= ~comp) {
-        comp = component(adj, rest, rest & (0 - rest), &boundary);
+        comp = grow(adj, rest, rest & (0 - rest), &boundary, &unused, &unused);
         item = Py_BuildValue("(KK)", (unsigned long long)comp, (unsigned long long)(boundary & ~inside));
         if (item == NULL || PyList_Append(found, item) < 0) {
             Py_XDECREF(item);
@@ -615,7 +597,7 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
         || get_ell(args[5], &sc.ell, sc.n) < 0 || (sc.standard = PyObject_IsTrue(args[6])) < 0)
         return NULL;
     full = full_mask(sc.n);
-    sc.vs = component(adj, full, full & ~core, &unused);
+    sc.vs = grow(adj, full, full & ~core, &unused, &unused, &unused);
     if (sc.ell > POP(sc.vs))
         sc.ell = POP(sc.vs);
     found = search(&sc, core, free_mask & ~core, lo, hi, cuts, &ncuts, &head, &mask, &candidates, &closures);
@@ -687,7 +669,7 @@ static PyObject *py_deletion_values(PyObject *self, PyObject *const *args, Py_ss
             ecore = core | (uint64_t)(POP(h[u]) <= ell) << u | (uint64_t)(POP(h[v]) <= ell) << v;
             value = candidates = closures = 0;
             for (rest = full; rest; rest &= ~comp) {
-                comp = component(h, rest, rest & (0 - rest), &unused);
+                comp = grow(h, rest, rest & (0 - rest), &unused, &unused, &unused);
                 free_mask = comp & ~ecore;
                 outside = n - POP(comp);
                 if (free_mask == 0) {  /* every vertex of the component can be stranded */
@@ -782,9 +764,9 @@ struct fort_search {
  * vertex; 0 once some component has none. */
 static uint64_t narrowest(const uint64_t *adj, uint64_t inside, uint64_t out, uint64_t comp, uint64_t reach)
 {
-    uint64_t best = reach & ~inside & ~out, rest, near;
+    uint64_t best = reach & ~inside & ~out, rest, near, unused;
     for (rest = inside & ~comp; rest && best; rest &= ~comp) {
-        comp = component(adj, rest, rest & (0 - rest), &reach);
+        comp = grow(adj, rest, rest & (0 - rest), &reach, &unused, &unused);
         near = reach & ~inside & ~out;
         if (POP(near) < POP(best))
             best = near;
@@ -821,16 +803,16 @@ static int grow_fort(struct fort_search *s, int x, uint64_t inside, uint64_t out
                      uint64_t once, uint64_t twice)
 {
     const uint64_t *adj = s->adj;
-    uint64_t threats = once & ~twice & ~inside, reach, comp, rest, near, fixes, low, branch;
+    uint64_t threats = once & ~twice & ~inside, reach, comp, rest, near, fixes, low, branch, unused;
     int live[64], nfix[64], nlive = 0, permanent = 0, i, j, u, y, count, sum = 0;
     Py_ssize_t t;
     for (t = 0; t < s->holding[x].len; t++)
         if ((s->holding[x].m[t] & ~inside) == 0)
             return 0;
     if ((adj[x] & inside) == 0 && (inside & (inside - 1)) != 0
-        && (inside & ~component(adj, ~out, (uint64_t)1 << x, &reach)) != 0)
+        && (inside & ~grow(adj, ~out, (uint64_t)1 << x, &reach, &unused, &unused)) != 0)
         return 0;
-    comp = component(adj, inside, inside & (0 - inside), &reach);
+    comp = grow(adj, inside, inside & (0 - inside), &reach, &unused, &unused);
     if (POP(threats) <= s->ell) {
         if (comp == inside)
             return push(&s->seeded, inside);

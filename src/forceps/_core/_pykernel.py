@@ -66,38 +66,19 @@ def _components(adj, inside) -> list[tuple[int, int]]:
     comps = []
     rest = inside
     while rest:
-        comp, reach = _component(adj, inside, rest & -rest)
+        comp, reach, _, _ = _grow(adj, inside, rest & -rest)
         comps.append((comp, reach & ~inside))
         rest &= ~comp
     return comps
-
-
-def _component(adj, inside, seed) -> tuple[int, int]:
-    """(component, reach): the components of ``inside`` meeting ``seed``, a
-    vertex bit or a mask, and the union of their neighborhoods, which
-    includes vertices of ``inside``."""
-    comp = 0
-    reach = 0
-    frontier = seed
-    while frontier:
-        comp |= frontier
-        grow = 0
-        f = frontier
-        while f:
-            low = f & -f
-            grow |= adj[low.bit_length() - 1]
-            f ^= low
-        reach |= grow
-        frontier = grow & inside & ~comp
-    return comp, reach
 
 
 def _grow(adj, inside, seed) -> tuple[int, int, int, int]:
     """(part, one, two, three): the part of ``inside`` that ``seed``, a
     vertex bit or a mask, reaches (all of ``seed`` when it is ``inside``),
     and the vertices with at least one, two and three neighbors in it,
-    counted in bit-slices.  Outside the part, ``one & ~two`` has exactly
-    one neighbor in it: the sources that force into it, a fort's threats."""
+    counted in bit-slices.  ``one`` is the part's reach, the union of its
+    neighborhoods.  Outside the part, ``one & ~two`` has exactly one
+    neighbor in it: the sources that force into it, a fort's threats."""
     part = one = two = three = 0
     frontier = seed
     while frontier:
@@ -120,30 +101,18 @@ def _round(adj, blue, leaks, standard, white, barred) -> tuple[int, int]:
     forcing.closure keeps in its chronology.
 
     A source forces within a white part exactly when it has one neighbor
-    there, so only the sources in ``once & ~twice``, counted as _grow
-    counts ``one`` and ``two``, are visited, in ascending order; a target
-    already hit keeps its first, so smallest, forcer.  The standard rule is
-    the psd rule with all of ``white`` as one part; a psd part is the white
-    component of the lowest vertex left."""
+    there, so only the sources in _grow's ``one & ~two`` are visited, in
+    ascending order; a target already hit keeps its first, so smallest,
+    forcer.  The standard rule is the psd rule with all of ``white`` as one
+    part; a psd part is the white component of the lowest vertex left."""
     hit = barred
     forcers = 0
     sources = blue & ~leaks
     rest = white
     while rest:
-        # _grow inlined: a call per part, and its unused third count, slowed solves by 4-7%
-        comp = once = twice = 0
-        frontier = rest if standard else rest & -rest
-        while frontier:
-            comp |= frontier
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nb = adj[low.bit_length() - 1]
-                twice |= once & nb
-                once |= nb
-            frontier = once & rest & ~comp
+        comp, one, two, _ = _grow(adj, rest, rest if standard else rest & -rest)
         rest &= ~comp
-        s = sources & once & ~twice
+        s = sources & one & ~two
         while s:
             low = s & -s
             s ^= low
@@ -471,7 +440,7 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     _check_mask(n, free)
     _check_ell(ell)
     full = (1 << n) - 1
-    live = _component(adj, full, full & ~core)[0]
+    live = _grow(adj, full, full & ~core)[0]
     ring: deque[int] = deque(maxlen=_CUTS)
     found, candidates, closures = _search(
         n, adj, core, free & ~core, lo, hi, min(ell, live.bit_count()), standard, live, ring)
@@ -595,7 +564,7 @@ def deletion_values(adj, ell, cuts) -> tuple[tuple[int, int, int], ...]:
             for cut, threats, twice, count in facts:
                 ends = cut & e
                 if ends == e:
-                    if count > ell or not _component(h, cut, bu)[0] & bv:
+                    if count > ell or not _grow(h, cut, bu)[0] & bv:
                         continue
                 elif ends:
                     if count - bool(e & threats) + bool(e & twice) > ell:
@@ -747,7 +716,7 @@ def _narrowest(adj, inside, out, comp, reach) -> int:
     size = best.bit_count()
     rest = inside & ~comp
     while rest and size:
-        comp, reach = _component(adj, rest, rest & -rest)
+        comp, reach, _, _ = _grow(adj, rest, rest & -rest)
         rest &= ~comp
         near = reach & ~inside & ~out
         if near.bit_count() < size:
@@ -766,11 +735,11 @@ def _grow_fort(adj, ell, x, inside, out, once, twice, comp, reach, found, packed
     nb = adj[x]
     if nb & comp:
         if nb & inside & ~comp:
-            comp, reach = _component(adj, inside, comp | 1 << x)
+            comp, reach, _, _ = _grow(adj, inside, comp | 1 << x)
         else:
             comp |= 1 << x
             reach |= nb
-    elif not nb & inside and inside & (inside - 1) and inside & ~_component(adj, ~out, 1 << x)[0]:
+    elif not nb & inside and inside & (inside - 1) and inside & ~_grow(adj, ~out, 1 << x)[0]:
         return
     threats = once & ~twice & ~inside
     if threats.bit_count() <= ell:
