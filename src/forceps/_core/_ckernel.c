@@ -4,9 +4,10 @@
  * have no C twin.  setup.py compiles this file as a plain extension. */
 
 /* Must equal _pykernel.KERNEL_VERSION; _core refuses a build that differs. */
-#define KERNEL_VERSION 14
-/* Fort cuts one search keeps. */
-#define CUTS 64
+#define KERNEL_VERSION 15
+/* Fort cuts one search keeps, and the words of a bitset over their slots. */
+#define CUTS 256
+#define SLOT_WORDS (CUTS / 64)
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -294,7 +295,10 @@ static int walk(struct scan *sc, uint64_t blue, uint64_t lmask, uint64_t *s, uin
  * ell = 1 never touches the table, and at most 1 + C(|vs|, ell) closures run.
  * Placements sharing their first ell - 1 vertices P share the chain over P,
  * and from its end only the last vertices inside F(S) walk on; the others
- * are certified at once. */
+ * are certified at once.  _pykernel._scan also resumes each closure from the
+ * rounds it shares with the node before, which changes no count; here every
+ * closure runs from `blue`, since rounds are cheap and the memo would need a
+ * round history per node. */
 static int failing_leaks(struct scan *sc, uint64_t blue, uint64_t *leaks, uint64_t *reach,
                          long long *closures)
 {
@@ -335,23 +339,26 @@ static int failing_leaks(struct scan *sc, uint64_t blue, uint64_t *leaks, uint64
 
 /* A small fort of the rule inside `cut`, a stalled closure's white remainder:
  * at most ell threats (outside vertices with exactly one neighbour in it),
- * and connected under the psd rule.  one, two and three are bit-sliced counts
- * of neighbours in the fort.  Same drops as _pykernel._small_fort, which
- * explains them; its connectivity test stops early with the same verdict. */
-static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int standard)
+ * and connected under the psd rule.  It keeps the cut's lowest vertex and
+ * tries drops from the highest down, or with `top` (the mirror shrink) keeps
+ * the highest and tries drops from the lowest up.  one, two and three are
+ * bit-sliced counts of neighbours in the fort.  Same drops as
+ * _pykernel._small_fort, which explains them; its connectivity test stops
+ * early with the same verdict. */
+static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int standard, int top)
 {
-    uint64_t low = cut & (0 - cut), one, two, three, rest, bit, nb, smaller, x, unused;
-    uint64_t fort = grow(adj, cut, standard ? cut : low, &one, &two, &three);
+    uint64_t keep = top ? HIGH(cut) : cut & (0 - cut), one, two, three, rest, bit, nb, smaller, x, unused;
+    uint64_t fort = grow(adj, cut, standard ? cut : keep, &one, &two, &three);
     if (POP(fort) <= 2)
         return fort;
-    for (rest = fort ^ low; rest; rest ^= bit) {
-        bit = HIGH(rest);
+    for (rest = fort ^ keep; rest; rest ^= bit) {
+        bit = top ? rest & (0 - rest) : HIGH(rest);
         nb = adj[CTZ(bit)];
         smaller = fort ^ bit;
         if (POP(((one & ~two & ~nb) | (two & ~three & nb)) & ~smaller) > ell)
             continue;
         x = nb & smaller;
-        if (!standard && (x & (x - 1)) != 0 && grow(adj, smaller, low, &unused, &unused, &unused) != smaller)
+        if (!standard && (x & (x - 1)) != 0 && grow(adj, smaller, keep, &unused, &unused, &unused) != smaller)
             continue;
         fort = smaller;
         one &= two | ~nb;
@@ -363,17 +370,76 @@ static uint64_t small_fort(const uint64_t *adj, uint64_t cut, int ell, int stand
     return fort;
 }
 
-/* (mask or -1, candidates, closures, ring): the ring of ncuts cuts, whose
- * newest sits just below `head`, as a tuple newest first. */
+/* The fort cuts of one search: `ncuts` distinct ones in slots 0 .. ncuts - 1,
+ * the newest just below `head`, and an index over the slots.  holds[v] has
+ * the slots whose cut holds vertex v, and meets the slots whose cut meets the
+ * search's core, so the cuts a prefix p misses are the slots in use outside
+ * meets and outside holds[v] for every v in p. */
+struct ring {
+    uint64_t cuts[CUTS], holds[64][SLOT_WORDS], meets[SLOT_WORDS];
+    int ncuts, head;
+};
+
+/* Index the ring's cuts, masks over [0, n), for a search from `core`. */
+static void ring_index(struct ring *r, uint64_t core, int n)
+{
+    int i;
+    uint64_t x;
+    memset(r->holds, 0, n * sizeof r->holds[0]);
+    memset(r->meets, 0, sizeof r->meets);
+    for (i = 0; i < r->ncuts; i++) {
+        for (x = r->cuts[i]; x; x &= x - 1)
+            r->holds[CTZ(x)][i / 64] |= (uint64_t)1 << (i % 64);
+        r->meets[i / 64] |= (uint64_t)((r->cuts[i] & core) != 0) << (i % 64);
+    }
+}
+
+/* Add a cut as the newest, in place of the oldest once the ring is full. */
+static void ring_put(struct ring *r, uint64_t cut, uint64_t core)
+{
+    int i = r->head, w = i / 64;
+    uint64_t bit = (uint64_t)1 << (i % 64), x;
+    if (i < r->ncuts)
+        for (x = r->cuts[i]; x; x &= x - 1)
+            r->holds[CTZ(x)][w] &= ~bit;
+    for (x = cut; x; x &= x - 1)
+        r->holds[CTZ(x)][w] |= bit;
+    r->meets[w] = (r->meets[w] & ~bit) | ((cut & core) != 0 ? bit : 0);
+    r->cuts[i] = cut;
+    r->head = (i + 1) % CUTS;
+    r->ncuts += r->ncuts < CUTS;
+}
+
+/* The AND of the ring's cuts that miss core and `p`. */
+static uint64_t ring_need(const struct ring *r, uint64_t p)
+{
+    uint64_t met[SLOT_WORDS], need = ~(uint64_t)0, miss, x;
+    int w, words = (r->ncuts + 63) / 64;
+    memcpy(met, r->meets, sizeof met);
+    for (x = p; x; x &= x - 1)
+        for (w = 0; w < words; w++)
+            met[w] |= r->holds[CTZ(x)][w];
+    for (w = 0; w < words; w++) {
+        miss = ~met[w];
+        if (r->ncuts < 64 * (w + 1))
+            miss &= ((uint64_t)1 << (r->ncuts % 64)) - 1;
+        for (; miss; miss &= miss - 1)
+            need &= r->cuts[64 * w + CTZ(miss)];
+    }
+    return need;
+}
+
+/* (mask or -1, candidates, closures, ring): the ring's cuts as a tuple,
+ * newest first. */
 static PyObject *search_out(int found, uint64_t mask, long long candidates, long long closures,
-                            const uint64_t *cuts, int ncuts, int head)
+                            const struct ring *r)
 {
     PyObject *ring, *item;
     int i;
-    if ((ring = PyTuple_New(ncuts)) == NULL)
+    if ((ring = PyTuple_New(r->ncuts)) == NULL)
         return NULL;
-    for (i = 0; i < ncuts; i++) {
-        if ((item = PyLong_FromUnsignedLongLong(cuts[(head + CUTS - 1 - i) % CUTS])) == NULL) {
+    for (i = 0; i < r->ncuts; i++) {
+        if ((item = PyLong_FromUnsignedLongLong(r->cuts[(r->head + CUTS - 1 - i) % CUTS])) == NULL) {
             Py_DECREF(ring);
             return NULL;
         }
@@ -396,33 +462,37 @@ static PyObject *search_out(int found, uint64_t mask, long long candidates, long
  * most 1 + C(|vs|, ell) closures.  A failing candidate's scan gives the
  * closure of a failing chain node S inside the failing placement L, a fixed
  * point under S, so the vertices W outside it are a fort whose threats lie
- * in S.  The cut kept is small_fort's F inside W: at most ell (as clamped)
- * outside vertices with exactly one neighbour in F, and F connected under the
- * psd rule.  A set missing F fails once F's threats leak: while F is white, a
- * non-leaked blue vertex has no neighbour in F or at least two, so under the
- * standard rule it forces nothing in F, and under the psd rule its neighbours
- * in F share one white component, the one holding F, so it forces no vertex
- * of F either.  Only failing candidates are skipped, so the witness and the
+ * in S.  The cuts kept are small_fort's F inside W and, when F is not W and
+ * differs from it, the mirror shrink's F' (kept as the newer): at most ell
+ * (as clamped) outside vertices with exactly one neighbour in each, and each
+ * connected under the psd rule.  A set missing F fails once F's threats
+ * leak: while F is white, a non-leaked blue vertex has no neighbour in F or
+ * at least two, so under the standard rule it forces nothing in F, and under
+ * the psd rule its neighbours in F share one white component, the one
+ * holding F, so it forces no vertex of F either.  Only failing candidates are skipped, so the witness and the
  * candidate count do not depend on the cuts.  That argument never uses the
- * size of the set, so the last CUTS (64, fixed) cuts stay in one ring for
- * every class: `cuts` holds *ncuts distinct ones, the newest just below
- * *head, which the search updates.  Nor does it use where F came from, so the
- * ring may start from any such cuts, as deletion_values starts it from G's
- * cuts that bind in G - e.  The class of core alone is one candidate, always
+ * size of the set, so the last CUTS (256, fixed) cuts stay in one ring for
+ * every class: `r` holds distinct ones, which the search updates.  Both cuts
+ * of a failed candidate miss it, and it met every cut kept, so the ring's
+ * cuts stay distinct.  Nor does it use where F came from, so the ring may
+ * start from any such cuts, as deletion_values starts it from G's cuts that
+ * bind in G - e.  The class of core alone is one candidate, always
  * tested, and keeps no cut.  The other classes are walked prefix by prefix,
- * as failing_leaks walks placements; the cuts a prefix misses are ANDed into
- * `need`, and a closure runs only for a last vertex in rest & need, taken by
- * lowest bit.  A skipped candidate still counts as tested.
+ * as failing_leaks walks placements; the cuts a prefix misses, read from the
+ * ring's slot index (see struct ring), are ANDed into `need`, and a closure
+ * runs only for a last vertex in rest & need, taken by lowest bit.  A skipped
+ * candidate still counts as tested.
  * _pykernel._search keeps the same ring and tests the same candidates, so
  * the twins share candidates, closures and rings; it also ends a prefix's
  * ring scan once nothing is left and skips a prefix a remembered cut
  * empties, which changes neither.  _pykernel.search_min_superset's docstring
  * gives the proofs. */
-static int search(struct scan *sc, uint64_t core, uint64_t free_mask, int lo, int hi, uint64_t *cuts,
-                  int *ncuts, int *head, uint64_t *found, long long *candidates, long long *closures)
+static int search(struct scan *sc, uint64_t core, uint64_t free_mask, int lo, int hi, struct ring *r,
+                  uint64_t *found, long long *candidates, long long *closures)
 {
-    int base = POP(core), j, i;
-    uint64_t full = full_mask(sc->n), leaks, reach, p, need, rest, hits, low, cand;
+    int base = POP(core), j;
+    uint64_t full = full_mask(sc->n), leaks, reach, p, need, rest, hits, low, cand, white, fort, mirror;
+    ring_index(r, core, sc->n);
     if (lo < base)
         lo = base;
     if (hi > base + POP(free_mask))
@@ -440,10 +510,7 @@ static int search(struct scan *sc, uint64_t core, uint64_t free_mask, int lo, in
         }
         p = lowest(free_mask & ~HIGH(free_mask), j - 1);
         do {
-            need = ~(uint64_t)0;
-            for (i = 0; i < *ncuts; i++)
-                if (((core | p) & cuts[i]) == 0)
-                    need &= cuts[i];
+            need = ring_need(r, p);
             for (rest = ABOVE(free_mask, p); (hits = rest & need) != 0;) {
                 low = hits & (0 - hits);
                 *candidates += POP(rest & (low - 1)) + 1;
@@ -455,11 +522,14 @@ static int search(struct scan *sc, uint64_t core, uint64_t free_mask, int lo, in
                     *found = cand;
                     return 1;
                 }
-                /* the ring drops its oldest cut once full */
-                cuts[*head] = small_fort(sc->adj, full & ~reach, sc->ell, sc->standard);
-                need &= cuts[*head];
-                *head = (*head + 1) % CUTS;
-                *ncuts += *ncuts < CUTS;
+                white = full & ~reach;
+                fort = small_fort(sc->adj, white, sc->ell, sc->standard, 0);
+                ring_put(r, fort, core);
+                need &= fort;
+                if (fort != white && (mirror = small_fort(sc->adj, white, sc->ell, sc->standard, 1)) != fort) {
+                    ring_put(r, mirror, core);
+                    need &= mirror;
+                }
             }
             *candidates += POP(rest);
         } while ((p = next_prefix(free_mask, p)) != 0);
@@ -587,8 +657,9 @@ static PyObject *py_first_failing_leaks(PyObject *self, PyObject *const *args, P
 /* See search; the ring comes back newest first. */
 static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int lo, hi, found, ncuts = 0, head = 0;
-    uint64_t adj[64], core, free_mask, full, mask = 0, unused, cuts[CUTS];
+    int lo, hi, found;
+    uint64_t adj[64], core, free_mask, full, mask = 0, unused;
+    struct ring ring;
     long long candidates = 0, closures = 0;
     struct scan sc = {0, 0, 0, 0, adj, {NULL, NULL, 0, 0}};
     if (check_nargs("search_min_superset", nargs, 7) < 0 || load_adj(args[0], &sc.n, adj) < 0
@@ -600,9 +671,10 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
     sc.vs = grow(adj, full, full & ~core, &unused, &unused, &unused);
     if (sc.ell > POP(sc.vs))
         sc.ell = POP(sc.vs);
-    found = search(&sc, core, free_mask & ~core, lo, hi, cuts, &ncuts, &head, &mask, &candidates, &closures);
+    ring.ncuts = ring.head = 0;
+    found = search(&sc, core, free_mask & ~core, lo, hi, &ring, &mask, &candidates, &closures);
     PyMem_Free(sc.memo.keys);
-    return found < 0 ? NULL : search_out(found, mask, candidates, closures, cuts, ncuts, head);
+    return found < 0 ? NULL : search_out(found, mask, candidates, closures, &ring);
 }
 
 /* Per edge u < v in ascending order, (value, candidates, closures) of the
@@ -618,14 +690,15 @@ static PyObject *py_search_min_superset(PyObject *self, PyObject *const *args, P
  * _pykernel.deletion_values, whose docstring gives the proofs. */
 static PyObject *py_deletion_values(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, ell, u, v, i, m = 0, nbind, ncuts, head, outside;
+    int n, ell, u, v, i, m = 0, nbind, outside;
     uint64_t adj[64], h[64], full, core, ecore, cut, one, two, three, above, comp, rest;
-    uint64_t free_mask, blue, mask, unused, cuts[CUTS], *binding = NULL;
+    uint64_t free_mask, blue, mask, unused, *binding = NULL;
     long long value, candidates, closures;
     Py_ssize_t t, len, nedges = 0;
     PyObject *seq, *out = NULL, *item;
     struct offer *offers = NULL;
     struct scan sc = {0, 0, 0, 0, h, {NULL, NULL, 0, 0}};
+    struct ring ring;
     if (check_nargs("deletion_values", nargs, 3) < 0 || load_adj(args[0], &n, adj) < 0
         || get_ell(args[1], &ell, n) < 0 || (seq = PySequence_Fast(args[2], "cuts must be iterable")) == NULL)
         return NULL;
@@ -677,19 +750,19 @@ static PyObject *py_deletion_values(PyObject *self, PyObject *const *args, Py_ss
                     continue;
                 }
                 blue = ecore | (full & ~comp);
-                for (ncuts = i = 0; i < nbind && ncuts < CUTS; i++)
+                for (ring.ncuts = i = 0; i < nbind && ring.ncuts < CUTS; i++)
                     if (binding[i] & free_mask)
-                        cuts[ncuts++] = binding[i];
-                for (i = 0; i < ncuts / 2; i++) {  /* the first offer kept is the newest */
-                    cut = cuts[i];
-                    cuts[i] = cuts[ncuts - 1 - i];
-                    cuts[ncuts - 1 - i] = cut;
+                        ring.cuts[ring.ncuts++] = binding[i];
+                for (i = 0; i < ring.ncuts / 2; i++) {  /* the first offer kept is the newest */
+                    cut = ring.cuts[i];
+                    ring.cuts[i] = ring.cuts[ring.ncuts - 1 - i];
+                    ring.cuts[ring.ncuts - 1 - i] = cut;
                 }
-                head = ncuts % CUTS;
+                ring.head = ring.ncuts % CUTS;
                 sc.vs = comp;
                 mask = 0;
-                if (search(&sc, blue, free_mask, outside + ell + 1, n, cuts, &ncuts, &head, &mask,
-                           &candidates, &closures) < 0) {
+                if (search(&sc, blue, free_mask, outside + ell + 1, n, &ring, &mask, &candidates,
+                           &closures) < 0) {
                     Py_CLEAR(out);
                     goto done;
                 }

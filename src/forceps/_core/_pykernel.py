@@ -28,9 +28,9 @@ from itertools import combinations, islice
 BACKEND = "python"
 # Bumped whenever results, work counters or signatures change; _core refuses
 # a compiled twin whose version differs.
-KERNEL_VERSION = 14
+KERNEL_VERSION = 15
 
-_CUTS = 64  # fort cuts one search keeps
+_CUTS = 256  # fort cuts one search keeps
 
 
 def _check_count(n) -> int:
@@ -208,6 +208,23 @@ def _prefixes(vs, k, base):
         yield base | p, vs & -(1 << p.bit_length())
 
 
+def _rounds(n, adj, state, forcers, leaks, standard, rounds) -> tuple[int, int]:
+    """Run the closure on from ``state``, whose earlier rounds' forcers are
+    ``forcers``: (fixed point, forcers of every round).  ``rounds`` gains
+    one (state before, forcers before, own forcers) per round run."""
+    full = (1 << n) - 1
+    while True:
+        white = full & ~state
+        if not white:
+            return state, forcers
+        newly, own = _round(adj, state, leaks, standard, white, 0)
+        if not newly:
+            return state, forcers
+        rounds.append((state, forcers, own))
+        state |= newly
+        forcers |= own
+
+
 def _scan(n, adj, blue, vs, ell, standard) -> tuple[int, int, int]:
     """(leaks, reach, closures run): the lexicographically first size-``ell``
     leak placement inside ``vs`` whose closure of ``blue`` misses a vertex,
@@ -234,9 +251,20 @@ def _scan(n, adj, blue, vs, ell, standard) -> tuple[int, int, int]:
     share the start of their chains: P's vertices are the lowest of each,
     so the chain takes them first, until (P - S) & F(S) is empty.  From
     there a last vertex outside F(S) certifies its placement at once, and
-    only the last vertices inside F(S) walk on."""
+    only the last vertices inside F(S) walk on.
+
+    Resumed closures.  Each chain node keeps its rounds (see _rounds).
+    A step from S to S + x, x a forcer of S, runs the same rounds as S's
+    up to the first round in which x forced: in an earlier round x forced
+    no target, so every target there keeps its smallest forcer, which is
+    not x and not in S, and the round's targets and forcers are S's.  So
+    the closure of S + x starts from that round's state and forcers, and
+    still counts as one closure.  The C twin runs each closure from
+    ``blue``: its rounds are cheap, and the memo would need a round
+    history per node."""
     full = (1 << n) - 1
-    reach, root = _closure(n, adj, blue, 0, standard)
+    rounds: list[tuple[int, int, int]] = []
+    reach, forcers = _rounds(n, adj, blue, 0, 0, standard, rounds)
     if reach != full:
         leaks = 0
         for _ in range(ell):
@@ -245,41 +273,55 @@ def _scan(n, adj, blue, vs, ell, standard) -> tuple[int, int, int]:
     if ell == 0:
         return -1, full, 1
     closures = 1
-    known: dict[int, int] = {}  # chain node -> its forcers, nodes below size ell
+    root = forcers, rounds
+    known: dict[int, tuple] = {}  # chain node -> its forcers and rounds, nodes below size ell
     for pmask, rest in _prefixes(vs, ell - 1, 0):
-        s, forcers, reach, c = _walk(n, adj, blue, ell, standard, pmask, 0, root, known)
+        s, node, reach, c = _walk(n, adj, ell, standard, pmask, 0, root, known)
         closures += c
         if reach != full:
             return pmask | rest & -rest, reach, closures
-        rest &= forcers
+        rest &= node[0]
         while rest:
             low = rest & -rest
             rest ^= low
-            _, _, reach, c = _walk(n, adj, blue, ell, standard, pmask | low, s, forcers, known)
+            _, _, reach, c = _walk(n, adj, ell, standard, pmask | low, s, node, known)
             closures += c
             if reach != full:
                 return pmask | low, reach, closures
     return -1, full, closures
 
 
-def _walk(n, adj, blue, ell, standard, lmask, s, forcers, known) -> tuple[int, int, int, int]:
-    """Walk the chain of ``lmask`` on from node ``s``, whose forcers are
-    ``forcers``: (last node, its forcers, its closure, closures run).  The
-    walk stops when ``lmask - s`` meets no forcer or a node's closure
-    misses a vertex; each step adds a vertex of ``lmask`` to ``s``."""
+def _walk(n, adj, ell, standard, lmask, s, node, known) -> tuple[int, tuple | None, int, int]:
+    """Walk the chain of ``lmask`` on from node ``s``, whose forcers and
+    rounds are ``node``: (last node, its forcers and rounds, its closure,
+    closures run).  The walk stops when ``lmask - s`` meets no forcer or a
+    node's closure misses a vertex; each step adds a vertex of ``lmask`` to
+    ``s`` and resumes from the rounds of the node before (see _scan).  A
+    node of size ``ell`` is the placement itself, where the walk ends: only
+    its closure is read, so it keeps no rounds and its node is None."""
     full = (1 << n) - 1
     closures = 0
+    forcers, rounds = node
     while x := lmask & ~s & forcers:
-        s |= x & -x
-        forcers = known.get(s, -1)
-        if forcers < 0:
-            closures += 1
-            reach, forcers = _closure(n, adj, blue, s, standard)
-            if reach != full:
-                return s, forcers, reach, closures
-            if s.bit_count() < ell:
-                known[s] = forcers
-    return s, forcers, full, closures
+        x &= -x
+        s |= x
+        node = known.get(s)
+        if node is not None:
+            forcers, rounds = node
+            continue
+        closures += 1
+        r = 0
+        while not rounds[r][2] & x:  # the first round x forced in
+            r += 1
+        state, before, _ = rounds[r]
+        if s.bit_count() == ell:
+            return s, None, _closure(n, adj, state, s, standard)[0], closures
+        rounds = rounds[:r]
+        reach, forcers = _rounds(n, adj, state, before, s, standard, rounds)
+        if reach != full:
+            return s, (forcers, rounds), reach, closures
+        known[s] = forcers, rounds
+    return s, (forcers, rounds), full, closures
 
 
 def _small_fort(adj, cut, ell, standard) -> int:
@@ -289,30 +331,37 @@ def _small_fort(adj, cut, ell, standard) -> int:
     exactly one neighbor in F, number at most ``ell``, and under the psd
     rule F is connected.
 
-    A psd cut is first narrowed to the component of its lowest vertex, and
-    a standard cut is taken whole.  A set of at most two vertices is kept as
-    it is.  Otherwise the lowest vertex stays, and each other vertex v, from
-    the highest down, is dropped when F - v is still such a set.  ``one``,
-    ``two`` and ``three`` hold the vertices with at least one, two and three
-    neighbors in F, so the threats of F - v are the vertices outside it
-    with one neighbor in F and none in v, or two in F and one in v: each
-    drop is tested without a search.  Under the psd rule a drop that passes
-    must also leave F - v connected.  F is connected, so a path inside F
-    from any vertex of F - v to v enters v from a neighbor of v in F - v,
-    and every component of F - v holds such a neighbor: F - v is connected
-    exactly when v's neighbors in F - v are joined inside it.  So the test
-    grows from one of them and stops as soon as all are reached, and it is
-    skipped when v has a single neighbor in F - v."""
-    low = cut & -cut
-    fort, one, two, three = _grow(adj, cut, cut if standard else low)
+    One vertex of the cut is kept, its lowest (the mirror shrink keeps its
+    highest; see _shrink).  A psd cut is first narrowed to the component of
+    the kept vertex, and a standard cut is taken whole.  A set of at most
+    two vertices is kept as it is.  Otherwise each other
+    vertex v, from the highest down (from the lowest up in the mirror), is
+    dropped when F - v is still such a set.  ``one``, ``two`` and ``three``
+    hold the vertices with at least one, two and three neighbors in F, so
+    the threats of F - v are the vertices outside it with one neighbor in F
+    and none in v, or two in F and one in v: each drop is tested without a
+    search.  Under the psd rule a drop that passes must also leave F - v
+    connected.  F is connected, so a path inside F from any vertex of F - v
+    to v enters v from a neighbor of v in F - v, and every component of
+    F - v holds such a neighbor: F - v is connected exactly when v's
+    neighbors in F - v are joined inside it.  So the test grows from one of
+    them and stops as soon as all are reached, and it is skipped when v has
+    a single neighbor in F - v."""
+    return _shrink(adj, cut, ell, standard, False)
+
+
+def _shrink(adj, cut, ell, standard, top) -> int:
+    """_small_fort's drops, or with ``top`` the mirror shrink's: keep the
+    highest vertex of ``cut`` and try drops from the lowest up."""
+    keep = 1 << cut.bit_length() - 1 if top else cut & -cut
+    fort, one, two, three = _grow(adj, cut, cut if standard else keep)
     if fort.bit_count() <= 2:
         return fort
-    rest = fort ^ low
+    rest = fort ^ keep
     while rest:
-        v = rest.bit_length() - 1
-        bit = 1 << v
+        bit = rest & -rest if top else 1 << rest.bit_length() - 1
         rest ^= bit
-        nb = adj[v]
+        nb = adj[bit.bit_length() - 1]
         smaller = fort ^ bit
         if ((one & ~two & ~nb | two & ~three & nb) & ~smaller).bit_count() > ell:
             continue
@@ -341,6 +390,17 @@ def _small_fort(adj, cut, ell, standard) -> int:
             if (adj[bit.bit_length() - 1] & fort).bit_count() < 3:
                 three ^= bit
     return fort
+
+
+def _small_forts(adj, cut, ell, standard) -> tuple[int, ...]:
+    """The cuts a failed candidate leaves, oldest first: _small_fort's, and
+    the mirror shrink's when the first is not ``cut`` itself and the mirror
+    differs from it."""
+    first = _small_fort(adj, cut, ell, standard)
+    if first == cut:
+        return (first,)
+    mirror = _shrink(adj, cut, ell, standard, True)
+    return (first,) if mirror == first else (first, mirror)
 
 
 def first_failing_leaks(adj, blue, ell, standard) -> tuple[int, int]:
@@ -387,10 +447,12 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     vertices outside W with exactly one neighbor in a white component of W
     (psd) or in W (standard), all lie in S.  Since S lies inside L,
     closure(S) contains closure(L), and W is never larger than the white
-    set of closure(L).  The cut kept is a smaller fort F inside W (see
-    _small_fort): at most ``ell`` vertices outside F (``ell`` as clamped to
-    ``live``) have exactly one neighbor in F, and F is connected under the
-    psd rule.  Every set that misses F fails once F's threats are leaked:
+    set of closure(L).  The cuts kept are smaller forts F inside W: the one
+    _small_fort keeps and, when that is not W and the mirror shrink's
+    differs from it, the mirror's too, as the newer (see _small_forts).  At
+    most ``ell`` vertices outside each F (``ell`` as clamped to ``live``)
+    have exactly one neighbor in F, and F is connected under the psd rule.
+    Every set that misses F fails once F's threats are leaked:
     F starts white, and while it is, a non-leaked blue vertex has no
     neighbor in F or at least two, all white.  Under the standard rule such
     a vertex forces nothing inside F; under the psd rule its neighbors in F
@@ -402,14 +464,16 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
 
     Cuts across classes.  That argument never uses the size of the set
     missing F, so a cut found in one class binds every later class too.
-    One call keeps its last 64 cuts (a fixed number), newest first, in one
+    One call keeps its last 256 cuts (a fixed number), newest first, in one
     ring across all of its classes, and returns the ring as it ends.  The
     class of ``core`` alone is one candidate, always tested, and keeps no
     cut.  The other classes are walked as the leak scan walks placements
     (see _prefixes): ``hits`` starts as ``rest`` and the cuts a prefix P
     misses are ANDed into it; a closure runs only for a last vertex in
     ``hits``, taken by lowest bit, and each new cut is ANDed in.  A skipped
-    candidate still counts as tested.
+    candidate still counts as tested.  The ring scan is a loop over the
+    cuts, newest first: a per-vertex index of them, which the C twin keeps,
+    ran slower in Python.
 
     Offered cuts.  Nor does the argument use where F came from: any F that
     is a fort of the rule in this graph, with at most ``ell`` threats (as
@@ -428,12 +492,12 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
     and a later prefix that misses it in P and in its ``rest`` is skipped
     without a scan.  The remembered cut is forgotten when the ring drops
     it, so it prunes only what the ring itself would.  The ring's cuts are
-    distinct, since no starting cut repeats another and each new cut is
-    missed by a candidate that meets every cut kept, so the dropped cut is
-    known by its value.  Neither shortcut tests a candidate the full scan
-    skips or skips one it tests, and the ring's contents stay the same, so
-    the candidates and closures are those of the full scan, and of the C
-    twin.
+    distinct, since no starting cut repeats another, each new cut is missed
+    by a candidate that meets every cut kept, and a failed candidate's two
+    cuts differ, so the dropped cut is known by its value.  Neither shortcut
+    tests a candidate the full scan skips or skips one it tests, and the
+    ring's contents stay the same, so the candidates and closures are those
+    of the full scan, and of the C twin.
     """
     n = _check_count(len(adj))
     _check_mask(n, core)
@@ -449,7 +513,7 @@ def search_min_superset(adj, core, free, lo, hi, ell, standard) -> tuple[int, in
 
 def _search(n, adj, core, free, lo, hi, ell, standard, live, ring) -> tuple[int, int, int]:
     """search_min_superset's scan from the distinct cuts in ``ring``, a
-    deque with ``maxlen`` 64, newest first, which it updates: (mask,
+    deque with ``maxlen`` _CUTS, newest first, which it updates: (mask,
     candidates_tested, closures_run).  ``free`` misses ``core``, and
     ``live`` and the clamped ``ell`` are search_min_superset's."""
     full = (1 << n) - 1
@@ -487,11 +551,12 @@ def _search(n, adj, core, free, lo, hi, ell, standard, live, ring) -> tuple[int,
                 closures += c
                 if reach == full:
                     return cand, candidates - rest.bit_count(), closures
-                cut = _small_fort(adj, full & ~reach, ell, standard)
-                hits &= rest & cut
-                if len(ring) == _CUTS and ring[-1] == killer:
-                    killer = full  # the ring drops it
-                ring.appendleft(cut)
+                hits &= rest
+                for cut in _small_forts(adj, full & ~reach, ell, standard):
+                    hits &= cut
+                    if len(ring) == _CUTS and ring[-1] == killer:
+                        killer = full  # the ring drops it
+                    ring.appendleft(cut)
     return -1, candidates, closures
 
 
@@ -506,7 +571,7 @@ def deletion_values(adj, ell, cuts) -> tuple[tuple[int, int, int], ...]:
 
     ``cuts`` offers fort cuts of G, such as the ring of G's own solve.
     Every offer is checked as a mask argument is, after the leak budget,
-    and repeats are dropped.  Each search starts its ring from the first 64
+    and repeats are dropped.  Each search starts its ring from the first 256
     offers, in the offered order, the first as the newest, that meet its
     free vertices and bind in G - e, where they are connected with at most
     ``ell`` threats: a cut the search may keep (see search_min_superset,

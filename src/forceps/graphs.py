@@ -137,7 +137,7 @@ class VertexSet:
     __le__ = issubset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """A simple undirected graph: one neighborhood mask per vertex, so the
     row count is the vertex count ``n``.  Construction copies the adjacency

@@ -13,8 +13,9 @@ vertex has a neighbor in it.  A component with a vertex outside the core holds a
 degree above ell, so it has at least ell + 2 vertices, and its scan starts
 at ell + 1 of them (or at its core, if that is larger).  Each component is
 one kernel call over all of its classes, which keeps, per failed
-candidate, a small fort among the vertices its stalled closure left white
-and runs no closure for a later candidate, of any size, that misses one
+candidate, up to two small forts among the vertices its stalled closure
+left white and runs no closure for a later candidate, of any size, that
+misses one
 (see ``_pykernel.search_min_superset``); ``SolveStats.nodes`` still counts
 every enumerated candidate, skipped or not.  A solve returns the cuts its
 searches end with, and ``edge_deletion_scan`` solves every G - e in one
@@ -181,8 +182,9 @@ def leaky_number(
     classes between them is one kernel call.
 
     Every kernel call starts with no cuts.  The result's ``cuts`` joins
-    the cut rings the kernel calls end with, newest first within each, in
-    call order: one ring per component searched when ``workers`` is 1.
+    the cut rings the kernel calls end with, each of at most 256 cuts and
+    newest first, in call order: one ring per component searched when
+    ``workers`` is 1.
     ``edge_deletion_scan`` offers them to the solves of G - e (see
     ``_pykernel.deletion_values``).  The value, witness and
     ``stats.nodes`` are the serial search's at any ``workers``, while

@@ -5,7 +5,10 @@ prunes.  No code is shared with the package kernels; agreement between the
 two routes is what the property suites check.  The oracles work on plain
 Python sets and dict adjacency, except async_closure_mask, which takes masks
 like the kernel closure it is compared with over every state of the small
-atlas graphs.
+atlas graphs, and reference_leak_scan, the kernel's certified leak scan as it
+was before its closures resumed from shared rounds: it runs every chain
+node's closure from the start with the kernel's own closure, so that the two
+scans can be compared in leaks and in closures run.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from forceps import Graph, Rule
+from forceps._core import _pykernel
 
 
 def _adj_sets(g: Graph) -> dict[int, set[int]]:
@@ -174,6 +178,11 @@ def naive_is_fort(g: Graph, vertices: set[int], ell: int) -> bool:
     return True
 
 
+def naive_is_connected(g: Graph, vertices: set[int]) -> bool:
+    """Whether ``vertices`` induce a connected subgraph (the empty set does not)."""
+    return len(_components_of(_adj_sets(g), set(vertices))) == 1
+
+
 def naive_is_standard_fort(g: Graph, vertices: set[int], ell: int) -> bool:
     """Whole-set fort test of the standard rule: at most ``ell`` outside
     vertices have exactly one neighbor in the set, whatever its components."""
@@ -204,3 +213,44 @@ def naive_hitting_number(fort_sets: list[frozenset], n: int) -> tuple[int, tuple
             if all(chosen & f for f in fort_sets):
                 return k, combo
     raise AssertionError("the full vertex set hits everything")
+
+
+def reference_leak_scan(adj, blue: int, ell: int, standard: bool) -> tuple[int, int]:
+    """first_failing_leaks's (leaks or -1, closures run), each chain node's
+    closure run from ``blue`` (see _pykernel._scan)."""
+    n = len(adj)
+    ell = min(ell, n)
+    full = (1 << n) - 1
+    reach, root = _pykernel._closure(n, adj, blue, 0, standard)
+    if reach != full:
+        return (1 << ell) - 1, 1
+    if ell == 0:
+        return -1, 1
+    closures = 1
+    known: dict[int, int] = {}  # chain node -> its forcers, nodes below size ell
+
+    def walk(lmask, s, forcers):
+        nonlocal closures
+        while x := lmask & ~s & forcers:
+            s |= x & -x
+            forcers = known.get(s, -1)
+            if forcers < 0:
+                closures += 1
+                reach, forcers = _pykernel._closure(n, adj, blue, s, standard)
+                if reach != full:
+                    return s, forcers, False
+                if s.bit_count() < ell:
+                    known[s] = forcers
+        return s, forcers, True
+
+    for pmask, rest in _pykernel._prefixes(full, ell - 1, 0):
+        s, forcers, ok = walk(pmask, 0, root)
+        if not ok:
+            return pmask | rest & -rest, closures
+        rest &= forcers
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not walk(pmask | low, s, forcers)[2]:
+                return pmask | low, closures
+    return -1, closures

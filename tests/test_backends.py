@@ -30,8 +30,8 @@ from forceps.solve import _pieces
 
 from corpus import atlas_graphs, disjoint_union, interleaved_union, random_graph
 from oracles import (
-    async_closure_mask, naive_hitting_number, naive_is_ell_leaky, naive_is_standard_fort,
-    naive_minimal_forts, naive_possible_forces,
+    async_closure_mask, naive_hitting_number, naive_is_connected, naive_is_ell_leaky, naive_is_fort,
+    naive_is_standard_fort, naive_minimal_forts, naive_possible_forces, reference_leak_scan,
 )
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "forceps" / "_core" / "_ckernel.c"
@@ -223,6 +223,31 @@ def test_leak_scans_match_the_oracle(ck):
                     want = -1 if ok else sum(1 << v for v in combo)
                     for k in (_pykernel, ck):
                         assert k.first_failing_leaks(g.adj, blue, ell, rule is Rule.standard)[0] == want
+
+
+def test_resumed_closures_change_no_scan(ck):
+    # each chain node's closure resumes from the rounds it shares with the
+    # node before; leaks and closures run stay those of closures run from
+    # the start, on both twins.  Half the blue sets are a solve's witness,
+    # which every placement certifies, the others random
+    rng = random.Random(0x5CA)
+    certified = closures = 0
+    for i in range(120):
+        n = rng.randint(2, 16)
+        g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.5]))
+        for ell in (1, 2, 3):
+            for rule in (Rule.psd, Rule.standard):
+                std = rule is Rule.standard
+                if i % 2:
+                    blue = rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n)
+                else:
+                    blue = leaky_number(g, ell, rule).witness.mask
+                want = reference_leak_scan(g.adj, blue, ell, std)
+                assert _pykernel.first_failing_leaks(g.adj, blue, ell, std) == want
+                assert ck.first_failing_leaks(g.adj, blue, ell, std) == want
+                certified += want[0] == -1
+                closures += want[1]
+    assert certified > 300 and closures > 3000
 
 
 def test_certified_scan_skips_closures(ck):
@@ -434,19 +459,63 @@ def test_sets_missing_a_kept_cut_fail():
                     assert not is_ell_leaky_forcing_set(g, rest, ell, rule).ok
 
 
+def test_every_ring_cut_is_a_fort_of_the_rule(ck):
+    # a failed candidate leaves up to two cuts, the shrink's and its
+    # mirror's: every cut a search returns is a fort of its rule with at
+    # most ell threats, connected under the psd rule, and none repeats
+    rng = random.Random(0xF02)
+    cuts = 0
+    for _ in range(24):
+        n = rng.randint(8, 14)
+        g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.4]))
+        for ell in range(4):
+            core = _degree_core(g, ell)
+            lo = max(core.bit_count(), ell + 1)
+            for std in (False, True):
+                found = _pykernel.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std)
+                assert found == ck.search_min_superset(g.adj, core, (1 << n) - 1, lo, n, ell, std)
+                ring = found[3]
+                assert len(set(ring)) == len(ring)
+                for cut in ring:
+                    fort = {v for v in range(n) if cut >> v & 1}
+                    if std:
+                        assert naive_is_standard_fort(g, fort, ell)
+                    else:
+                        assert naive_is_fort(g, fort, ell) and naive_is_connected(g, fort)
+                cuts += len(ring)
+    assert cuts > 1000
+
+
+# searches whose ring passes 64 cuts, from the degree core up as a solve
+# searches: (graph, ell, rule)
+FILLED_RINGS = (
+    (grid(5, 5), 2, Rule.psd),
+    (hypercube(4), 2, Rule.standard),
+    (petersen_gp(8), 2, Rule.psd),
+)
+
+
+def test_twins_agree_once_the_ring_passes_64_cuts(ck):
+    for g, ell, rule in FILLED_RINGS:
+        core = _degree_core(g, ell)
+        args = (g.adj, core, (1 << g.n) - 1, max(core.bit_count(), ell + 1), g.n, ell, rule is Rule.standard)
+        found = _pykernel.search_min_superset(*args)
+        assert found == ck.search_min_superset(*args) and len(found[3]) > 64
+
+
 # perfbench's solve anchors: weaker cuts would run more closures
 ANCHOR_LEAK_CHECKS = {
-    (hypercube(4), 2): {Rule.psd: 2940, Rule.standard: 169},
-    (grid(4, 4), 1): {Rule.psd: 171, Rule.standard: 60},
+    (hypercube(4), 2): {Rule.psd: 1373, Rule.standard: 102},
+    (grid(4, 4), 1): {Rule.psd: 69, Rule.standard: 35},
 }
 
-# psd searches from the degree core up that keep more than 64 cuts, so the
-# ring drops cuts: (graph, ell) -> (witness, candidates, closures).  The
-# second graph is from perfbench's solve pool; a search that still prunes
-# with a cut the ring has dropped runs 245 closures on it
+# psd searches from the degree core up that keep more than 256 cuts, so the
+# ring drops cuts: (graph, ell) -> (witness, candidates, closures).  A search
+# that still prunes with a cut the ring has dropped runs 540 closures on the
+# second graph
 EVICTING_SEARCHES = {
-    (hypercube(4), 2): (255, 26197, 2940),
-    (from_graph6("LL{`AuBc_gEZAL"), 2): (253, 1784, 250),
+    (hypercube(4), 2): (255, 26197, 1373),
+    (from_graph6("PB??xXPN@S@dp?oLE?UA_GcO"), 2): (9132, 35256, 543),
 }
 
 
@@ -522,7 +591,7 @@ def _solve_less_edge(g, ell, edge, ring):
         outside = n - comp.bit_count()
         found, cand, clos = _pykernel._search(
             n, h.adj, core | full & ~comp, free, outside + ell + 1, n, ell, False, comp,
-            deque(ring(h, free), maxlen=64))
+            deque(ring(h, free), maxlen=_pykernel._CUTS))
         value += found.bit_count() - outside
         candidates += cand
         closures += clos
@@ -530,9 +599,10 @@ def _solve_less_edge(g, ell, edge, ring):
 
 
 def _kept(h, ell, offers, free):
-    """The first 64 distinct offers that meet ``free`` and bind in ``h``,
+    """The first 256 distinct offers that meet ``free`` and bind in ``h``,
     counted there vertex by vertex: connected, with at most ``ell`` threats."""
-    return [m for m in dict.fromkeys(offers) if m & free and _threats(h, m) <= ell and _connected(h, m)][:64]
+    return [m for m in dict.fromkeys(offers)
+            if m & free and _threats(h, m) <= ell and _connected(h, m)][:_pykernel._CUTS]
 
 
 def _reference_values(g, ell, offers):
@@ -549,12 +619,12 @@ DELETION_CASES = (
     ("no endpoint in F, ell + 1 threats", "DkW", 1, (0, 1), [16]),
     ("both endpoints in F, F - e connected", "D{w", 1, (1, 2), [7]),
     ("both endpoints in F, F - e split", "D{w", 1, (0, 4), [17]),
-    ("one endpoint in F, the other with 1 neighbor in F", "Enao", 1, (0, 1), [6]),
+    ("one endpoint in F, the other with 1 neighbor in F", "DjW", 1, (1, 3), [18]),
     ("one endpoint in F, the other with 2 neighbors in F", "D{w", 1, (0, 1), [17]),
     ("one endpoint in F, the other with 3 neighbors in F", "D{w", 1, (0, 1), [22]),
     ("a bridge", "D{w", 1, (0, 3), [3]),
-    ("a repeated offer", "D{w", 1, (0, 1), [6] * 64 + [18]),
-    ("more than 64 offers", "FlZ]?", 2, None, list(range(127, 0, -1))),
+    ("a repeated offer", "D{w", 1, (0, 1), [6] * 256 + [18]),
+    ("more than 256 offers", "HEhhzZP", 2, None, list(range(511, 0, -1))),
 )
 
 
@@ -571,11 +641,11 @@ def test_deletion_cases_reach_every_branch():
     # its edge changes the triple there
     for branch, line, ell, edge, offers in DELETION_CASES:
         g = from_graph6(line)
-        if edge is None:  # more than 64 offers bind: the first 64 fill the ring, the first as the newest
+        if edge is None:  # more than 256 offers bind: the first 256 fill the ring, the first as the newest
             h_kept = [len(_kept(delete_edge(g, *e), ell, offers, (1 << g.n) - 1)) for e in g.edges()]
-            assert max(h_kept) == 64 and len([m for m in offers if _threats(g, m) <= ell]) > 64
+            assert max(h_kept) == 256 and len([m for m in offers if _threats(g, m) <= ell]) > 256
             plain = _reference_values(g, ell, offers)
-            for wrong in (lambda k: k[-64:], lambda k: k[:64][::-1]):  # the last 64; oldest first
+            for wrong in (lambda k: k[-256:], lambda k: k[:256][::-1]):  # the last 256; oldest first
                 assert plain != tuple(
                     _solve_less_edge(g, ell, e, lambda h, free: wrong(
                         [m for m in offers if m & free and _threats(h, m) <= ell and _connected(h, m)]))
@@ -589,7 +659,7 @@ def test_deletion_cases_reach_every_branch():
         if branch == "a repeated offer":
             # kept only once, so the offer after the repeats still fits
             assert keeps and offers.count(f) == 1 and _kept(h, ell, offers, f)[-1] == f
-            wrong = _solve_less_edge(g, ell, edge, lambda h, free: [m for m in offers if m & free][:64])
+            wrong = _solve_less_edge(g, ell, edge, lambda h, free: [m for m in offers if m & free][:256])
             assert plain != wrong, branch
             continue
         assert _connected(g, f)
@@ -662,19 +732,20 @@ def test_refused_offers_change_nothing(twin, request):
 
 @pytest.mark.parametrize("twin", ["python", "c"])
 def test_kept_offers_fill_the_ring_in_the_offered_order(twin, request):
-    # every mask of a graph of 7 vertices offered, shuffled and some twice:
-    # each search starts from the first 64 distinct ones that bind and meet
+    # every mask of a graph of 9 vertices offered, shuffled and some twice:
+    # each search starts from the first 256 distinct ones that bind and meet
     # its free vertices, the first as the newest
     kern = _twin(twin, request)
     rng = random.Random(0x10)
     full_rings = 0
-    for g in atlas_graphs(7, min_n=7)[::97]:
+    for _ in range(9):
+        g = random_graph(rng, 9, rng.choice([0.4, 0.5, 0.6]))
         for ell in (1, 2):
             offers = list(range(1 << g.n))
             offers += rng.sample(offers, 30)
             rng.shuffle(offers)
             assert kern.deletion_values(g.adj, ell, offers) == _reference_values(g, ell, offers)
-            full_rings += any(len(_kept(delete_edge(g, *e), ell, offers, (1 << g.n) - 1)) == 64
+            full_rings += any(len(_kept(delete_edge(g, *e), ell, offers, (1 << g.n) - 1)) == 256
                               for e in g.edges())
     assert full_rings > 2
 
@@ -730,29 +801,29 @@ def test_scan_work_is_pinned(twin, request, monkeypatch):
         for _, cand, clos in kern.deletion_values(g.adj, 1, base.cuts):
             candidates += cand
             closures += clos
-    assert (candidates, closures) == (16701, 8820)
+    assert (candidates, closures) == (16701, 8295)
 
 
-# disconnected graphs whose solve keeps more than 64 cuts, one ring per
-# component: (graph, ell) -> (closures of every G - e from the first 64
+# disconnected graphs whose solve keeps more than 256 cuts, one ring per
+# component: (graph, ell) -> (closures of every G - e from the first 256
 # of G's cuts, from all of them)
 DISCONNECTED_SCANS = {
-    (disjoint_union(wheel(12), wheel(12)), 2): (7646, 3530),
-    (disjoint_union(disjoint_union(wheel(9), wheel(9)), wheel(9)), 2): (10347, 2625),
-    (disjoint_union(grid(4, 4), petersen_gp(8)), 1): (15804, 12789),
+    (disjoint_union(petersen_gp(8), petersen_gp(8)), 2): (34824, 5638),
+    (disjoint_union(grid(4, 5), petersen_gp(8)), 1): (10646, 8037),
+    (disjoint_union(petersen_gp(8), wheel(9)), 2): (6976, 3378),
 }
 
 
 @pytest.mark.parametrize("twin", ["python", "c"])
 def test_every_component_starts_from_g_s_cuts(twin, request):
     # G's cuts come one ring per component, in component order, so the
-    # first 64 hold few or none of a later component's: all of them spare
+    # first 256 hold few or none of a later component's: all of them spare
     # closures, and change no value or candidate count
     kern = _twin(twin, request)
     for (g, ell), pinned in DISCONNECTED_SCANS.items():
         cuts = leaky_number(g, ell).cuts
-        assert len(cuts) > 64
-        first, every = (kern.deletion_values(g.adj, ell, offers) for offers in (cuts[:64], cuts))
+        assert len(cuts) > 256
+        first, every = (kern.deletion_values(g.adj, ell, offers) for offers in (cuts[:256], cuts))
         assert (sum(k for _, _, k in first), sum(k for _, _, k in every)) == pinned
         plain = [leaky_number(delete_edge(g, *e), ell) for e in g.edges()]
         for triples in (first, every):

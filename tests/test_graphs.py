@@ -109,6 +109,23 @@ def test_a_graph_is_its_rows():
         assert copy == h and hash(copy) == hash(h) and copy.n == h.n
 
 
+def test_a_graph_keeps_no_instance_dict():
+    # Graph is a frozen slotted dataclass: no per-instance dict, yet it
+    # still pickles for the process pool, hashes as its copy does, and
+    # refuses assignment to a field or to a new name (Python 3.11 raises
+    # TypeError for the latter, later versions an AttributeError)
+    g = delete_edge(cycle(7), 2, 3)
+    assert not hasattr(g, "__dict__")
+    for copy in (pickle.loads(pickle.dumps(g)), Graph(g.adj)):
+        assert copy == g and hash(copy) == hash(g) and copy.n == g.n and copy.adj == g.adj
+    for name in ("adj", "n"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+    with pytest.raises((AttributeError, TypeError)):
+        g.label = "c7"
+    assert g.n == 7 and g.num_edges() == 6
+
+
 def test_graph_accessors():
     g = path(4)
     assert g.degrees() == (1, 2, 2, 1)

@@ -403,8 +403,8 @@ class TestEdgeDeletionScan:
         assert carried < plain_checks
 
     def test_the_scan_offers_every_cut_of_a_disconnected_graph(self, monkeypatch):
-        # G's solve keeps one ring per component, 106 cuts here; the kernel
-        # alone caps the ring each search of G - e starts from
+        # G's solve keeps one full ring per component, 512 cuts here; the
+        # kernel alone caps the ring each search of G - e starts from
         offered = []
         deletion_values = _core.deletion_values
 
@@ -413,10 +413,10 @@ class TestEdgeDeletionScan:
             return deletion_values(adj, ell, cuts)
 
         monkeypatch.setattr(_core, "deletion_values", spy)
-        g = disjoint_union(wheel(12), wheel(12))
+        g = disjoint_union(petersen_gp(8), petersen_gp(8))
         records = list(edge_deletion_scan([g], 2))
         assert len(records) == g.num_edges() and len(offered) == 1
-        assert len(offered[0]) == 106 and offered[0] == leaky_number(g, 2).cuts
+        assert len(offered[0]) == 512 and offered[0] == leaky_number(g, 2).cuts
 
     def test_parallel_scan_gives_the_serial_records(self):
         sample = atlas_graphs(6)[::7]
